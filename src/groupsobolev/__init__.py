@@ -2,9 +2,9 @@
 
 The package provides, for a finite abelian group G = Z_{n1} x ... x Z_{nd}:
 
-* exact Fourier analysis (hand-rolled mixed-radix transforms, no external
-  FFT dependency) under the normalized Haar measure on G and the counting
-  measure on the dual;
+* exact Fourier analysis (``numpy.fft`` over the grid of cyclic factors,
+  checked against a quadratic-time oracle) under the normalized Haar
+  measure on G and the counting measure on the dual;
 * weighted Sobolev norms driven by subadditive dual weights, together with
   the closed-form sup/Lebesgue embedding and algebra constants;
 * the spectral string operator u -> Laplacian(exp(-c Laplacian) u) - u as a

@@ -18,6 +18,7 @@ version): keys are sorted and no timestamps are embedded.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import os
@@ -280,15 +281,14 @@ def _cmd_solve_linear(args) -> int:
     return 0
 
 
-def _make_nonlinearity(args, group: FiniteAbelianGroup):
-    forcing = None
-    if args.forcing and args.forcing_scale is not None:
+def _load_forcing(path, scale, group: FiniteAbelianGroup) -> Signal | None:
+    if path and scale is not None:
         raise ValueError("give either --forcing FILE or --forcing-scale X, not both")
-    if args.forcing:
-        forcing = _read_field(args.forcing, group)
-    elif args.forcing_scale is not None:
-        forcing = lowfreq_forcing(group, args.forcing_scale)
-    return parse_nonlinearity(args.nonlinearity, group, forcing)
+    if path:
+        return _read_field(path, group)
+    if scale is not None:
+        return lowfreq_forcing(group, scale)
+    return None
 
 
 def _solver_config(args, group: FiniteAbelianGroup) -> SolverConfig:
@@ -308,7 +308,9 @@ def _solver_config(args, group: FiniteAbelianGroup) -> SolverConfig:
 def _cmd_solve_nonlinear(args) -> int:
     group = parse_group(args.group)
     w = _load_weight(group, args)
-    nl = _make_nonlinearity(args, group)
+    nl = parse_nonlinearity(
+        args.nonlinearity, group, _load_forcing(args.forcing, args.forcing_scale, group)
+    )
     cfg = _solver_config(args, group)
     phi, rep = solve_nonlinear(nl, w, args.c, cfg)
     record = verify_solution(phi, nl, w, args.c, s=args.s, residual_tol=10 * args.tol)
@@ -338,33 +340,29 @@ def _cmd_solve_nonlinear(args) -> int:
     else:
         print(f"status: {rep.status} after {rep.iterations} iterations; "
               f"equation residual {rep.final_residual_eq:.3e}")
-    return 0 if rep.converged else 1
+    return 0 if rep.converged and record["all_ok"] else 1
 
 
 _SWEEP_PARAMS = ("c", "theta", "forcing-scale", "lam")
 
 
-def _sweep_one(args, value: float):
-    group = parse_group(args.group)
-    w = _load_weight(group, args)
-    local = argparse.Namespace(**vars(args))
-    if args.param == "c":
-        c = value
-    else:
-        c = args.c
+def _sweep_one(args, group: FiniteAbelianGroup, w: Weight, forcing: Signal | None,
+               cfg: SolverConfig, value: float):
+    """One grid point; group, weight, forcing and config come parsed once."""
+    c = value if args.param == "c" else args.c
+    nonlinearity = args.nonlinearity
     if args.param == "theta":
-        local.theta = value
+        cfg = dataclasses.replace(cfg, theta=value)
     if args.param == "forcing-scale":
-        local.forcing_scale = value
+        forcing = _load_forcing(args.forcing, value, group)
     if args.param == "lam":
         base = args.nonlinearity.split(":", 1)
         if len(base) != 2 or "," not in base[1]:
             raise ValueError("sweeping lam needs a power:p,lam style nonlinearity")
         p = base[1].split(",")[0]
-        local.nonlinearity = f"{base[0]}:{p},{value:g}"
-    nl = _make_nonlinearity(local, group)
-    cfg = _solver_config(local, group)
-    phi, rep = solve_nonlinear(nl, w, c, cfg)
+        nonlinearity = f"{base[0]}:{p},{value:g}"
+    nl = parse_nonlinearity(nonlinearity, group, forcing)
+    _, rep = solve_nonlinear(nl, w, c, cfg)
     return rep
 
 
@@ -375,11 +373,16 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"bad sweep grid {args.grid!r}") from exc
     if not grid:
         raise ValueError("sweep grid is empty")
+    group = parse_group(args.group)
+    w = _load_weight(group, args)
+    forcing = None
+    if args.param != "forcing-scale":
+        forcing = _load_forcing(args.forcing, args.forcing_scale, group)
+    cfg = _solver_config(args, group)
     workers = int(os.environ.get("GROUPSOBOLEV_WORKERS", "4"))
-    rows = []
     with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        for value, rep in zip(grid, pool.map(lambda v: _sweep_one(args, v), grid)):
-            rows.append((value, rep))
+        reps = pool.map(lambda v: _sweep_one(args, group, w, forcing, cfg, v), grid)
+        rows = list(zip(grid, reps))
     header = (
         "param,value,status,converged,iterations,final_residual_eq,"
         "norm_l2,norm_l2alpha,norm_domain,norm_sup,ball_respected,ball_radius"

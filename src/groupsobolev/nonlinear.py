@@ -38,16 +38,17 @@ from .sobolev import (
     Weight,
     embedding_constant_sup,
     lp_norm,
+    lp_norm_batch,
     make_weight,
     sobolev_norm,
 )
-from .spectral import Signal, dual_coefficients, idft_values
+from .spectral import Signal, Spectrum, dft_values, dual_coefficients, idft, idft_values
 from .stringop import (
     NotInDomainError,
     apply_operator,
     build_multiplier,
     domain_norm,
-    solve_linear,
+    multiply_spectrum,
 )
 
 __all__ = [
@@ -258,51 +259,50 @@ def eval_source(nl: Nonlinearity, u: Signal) -> Signal:
     return Signal(u.group, nl.u_func(y) - y)
 
 
-def _guarded_step(u: Signal, nl: Nonlinearity, w: Weight, c: float) -> Signal | None:
-    """The map G with an overflow guard: returns None when the source (or the
-    solve) goes non-finite, which the iteration treats as divergence.
-
-    The linear solve's dual coefficients are Hermitian-symmetrized, which
-    projects the field onto real values exactly while keeping the exact
-    dual representation attached to the returned signal.
-    """
-    y = u.values.real
+def _source_hat(nl: Nonlinearity, group: FiniteAbelianGroup, y: np.ndarray) -> np.ndarray | None:
+    """Dual coefficients of the source V(., y), or None when V or its
+    transform is not finite, which the iteration treats as divergence."""
     with np.errstate(over="ignore", invalid="ignore"):
         v = nl.u_func(y) - y
-    if not np.isfinite(v).all():
-        return None
-    try:
-        step = solve_linear(Signal(u.group, v), w, c)
-    except ValueError:
-        # a source near the float64 ceiling can overflow inside the forward
-        # transform even though its samples are finite; that is divergence
-        return None
-    worst_imag = float(np.abs(step.values.imag).max(initial=0.0))
-    scale = max(1.0, float(np.abs(step.values.real).max(initial=0.0)))
+        if not np.isfinite(v).all():
+            return None
+        v_hat = dft_values(group, v)
+    return v_hat if np.isfinite(v_hat).all() else None
+
+
+def _real_step(v_hat: np.ndarray, inv_m: np.ndarray, inv: np.ndarray) -> np.ndarray:
+    """Dual coefficients of G's output, -v_hat / m, Hermitian-symmetrized so
+    that the field they synthesize is exactly real.
+
+    The symmetrization must be a rounding-level projection; a larger
+    anti-Hermitian part (compared in L2, by Plancherel) means the
+    multiplier/weight pair does not preserve real fields.
+    """
+    raw = -v_hat * inv_m
+    sym = 0.5 * (raw + np.conj(raw[inv]))
+    with np.errstate(over="ignore", invalid="ignore"):  # a blown-up step passes
+        worst_imag = _l2_dual(raw - sym)
+        scale = max(1.0, _l2_dual(sym))
     if worst_imag > _IMAG_TOL * scale:
         raise ValueError(
             f"linear solve returned relative imaginary magnitude "
             f"{worst_imag / scale:.3g}; the multiplier/weight pair does not "
             "preserve real fields"
         )
-    dual = step.exact_dual
-    inv = inverse_indices(u.group)
-    sym = 0.5 * (dual + np.conj(dual[inv]))
-    resym = idft_values(u.group, sym)
-    out = Signal(u.group, resym.real)
-    object.__setattr__(out, "_dual", sym)
-    return out
+    return sym
 
 
 def picard_step(u: Signal, nl: Nonlinearity, w: Weight, c: float) -> Signal:
     """One application of the map G: solve the linear problem with source
     V(., u).  The result is projected to its real part, which must be a
-    rounding-level projection only."""
+    rounding-level projection only, and carries its dual coefficients."""
     eval_source(nl, u)  # enforce the real-field contract on the input
-    step = _guarded_step(u, nl, w, c)
-    if step is None:
+    v_hat = _source_hat(nl, u.group, u.values.real)
+    if v_hat is None:
         raise ValueError("source values are not finite (field overflow)")
-    return step
+    inv_m = np.exp(-build_multiplier(u.group, w, c).log_values)
+    step = _real_step(v_hat, inv_m, inverse_indices(u.group))
+    return idft(Spectrum(u.group, step), real=True)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +435,13 @@ def _l2(group: FiniteAbelianGroup, values: np.ndarray) -> float:
         return float(np.sqrt((np.abs(values) ** 2).sum() / group.order))
 
 
+def _l2_dual(values: np.ndarray) -> float:
+    """l2 norm under counting measure on the dual.  Summed in numpy, not
+    through np.linalg.norm, whose BLAS dot product starts its own threads
+    on long vectors and contends with the CLI's sweep threads."""
+    return float(np.sqrt((np.abs(values) ** 2).sum()))
+
+
 def _try_domain_norm(phi: Signal, w: Weight, c: float) -> tuple[float, bool]:
     try:
         return domain_norm(phi, w, c), True
@@ -461,16 +468,25 @@ def solve_nonlinear(
     ball = size_ball(group, w, c, nl)
     eps = cfg.epsilon_ball if cfg.epsilon_ball is not None else ball["epsilon"]
     two_alpha = 2.0 * nl.alpha
-    start = cfg.initial if cfg.initial is not None else _zero_signal(group)
-    if start.exact_dual is None:
-        # keep a dual representation alongside every iterate so the damped
-        # combinations below stay exact on the spectral side as well
-        object.__setattr__(start, "_dual", dual_coefficients(start))
+    profile = build_multiplier(group, w, c)
+    inv_m = np.exp(-profile.log_values)
+    inv = inverse_indices(group)
+    # the iterate is held twice: as dual coefficients a, which stay exact
+    # where the multiplier is too large for the samples to carry them, and
+    # as real samples y, which the nonlinearity needs
+    if cfg.initial is None:
+        a0 = np.zeros(group.order, dtype=np.complex128)
+        y0 = np.zeros(group.order)
+    else:
+        d0 = dual_coefficients(cfg.initial)
+        a0 = 0.5 * (d0 + np.conj(d0[inv]))
+        y0 = cfg.initial.values.real
+    v_hat0 = _source_hat(nl, group, y0)
 
     theta = cfg.theta
     retries = 0
     while True:
-        phi = start
+        a, y, v_hat = a0, y0, v_hat0
         history: list[float] = []
         ball_ok = True
         left_ball = False
@@ -478,42 +494,45 @@ def solve_nonlinear(
         prev_diff = math.inf
         status = "max_iter"
         for _ in range(cfg.max_iter):
-            step = _guarded_step(phi, nl, w, c)
-            if step is None:
+            if v_hat is None:
                 status = "diverged"
                 break
-            new = Signal(group, (1.0 - theta) * phi.values + theta * step.values)
-            if phi.exact_dual is not None and step.exact_dual is not None:
-                object.__setattr__(
-                    new,
-                    "_dual",
-                    (1.0 - theta) * phi.exact_dual + theta * step.exact_dual,
-                )
-            diff = _l2(group, new.values - phi.values)
+            # G is linear in the source, so the damped samples follow from
+            # one inverse transform of the step alone
+            step = _real_step(v_hat, inv_m, inv)
+            with np.errstate(over="ignore", invalid="ignore"):
+                y_new = (1.0 - theta) * y + theta * idft_values(group, step).real
+            if not np.isfinite(y_new).all():
+                status = "diverged"
+                break
+            a_new = (1.0 - theta) * a + theta * step
+            diff = _l2(group, y_new - y)
             history.append(diff)
             if math.isfinite(eps):
                 with np.errstate(over="ignore"):  # blown-up iterates read as inf
-                    in_ball = lp_norm(new, two_alpha) <= eps * (1.0 + 1e-12)
+                    in_ball = float(lp_norm_batch(group, y_new, two_alpha)) <= eps * (1.0 + 1e-12)
             else:
                 in_ball = True
             ball_ok = ball_ok and in_ball
             left_ball = left_ball or not in_ball
             grow_streak = grow_streak + 1 if diff > prev_diff else 0
             prev_diff = diff
-            phi = new
+            a, y = a_new, y_new
             if diff < cfg.tol:
                 status = "converged"
                 break
-            # cheap residual monitor; catches one-step exact cases (affine)
-            with np.errstate(over="ignore", invalid="ignore"):
-                try:
-                    resid = _l2(
-                        group,
-                        apply_operator(phi, w, c).values - eval_source(nl, phi).values,
+            # residual monitor ||L phi - V||_L2 = ||m a + V_hat||_l2 by
+            # Plancherel; its V_hat is the next step's source, so it costs
+            # no extra transform.  Catches one-step exact cases (affine).
+            v_hat = _source_hat(nl, group, y)
+            try:
+                with np.errstate(over="ignore"):
+                    resid = (
+                        math.inf if v_hat is None
+                        else _l2_dual(multiply_spectrum(profile, a) + v_hat)
                     )
-                except (NotInDomainError, ValueError):
-                    # out of the operator domain, or the source overflowed
-                    resid = math.inf
+            except NotInDomainError:
+                resid = math.inf
             if resid < cfg.tol:
                 status = "converged"
                 break
@@ -525,6 +544,7 @@ def solve_nonlinear(
             theta = theta / 2.0
             continue
         break
+    phi = idft(Spectrum(group, a), real=True)
 
     # a posteriori certificate, through the forward operator (a diverged
     # field may overflow these norms; inf is the honest report)

@@ -32,6 +32,11 @@ eps * max|u| there, which the multiplier would amplify into garbage -- while
 the dual array still holds the exact value.  For signals without a
 remembered dual (file input, raw samples) the forward transform of the
 values is used, which is the only information they carry.
+
+The Picard loop in ``nonlinear`` stays on the coefficient side: one
+multiplier per solve, its own division by exp(log m), and the residual
+||m a + F(V)||_l2 through ``multiply_spectrum``.  Only its final certificate
+goes through ``apply_operator`` and ``domain_norm``.
 """
 from __future__ import annotations
 

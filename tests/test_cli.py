@@ -190,6 +190,22 @@ def test_solve_nonlinear_budget_exhaustion(capsys):
     assert doc["result"]["status"] == "max_iter"
 
 
+@pytest.mark.parametrize("argv", [
+    ["--group", "Z4096", "--weight", "pruefer:2", "--c", "1",
+     "--nonlinearity", "forced-power:2,0.1", "--forcing-scale", "0.01"],
+    ["--group", "Z729", "--weight", "pruefer:3", "--c", "2", "--theta", "0.5",
+     "--nonlinearity", "forced-power:2,1", "--forcing-scale", "0.1"],
+])
+def test_solve_nonlinear_failed_verification_exits_1(argv, capsys):
+    # the forcing sits where the multiplier overflows: the update test stops
+    # the loop, but the certificate's residual is the whole forcing
+    code = main(["solve-nonlinear", *argv])
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["result"]["status"] == "converged"
+    assert doc["verification"]["residual_ok"] is False
+    assert code == 1
+
+
 def test_solve_nonlinear_forcing_conflict(tmp_path, rng, capsys):
     g = parse_group("Z12")
     _write_random_signal(rng, tmp_path / "h.csv", g)
@@ -243,6 +259,42 @@ def test_sweep_c_grid(tmp_path, monkeypatch):
         assert cells[2] == "converged" and cells[3] == "true"
 
 
+def test_sweep_reads_forcing_once(tmp_path, monkeypatch):
+    import groupsobolev.cli as cli
+
+    g = parse_group("Z16")
+    forcing = tmp_path / "h.csv"
+    write_signal_csv(str(forcing), Signal(g, 0.01 * np.cos(2 * np.pi * np.arange(16) / 16)))
+    reads = []
+
+    def counting_read(path, group):
+        reads.append(path)
+        return read_signal_csv(path, group)
+
+    monkeypatch.setattr(cli, "read_signal_csv", counting_read)
+    grid = [0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0]
+    out = tmp_path / "sweep.csv"
+    code = main(["sweep", "--group", "Z16", "--c", "1",
+                 "--nonlinearity", "forced-power:2,1", "--forcing", str(forcing),
+                 "--param", "c", "--grid", ",".join(map(str, grid)), "--output", str(out)])
+    assert code == 0
+    assert len(reads) == 1
+    # every row is what a separate solve-nonlinear run reports for its point
+    rows = out.read_text().strip().splitlines()[1:]
+    assert len(rows) == len(grid)
+    for value, row in zip(grid, rows):
+        report = tmp_path / "rep.json"
+        main(["solve-nonlinear", "--group", "Z16", "--c", str(value),
+              "--nonlinearity", "forced-power:2,1", "--forcing", str(forcing),
+              "--report", str(report)])
+        res = json.loads(report.read_text())["result"]
+        expected = ["c", format(value, ".17g"), res["status"], str(res["converged"]).lower(),
+                    str(res["iterations"]), format(res["final_residual_eq"], ".17g")]
+        expected += [format(res["norms"][k], ".17g") for k in ("l2", "l2alpha", "domain", "sup")]
+        expected += [str(res["ball_respected"]).lower(), format(res["ball_radius"], ".17g")]
+        assert row.split(",") == expected
+
+
 def test_sweep_lam_rewrites_nonlinearity(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--group", "Z12", "--c", "0.5",
@@ -266,6 +318,16 @@ def test_sweep_bad_param():
                  "--nonlinearity", "power:2,0.1",
                  "--param", "bogus", "--grid", "1.0"])
     assert code == 2
+
+
+def test_forcing_json_values_not_pairs_exits_2(tmp_path, capsys):
+    path = tmp_path / "flat.json"
+    path.write_text('{"group": "Z4", "values": [1, 2, 3, 4]}')
+    code = main(["solve-nonlinear", "--group", "Z4", "--c", "0.5",
+                 "--nonlinearity", "forced-power:2,0.1", "--forcing", str(path)])
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "flat.json" in err and "Traceback" not in err
 
 
 # ---------------------------------------------------------------------------

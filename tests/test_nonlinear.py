@@ -206,6 +206,17 @@ def test_divergence_retries_then_reports():
     assert not rep.small_data_ok  # the sizing rule rejects this forcing
 
 
+def test_solver_leaves_initial_untouched():
+    g = parse_group("Z12")
+    w = make_weight(g, "sym-euclid")
+    nl = forced_power_nonlinearity(2, 0.1, lowfreq_forcing(g, 0.01))
+    initial = _zero(g)
+    _, rep = solve_nonlinear(nl, w, 0.5, SolverConfig(initial=initial))
+    assert rep.converged
+    assert initial.exact_dual is None
+    assert np.array_equal(initial.values, np.zeros(12))
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(theta=0.0)

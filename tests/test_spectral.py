@@ -1,15 +1,17 @@
 import numpy as np
 import pytest
 
-from groupsobolev.group import element_at, parse_group
+from groupsobolev.group import character_table, element_at, parse_group
 from groupsobolev.spectral import (
     Signal,
     Spectrum,
     convolve_dual,
     dft_fast,
     dft_naive,
+    dft_values,
     dual_coefficients,
     idft,
+    idft_values,
     pointwise_mul,
     read_signal_csv,
     read_signal_json,
@@ -65,6 +67,19 @@ def test_fast_matches_naive(name, rng):
         a = dft_fast(f).values
         b = dft_naive(f).values
         assert np.linalg.norm(a - b) <= 1e-10 * max(np.linalg.norm(b), 1e-30)
+
+
+@pytest.mark.parametrize("name", ["Z257", "Z1009", "x".join(["Z2"] * 10), "Z720"])
+def test_fast_matches_oracle_on_hard_shapes(name, rng):
+    # prime lengths, many tiny factors and a highly composite length
+    g = parse_group(name)
+    table = character_table(g)
+    f = _rand_signal(g, rng)
+    ref = dft_naive(f).values
+    assert np.linalg.norm(dft_values(g, f.values) - ref) <= 1e-12 * np.linalg.norm(ref)
+    F = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+    ref = table.T @ F  # f(x) = sum_xi F(xi) xi(x), straight from the definition
+    assert np.linalg.norm(idft_values(g, F) - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 @pytest.mark.parametrize("name", ZOO + ["Z720", "Z4096", "Z3xZ5xZ7"])
