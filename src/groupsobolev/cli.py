@@ -21,9 +21,7 @@ import argparse
 import dataclasses
 import json
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
@@ -86,7 +84,10 @@ def _load_weight(group: FiniteAbelianGroup, args) -> Weight:
         if not lines or lines[0].replace(" ", "") != "index,gamma":
             raise ValueError(f"{args.weight_table}: expected header 'index,gamma'")
         for expected, row in enumerate(lines[1:]):
-            idx_s, val_s = row.split(",")
+            cells = row.split(",")
+            if len(cells) != 2:
+                raise ValueError(f"{args.weight_table}: row {row!r} is not 'index,gamma'")
+            idx_s, val_s = cells
             if int(idx_s) != expected:
                 raise ValueError(f"{args.weight_table}: row {idx_s} out of order")
             gamma.append(float(val_s))
@@ -379,16 +380,13 @@ def _cmd_sweep(args) -> int:
     if args.param != "forcing-scale":
         forcing = _load_forcing(args.forcing, args.forcing_scale, group)
     cfg = _solver_config(args, group)
-    workers = int(os.environ.get("GROUPSOBOLEV_WORKERS", "4"))
-    with ThreadPoolExecutor(max_workers=max(1, workers)) as pool:
-        reps = pool.map(lambda v: _sweep_one(args, group, w, forcing, cfg, v), grid)
-        rows = list(zip(grid, reps))
     header = (
         "param,value,status,converged,iterations,final_residual_eq,"
         "norm_l2,norm_l2alpha,norm_domain,norm_sup,ball_respected,ball_radius"
     )
     lines = [header]
-    for value, rep in rows:
+    for value in grid:
+        rep = _sweep_one(args, group, w, forcing, cfg, value)
         lines.append(
             ",".join(
                 [
@@ -537,17 +535,19 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
-    if "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1] if argv.index("--config") + 1 < len(argv) else None
-        if cfg_path is None:
-            parser.error("--config needs a path")
-        try:
-            _apply_config_defaults(parser, cfg_path)
-        except (OSError, ValueError, json.JSONDecodeError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
+    # find --config in every spelling the full parser accepts (--config=F,
+    # the prefix --conf F), and only before the subcommand, as it does
+    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre.add_argument("--config", default=None)
+    pre.add_argument("rest", nargs=argparse.REMAINDER)
     try:
+        cfg_path = pre.parse_known_args(argv)[0].config
+        if cfg_path is not None:
+            _apply_config_defaults(parser, cfg_path)
         args = parser.parse_args(argv)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     except SystemExit as exc:
         return int(exc.code or 0)
     try:

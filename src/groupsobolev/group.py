@@ -226,14 +226,27 @@ def inverse_indices(group: FiniteAbelianGroup) -> np.ndarray:
     return out
 
 
+_TABLE_MAX_ORDER = 4096
+
+
 def character_table(group: FiniteAbelianGroup) -> np.ndarray:
     """Full character table T[k, x] = xi_k(x), shape (order, order).
 
     O(order^2) memory -- intended for small groups (the naive-transform
     oracle and exhaustive property scans), not for production transforms.
+    Raises ValueError above order 4096 (a 256 MiB table), before allocating.
     """
-    grid = residue_grid(group)
-    ns = np.asarray(group.factors, dtype=np.float64)
-    # phase[k, x] = sum_j k_j x_j / n_j
-    phase = (grid / ns[:, None]).T @ grid
-    return np.exp(2j * np.pi * phase)
+    if group.order > _TABLE_MAX_ORDER:
+        raise ValueError(
+            f"character table of {group.descriptor} (order {group.order}) exceeds "
+            f"the limit of order {_TABLE_MAX_ORDER}"
+        )
+    # the table of a product group is the Kronecker product of its factors'
+    # tables (first factor most significant, as in the enumeration); each
+    # factor's phase (k x mod n) / n is reduced in integers, so it stays exact
+    # to one rounding whatever the order
+    table = np.ones((1, 1), dtype=np.complex128)
+    for n in group.factors:
+        k = np.arange(n)
+        table = np.kron(table, np.exp(2j * np.pi * (np.multiply.outer(k, k) % n / n)))
+    return table

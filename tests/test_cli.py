@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -81,6 +82,24 @@ def test_weight_table_bad_header(tmp_path, capsys):
     assert "index,gamma" in capsys.readouterr().err
 
 
+def test_weight_table_bad_row_names_file_and_row(tmp_path, capsys):
+    table = tmp_path / "gamma.csv"
+    table.write_text("index,gamma\n0,0\n1,1\n2,2,3\n3,1\n")
+    assert main(["info", "--group", "Z4", "--weight-table", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert "gamma.csv" in err and "'2,2,3'" in err
+
+
+def test_weight_table_asymmetric_rejected_before_solving(tmp_path, capsys):
+    # gamma(1) != gamma(-1 = 3): real fields would not stay real
+    table = tmp_path / "gamma.csv"
+    table.write_text("index,gamma\n0,0\n1,1\n2,2\n3,1.5\n")
+    code = main(["solve-nonlinear", "--group", "Z4", "--weight-table", str(table), "--c", "0.5",
+                 "--nonlinearity", "forced-power:2,0.1", "--forcing-scale", "0.01"])
+    assert code == 2
+    assert "symmetric under xi -> xi^-1" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # transform
 # ---------------------------------------------------------------------------
@@ -120,6 +139,15 @@ def test_transform_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("this,is,not\na,signal,file\n")
     assert main(["transform", "--group", "Z4", "--input", str(bad)]) == 2
+
+
+def test_transform_naive_refuses_huge_table(tmp_path, capsys):
+    # a Z65536 character table would take 64 GiB; the guard refuses it first
+    g = parse_group("Z65536")
+    write_signal_csv(str(tmp_path / "sig.csv"), Signal(g, np.zeros(g.order)))
+    assert main(["transform", "--group", "Z65536", "--input", str(tmp_path / "sig.csv"),
+                 "--naive"]) == 2
+    assert "4096" in capsys.readouterr().err
 
 
 def test_transform_unknown_extension(tmp_path, rng):
@@ -206,6 +234,20 @@ def test_solve_nonlinear_failed_verification_exits_1(argv, capsys):
     assert code == 1
 
 
+def test_solve_nonlinear_diverged_prints_no_warnings(tmp_path):
+    # the field blows up; its verification reports inf instead of warning
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = main(["solve-nonlinear", "--group", "Z12", "--c", "0.5",
+                     "--nonlinearity", "forced-power:3,5", "--forcing-scale", "100",
+                     "--report", str(tmp_path / "r.json")])
+    assert code == 1
+    assert [str(w.message) for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    doc = json.loads((tmp_path / "r.json").read_text())
+    assert doc["result"]["status"] == "diverged"
+    assert doc["verification"]["residual_eq"] == math.inf
+
+
 def test_solve_nonlinear_forcing_conflict(tmp_path, rng, capsys):
     g = parse_group("Z12")
     _write_random_signal(rng, tmp_path / "h.csv", g)
@@ -240,8 +282,7 @@ def test_solve_nonlinear_writes_solution(tmp_path):
 # sweep
 # ---------------------------------------------------------------------------
 
-def test_sweep_c_grid(tmp_path, monkeypatch):
-    monkeypatch.setenv("GROUPSOBOLEV_WORKERS", "2")
+def test_sweep_c_grid(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--group", "Z12", "--c", "0.5",
                  "--nonlinearity", "forced-power:2,0.1", "--forcing-scale", "0.01",
@@ -377,6 +418,15 @@ def test_config_file_defaults(tmp_path, capsys):
     assert main(["--config", str(cfg), "info", "--group", "Z4", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["s"] == 2.0
+
+
+@pytest.mark.parametrize("form", [["--config=CFG"], ["--conf", "CFG"]])
+def test_config_file_every_spelling(tmp_path, capsys, form):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"s": 2}))
+    argv = [tok.replace("CFG", str(cfg)) for tok in form]
+    assert main([*argv, "info", "--group", "Z8", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["s"] == 2
 
 
 def test_config_file_must_be_object(tmp_path, capsys):
