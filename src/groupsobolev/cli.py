@@ -87,10 +87,15 @@ def _load_weight(group: FiniteAbelianGroup, args) -> Weight:
             cells = row.split(",")
             if len(cells) != 2:
                 raise ValueError(f"{args.weight_table}: row {row!r} is not 'index,gamma'")
-            idx_s, val_s = cells
-            if int(idx_s) != expected:
-                raise ValueError(f"{args.weight_table}: row {idx_s} out of order")
-            gamma.append(float(val_s))
+            try:
+                idx, val = int(cells[0]), float(cells[1])
+            except ValueError:
+                raise ValueError(
+                    f"{args.weight_table}: row {row!r} has a cell that is not a number"
+                ) from None
+            if idx != expected:
+                raise ValueError(f"{args.weight_table}: row {idx} out of order")
+            gamma.append(val)
         c_gamma = args.c_gamma if args.c_gamma is not None else 1.0
         return weight_from_table(group, gamma, c_gamma, name="custom")
     return make_weight(group, args.weight)
@@ -361,7 +366,7 @@ def _sweep_one(args, group: FiniteAbelianGroup, w: Weight, forcing: Signal | Non
         if len(base) != 2 or "," not in base[1]:
             raise ValueError("sweeping lam needs a power:p,lam style nonlinearity")
         p = base[1].split(",")[0]
-        nonlinearity = f"{base[0]}:{p},{value:g}"
+        nonlinearity = f"{base[0]}:{p},{value!r}"  # repr keeps lam exact
     nl = parse_nonlinearity(nonlinearity, group, forcing)
     _, rep = solve_nonlinear(nl, w, c, cfg)
     return rep
@@ -519,17 +524,52 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(action: argparse.Action, val, where: str):
+    """A config value converted as the flag's command-line text would be."""
+    if action.nargs == 0:  # a switch such as --json
+        if isinstance(val, bool):
+            return val
+        raise ValueError(f"{where}: expected true or false, got {val!r}")
+    repeated = isinstance(action, argparse._AppendAction)  # noqa: SLF001 - argparse surface
+    if repeated and not isinstance(val, list):
+        raise ValueError(f"{where}: expected a list, got {val!r}")
+    out = []
+    for item in val if repeated else [val]:
+        if isinstance(item, bool) or not isinstance(item, (str, int, float)):
+            raise ValueError(f"{where}: expected a string or a number, got {item!r}")
+        try:
+            out.append((action.type or str)(str(item)))
+        except ValueError:
+            raise ValueError(f"{where}: invalid value {item!r}") from None
+        if action.choices is not None and out[-1] not in action.choices:
+            raise ValueError(f"{where}: {item!r} is not one of {', '.join(action.choices)}")
+    return out if repeated else out[0]
+
+
 def _apply_config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
+    """Make each key of the JSON object at ``path`` the default of every
+    subcommand flag it names; a key that names no flag is an error."""
     with open(path, "r", encoding="ascii") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object of flag defaults")
-    defaults = {key.replace("-", "_"): val for key, val in cfg.items()}
-    for action in parser._subparsers._group_actions:  # noqa: SLF001 - argparse surface
-        if isinstance(action, argparse._SubParsersAction):
-            for sp in action.choices.values():
-                known = {a.dest for a in sp._actions}
-                sp.set_defaults(**{k: v for k, v in defaults.items() if k in known})
+    subparsers = [
+        sp
+        for action in parser._subparsers._group_actions  # noqa: SLF001 - argparse surface
+        if isinstance(action, argparse._SubParsersAction)
+        for sp in action.choices.values()
+    ]
+    for key, val in cfg.items():
+        dest = key.replace("-", "_")
+        where = f"{path}: config key {key!r}"
+        flags = [
+            (sp, a) for sp in subparsers for a in sp._actions
+            if a.dest == dest and not isinstance(a, argparse._HelpAction)
+        ]
+        if not flags:
+            raise ValueError(f"{where} matches no flag of any subcommand")
+        for sp, action in flags:
+            sp.set_defaults(**{dest: _config_value(action, val, where)})
 
 
 def main(argv=None) -> int:

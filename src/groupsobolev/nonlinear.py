@@ -28,7 +28,7 @@ asserted tiny.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable
 
 import numpy as np
@@ -346,21 +346,7 @@ class SolveReport:
     theta_used: float
 
     def as_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "converged": self.converged,
-            "iterations": self.iterations,
-            "residual_history": list(self.residual_history),
-            "final_residual_eq": self.final_residual_eq,
-            "norms": dict(self.norms),
-            "ball_respected": self.ball_respected,
-            "ball_radius": self.ball_radius,
-            "small_data_ok": self.small_data_ok,
-            "delta": self.delta,
-            "s_embed": self.s_embed,
-            "continuity_constant": self.continuity_constant,
-            "theta_used": self.theta_used,
-        }
+        return {**asdict(self), "residual_history": list(self.residual_history)}
 
 
 def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) -> dict:
@@ -442,13 +428,6 @@ def _l2_dual(values: np.ndarray) -> float:
     return float(np.sqrt((np.abs(values) ** 2).sum()))
 
 
-def _try_domain_norm(phi: Signal, w: Weight, c: float) -> tuple[float, bool]:
-    try:
-        return domain_norm(phi, w, c), True
-    except NotInDomainError:
-        return math.inf, False
-
-
 def solve_nonlinear(
     nl: Nonlinearity, w: Weight, c: float, cfg: SolverConfig
 ) -> tuple[Signal, SolveReport]:
@@ -460,7 +439,8 @@ def solve_nonlinear(
     consecutive steps, or going non-finite -- triggers a restart with the
     damping halved, at most twice, before reporting status "diverged".
     "max_iter" reports budget exhaustion.  No status raises: sweeps treat
-    them as data.
+    them as data.  The report's residual, domain and sup norms and
+    continuity constant are those of :func:`verify_solution` at cfg.s.
     """
     group = nl.group
     if w.group != group:
@@ -488,15 +468,11 @@ def solve_nonlinear(
         y0 = cfg.initial.values.real
     v_hat0 = _source_hat(nl, group, y0)
 
-    theta = cfg.theta
-    retries = 0
-    while True:
+    for theta in (cfg.theta, cfg.theta / 2.0, cfg.theta / 4.0):
         a, y, v_hat = a0, y0, v_hat0
         history: list[float] = []
         ball_ok = True
-        left_ball = False
         grow_streak = 0
-        prev_diff = math.inf
         status = "max_iter"
         for _ in range(cfg.max_iter):
             if v_hat is None:
@@ -510,19 +486,15 @@ def solve_nonlinear(
             if not np.isfinite(y_new).all():
                 status = "diverged"
                 break
-            a_new = (1.0 - theta) * a + theta * step
+            a = (1.0 - theta) * a + theta * step
             diff = _l2(group, y_new - y)
+            grow_streak = grow_streak + 1 if history and diff > history[-1] else 0
             history.append(diff)
             if math.isfinite(eps):
                 with np.errstate(over="ignore"):  # blown-up iterates read as inf
                     in_ball = float(lp_norm_batch(group, y_new, two_alpha)) <= eps * (1.0 + 1e-12)
-            else:
-                in_ball = True
-            ball_ok = ball_ok and in_ball
-            left_ball = left_ball or not in_ball
-            grow_streak = grow_streak + 1 if diff > prev_diff else 0
-            prev_diff = diff
-            a, y = a_new, y_new
+                ball_ok = ball_ok and in_ball
+            y = y_new
             if diff < cfg.tol:
                 status = "converged"
                 break
@@ -541,45 +513,35 @@ def solve_nonlinear(
             if resid < cfg.tol:
                 status = "converged"
                 break
-            if left_ball and grow_streak >= 10:
+            if not ball_ok and grow_streak >= 10:
                 status = "diverged"
                 break
-        if status == "diverged" and retries < 2:
-            retries += 1
-            theta = theta / 2.0
-            continue
-        break
+        if status != "diverged":
+            break
     phi = idft(Spectrum(group, a), real=True)
 
-    # a posteriori certificate, through the forward operator (a diverged
-    # field may overflow these norms; inf is the honest report)
-    with np.errstate(over="ignore", invalid="ignore"):
-        try:
-            final_residual = _l2(
-                group, apply_operator(phi, w, c).values - eval_source(nl, phi).values
-            )
-        except (NotInDomainError, ValueError):
-            final_residual = math.inf
-        dom, _dom_ok = _try_domain_norm(phi, w, c)
+    # the a posteriori certificate goes through the forward operator
+    record = verify_solution(phi, nl, w, c, cfg.s, residual_tol=cfg.tol)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged field reads inf
         norms = {
             "l2": lp_norm(phi, 2),
             "l2alpha": lp_norm(phi, two_alpha),
-            "domain": dom,
-            "sup": lp_norm(phi, math.inf),
+            "domain": record["domain_norm"],
+            "sup": record["sup_norm"],
         }
     report = SolveReport(
         status=status,
         converged=status == "converged",
         iterations=len(history),
         residual_history=tuple(history),
-        final_residual_eq=final_residual,
+        final_residual_eq=record["residual_eq"],
         norms=norms,
         ball_respected=ball_ok,
         ball_radius=float(eps),
         small_data_ok=bool(ball["ok"]),
         delta=float(ball["delta"]),
         s_embed=float(ball["s_embed"]),
-        continuity_constant=embedding_constant_sup(group, w, cfg.s),
+        continuity_constant=record["continuity_constant"],
         theta_used=theta,
     )
     return phi, report
@@ -612,7 +574,10 @@ def verify_solution(
             residual_ok = False
         sup = lp_norm(phi, math.inf)
         sob = sobolev_norm(phi, w, s)
-        dom, dom_ok = _try_domain_norm(phi, w, c)
+        try:
+            dom = domain_norm(phi, w, c)
+        except NotInDomainError:
+            dom = math.inf
     constant = embedding_constant_sup(group, w, s)
     continuity_ok = sup <= constant * sob + 1e-10
     return {
@@ -623,8 +588,8 @@ def verify_solution(
         "continuity_constant": constant,
         "continuity_ok": bool(continuity_ok),
         "domain_norm": dom,
-        "domain_finite": bool(dom_ok and math.isfinite(dom)),
-        "all_ok": bool(residual_ok and continuity_ok and dom_ok and math.isfinite(dom)),
+        "domain_finite": math.isfinite(dom),
+        "all_ok": bool(residual_ok and continuity_ok and math.isfinite(dom)),
     }
 
 

@@ -84,10 +84,11 @@ def test_weight_table_bad_header(tmp_path, capsys):
 
 def test_weight_table_bad_row_names_file_and_row(tmp_path, capsys):
     table = tmp_path / "gamma.csv"
-    table.write_text("index,gamma\n0,0\n1,1\n2,2,3\n3,1\n")
-    assert main(["info", "--group", "Z4", "--weight-table", str(table)]) == 2
-    err = capsys.readouterr().err
-    assert "gamma.csv" in err and "'2,2,3'" in err
+    for row in ("2,2,3", "2,x", "x,2"):  # wrong cell count, bad gamma, bad index
+        table.write_text(f"index,gamma\n0,0\n1,1\n{row}\n3,1\n")
+        assert main(["info", "--group", "Z4", "--weight-table", str(table)]) == 2
+        err = capsys.readouterr().err
+        assert "gamma.csv" in err and repr(row) in err
 
 
 def test_weight_table_asymmetric_rejected_before_solving(tmp_path, capsys):
@@ -282,6 +283,15 @@ def test_solve_nonlinear_writes_solution(tmp_path):
 # sweep
 # ---------------------------------------------------------------------------
 
+def _sweep_row(param, value, report):
+    """The sweep CSV cells for one grid point, from a solve-nonlinear report."""
+    res = json.loads(report.read_text())["result"]
+    cells = [param, format(value, ".17g"), res["status"], str(res["converged"]).lower(),
+             str(res["iterations"]), format(res["final_residual_eq"], ".17g")]
+    cells += [format(res["norms"][k], ".17g") for k in ("l2", "l2alpha", "domain", "sup")]
+    return cells + [str(res["ball_respected"]).lower(), format(res["ball_radius"], ".17g")]
+
+
 def test_sweep_c_grid(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--group", "Z12", "--c", "0.5",
@@ -328,23 +338,26 @@ def test_sweep_reads_forcing_once(tmp_path, monkeypatch):
         main(["solve-nonlinear", "--group", "Z16", "--c", str(value),
               "--nonlinearity", "forced-power:2,1", "--forcing", str(forcing),
               "--report", str(report)])
-        res = json.loads(report.read_text())["result"]
-        expected = ["c", format(value, ".17g"), res["status"], str(res["converged"]).lower(),
-                    str(res["iterations"]), format(res["final_residual_eq"], ".17g")]
-        expected += [format(res["norms"][k], ".17g") for k in ("l2", "l2alpha", "domain", "sup")]
-        expected += [str(res["ball_respected"]).lower(), format(res["ball_radius"], ".17g")]
-        assert row.split(",") == expected
+        assert row.split(",") == _sweep_row("c", value, report)
 
 
 def test_sweep_lam_rewrites_nonlinearity(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(["sweep", "--group", "Z12", "--c", "0.5",
                  "--nonlinearity", "forced-power:2,0.01", "--forcing-scale", "0.01",
-                 "--param", "lam", "--grid", "0.05,0.2", "--output", str(out)])
+                 "--param", "lam", "--grid", "0.05,0.2,0.1234567,0.123457",
+                 "--output", str(out)])
     assert code == 0
     lines = out.read_text().strip().splitlines()
-    assert len(lines) == 3
+    assert len(lines) == 5
     assert all(ln.split(",")[3] == "true" for ln in lines[1:])
+    # lam is not rounded: the 0.1234567 row is that coupling's own solve
+    report = tmp_path / "rep.json"
+    main(["solve-nonlinear", "--group", "Z12", "--c", "0.5",
+          "--nonlinearity", "forced-power:2,0.1234567", "--forcing-scale", "0.01",
+          "--report", str(report)])
+    assert lines[3].split(",") == _sweep_row("lam", 0.1234567, report)
+    assert lines[3].split(",")[2:] != lines[4].split(",")[2:]
 
 
 def test_sweep_empty_grid(capsys):
@@ -414,10 +427,11 @@ def test_no_command_is_usage_error():
 
 def test_config_file_defaults(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"s": 2.0}))
-    assert main(["--config", str(cfg), "info", "--group", "Z4", "--json"]) == 0
-    doc = json.loads(capsys.readouterr().out)
-    assert doc["s"] == 2.0
+    # keys of other subcommands' flags are accepted as their defaults
+    for doc in ({"s": 2.0}, {"s": 2.0, "seed": 7, "max-iter": 3, "alpha": [2]}):
+        cfg.write_text(json.dumps(doc))
+        assert main(["--config", str(cfg), "info", "--group", "Z4", "--json"]) == 0
+        assert json.loads(capsys.readouterr().out)["s"] == 2.0
 
 
 @pytest.mark.parametrize("form", [["--config=CFG"], ["--conf", "CFG"]])
@@ -433,3 +447,8 @@ def test_config_file_must_be_object(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text("[1, 2, 3]")
     assert main(["--config", str(cfg), "info", "--group", "Z4"]) == 2
+    # a value its flag cannot parse, and a key that names no flag
+    for key, val in (("s", [1]), ("sigma", 2), ("max-iter", 2.5), ("json", 1)):
+        cfg.write_text(json.dumps({key: val}))
+        assert main(["--config", str(cfg), "info", "--group", "Z4"]) == 2
+        assert f"config key {key!r}" in capsys.readouterr().err

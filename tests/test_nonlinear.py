@@ -206,6 +206,24 @@ def test_divergence_retries_then_reports():
     assert not rep.small_data_ok  # the sizing rule rejects this forcing
 
 
+@pytest.mark.parametrize("p, lam, scale, s, status", [
+    (2, 0.1, 0.01, 1.5, "converged"),
+    (3, 5.0, 100.0, 1.0, "diverged"),  # the certificate's norms are inf or overflowed
+])
+def test_report_certificate_is_verify_solution(p, lam, scale, s, status):
+    g = parse_group("Z12")
+    w = make_weight(g, "sym-euclid")
+    nl = forced_power_nonlinearity(p, lam, lowfreq_forcing(g, scale))
+    cfg = SolverConfig(s=s)
+    phi, rep = solve_nonlinear(nl, w, 0.5, cfg)
+    assert rep.status == status
+    check = verify_solution(phi, nl, w, 0.5, s=cfg.s)
+    assert rep.final_residual_eq == check["residual_eq"]
+    assert rep.norms["domain"] == check["domain_norm"]
+    assert rep.norms["sup"] == check["sup_norm"]
+    assert rep.continuity_constant == check["continuity_constant"]
+
+
 def test_solver_leaves_initial_untouched():
     g = parse_group("Z12")
     w = make_weight(g, "sym-euclid")
