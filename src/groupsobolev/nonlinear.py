@@ -143,7 +143,7 @@ def power_nonlinearity(group: FiniteAbelianGroup, p: int, lam: float) -> Nonline
     if not lam > 0:
         raise ValueError(f"coupling must be positive, got {lam}")
     return Nonlinearity(
-        name=f"power:{p},{lam:g}",
+        name=f"power:{p},{lam!r}",
         u_func=lambda y: y + lam * y**p,
         du_func=lambda y: 1.0 + p * lam * y ** (p - 1),
         alpha=float(p),
@@ -164,7 +164,7 @@ def forced_power_nonlinearity(p: int, lam: float, h: Signal) -> Nonlinearity:
         raise ValueError(f"coupling must be positive, got {lam}")
     hv = h.values.real.copy()
     return Nonlinearity(
-        name=f"forced-power:{p},{lam:g}",
+        name=f"forced-power:{p},{lam!r}",
         u_func=lambda y: y + lam * y**p + hv,
         du_func=lambda y: 1.0 + p * lam * y ** (p - 1),
         alpha=float(p),
@@ -300,8 +300,7 @@ def picard_step(u: Signal, nl: Nonlinearity, w: Weight, c: float) -> Signal:
     v_hat = _source_hat(nl, u.group, u.values.real)
     if v_hat is None:
         raise ValueError("source values are not finite (field overflow)")
-    inv_m = np.exp(-build_multiplier(u.group, w, c).log_values)
-    step = _real_step(v_hat, inv_m, inverse_indices(u.group))
+    step = _real_step(v_hat, build_multiplier(u.group, w, c).inverse, inverse_indices(u.group))
     return idft(Spectrum(u.group, step), real=True)
 
 
@@ -455,7 +454,6 @@ def solve_nonlinear(
     eps = cfg.epsilon_ball if cfg.epsilon_ball is not None else ball["epsilon"]
     two_alpha = 2.0 * nl.alpha
     profile = build_multiplier(group, w, c)
-    inv_m = np.exp(-profile.log_values)
     # the iterate is held twice: as dual coefficients a, which stay exact
     # where the multiplier is too large for the samples to carry them, and
     # as real samples y, which the nonlinearity needs
@@ -480,7 +478,7 @@ def solve_nonlinear(
                 break
             # G is linear in the source, so the damped samples follow from
             # one inverse transform of the step alone
-            step = _real_step(v_hat, inv_m, inv)
+            step = _real_step(v_hat, profile.inverse, inv)
             with np.errstate(over="ignore", invalid="ignore"):
                 y_new = (1.0 - theta) * y + theta * idft_values(group, step).real
             if not np.isfinite(y_new).all():

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -73,29 +73,25 @@ def _as_frozen_values(group: FiniteAbelianGroup, values, what: str) -> np.ndarra
 class Signal:
     """A complex-valued function on the group, in enumeration order.
 
-    A Signal built by ``idft`` additionally remembers the exact dual
-    coefficients it came from (``exact_dual``).  Routines that scale
-    coefficients by exponentially large multipliers use that representation
-    when present: once a multiplier exceeds 1/eps, the corresponding
-    coefficient cannot be recovered from the float64 values by any
-    transform (re-transform noise ~ eps * max|f| swamps it), while the dual
-    array still carries it exactly.  Plain transforms (``dft_fast``,
-    ``dft_naive``) never read it.
+    ``exact_dual`` optionally holds the dual coefficients the signal was
+    synthesized from; ``idft`` always sets it, and it is left out of the
+    repr.  Routines that scale coefficients by exponentially large
+    multipliers use that representation when present: once a multiplier
+    exceeds 1/eps, the corresponding coefficient cannot be recovered from
+    the float64 values by any transform (re-transform noise ~ eps * max|f|
+    swamps it), while the dual array still carries it exactly.  Plain
+    transforms (``dft_fast``, ``dft_naive``) never read it.
     """
 
     group: FiniteAbelianGroup
     values: np.ndarray
+    exact_dual: np.ndarray | None = field(default=None, repr=False, kw_only=True)
 
     def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "values", _as_frozen_values(self.group, self.values, "signal")
-        )
-        object.__setattr__(self, "_dual", None)
-
-    @property
-    def exact_dual(self) -> np.ndarray | None:
-        """Dual coefficients this signal was synthesized from, if any."""
-        return self._dual
+        object.__setattr__(self, "values", _as_frozen_values(self.group, self.values, "signal"))
+        if self.exact_dual is not None:
+            dual = _as_frozen_values(self.group, self.exact_dual, "exact dual")
+            object.__setattr__(self, "exact_dual", dual)
 
 
 @dataclass(frozen=True, eq=False)
@@ -175,9 +171,7 @@ def idft(F: Spectrum, real: bool = False) -> Signal:
     (F(xi^-1) = conj F(xi)) drops only rounding-level imaginary parts.
     """
     values = idft_values(F.group, F.values)
-    sig = Signal(F.group, values.real if real else values)
-    object.__setattr__(sig, "_dual", F.values)
-    return sig
+    return Signal(F.group, values.real if real else values, exact_dual=F.values)
 
 
 def dual_coefficients(f: Signal) -> np.ndarray:

@@ -24,8 +24,8 @@ Spectral coefficients with magnitude <= 1e-300 are treated as exact zeros;
 they only arise as underflow artifacts.
 
 Signals synthesized by idft (in particular every solve_linear output) carry
-their dual coefficients exactly, and the routines here use that
-representation when present (see Signal.exact_dual).  This matters: once
+their dual coefficients exactly in the declared field Signal.exact_dual, and
+the routines here use that representation when present.  This matters: once
 m(xi) exceeds 1/eps, the coefficient at xi can no longer be recovered from
 the float64 sample values -- any forward transform injects noise of order
 eps * max|u| there, which the multiplier would amplify into garbage -- while
@@ -33,15 +33,16 @@ the dual array still holds the exact value.  For signals without a
 remembered dual (file input, raw samples) the forward transform of the
 values is used, which is the only information they carry.
 
-The Picard loop in ``nonlinear`` stays on the coefficient side: one
-multiplier per solve, its own division by exp(log m), and the residual
-||m a + F(V)||_l2 through ``multiply_spectrum``.  Only its final certificate
-goes through ``apply_operator`` and ``domain_norm``.
+The Picard loop in ``nonlinear`` stays on the coefficient side: it divides
+by the profile's ``inverse`` and forms the residual ||m a + F(V)||_l2 through
+``multiply_spectrum``.  Only its final certificate goes through
+``apply_operator`` and ``domain_norm``, which get the same cached profile.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -72,10 +73,11 @@ class NotInDomainError(ValueError):
 
 @dataclass(frozen=True, eq=False)
 class MultiplierProfile:
-    """The multiplier m over the dual, kept in both linear and log form.
+    """The multiplier m over the dual, in linear, log and inverse form.
 
     ``log_values`` are always finite; ``values`` hold exp(log_values) and
-    are +inf exactly where m is not representable in float64.
+    are +inf exactly where m is not representable in float64; ``inverse``
+    holds 1/m = exp(-log_values), the only place it is formed.
     """
 
     group: FiniteAbelianGroup
@@ -83,6 +85,7 @@ class MultiplierProfile:
     c: float
     log_values: np.ndarray
     values: np.ndarray
+    inverse: np.ndarray
 
     @property
     def overflow_count(self) -> int:
@@ -97,6 +100,7 @@ def _check_c(c: float) -> float:
     return c
 
 
+@lru_cache(maxsize=1)  # weights hash by identity; the cached key keeps its weight alive
 def build_multiplier(group: FiniteAbelianGroup, w: Weight, c: float) -> MultiplierProfile:
     """Evaluate m = 1 + gamma^2 exp(c gamma^2) stably for every dual frequency."""
     c = _check_c(c)
@@ -109,9 +113,10 @@ def build_multiplier(group: FiniteAbelianGroup, w: Weight, c: float) -> Multipli
     log_values = np.logaddexp(0.0, t)
     with np.errstate(over="ignore"):
         values = np.exp(log_values)
-    log_values.setflags(write=False)
-    values.setflags(write=False)
-    return MultiplierProfile(group, w.name, c, log_values, values)
+    inverse = np.exp(-log_values)
+    for arr in (log_values, values, inverse):
+        arr.setflags(write=False)
+    return MultiplierProfile(group, w.name, c, log_values, values, inverse)
 
 
 def _logsumexp_last(t: np.ndarray) -> np.ndarray:
@@ -220,7 +225,7 @@ def apply_operator(u: Signal, w: Weight, c: float) -> Signal:
 def solve_linear(g: Signal, w: Weight, c: float) -> Signal:
     """Exact solution of L u = g:  u = -F^{-1}(F(g) / m).
 
-    Defined for every finite-valued g.  Division is exp(-log m), so
+    Defined for every finite-valued g.  Division is by 1/m = exp(-log m), so
     ultraviolet frequencies underflow cleanly to zero; the isometry
     domain_norm(u) == ||g||_L2 holds to rounding whenever no active
     coefficient of g sits beyond the representable multiplier range.  The
@@ -228,5 +233,5 @@ def solve_linear(g: Signal, w: Weight, c: float) -> Signal:
     """
     profile = build_multiplier(g.group, w, c)
     spec = dual_coefficients(g)
-    sol_spec = -spec * np.exp(-profile.log_values)
+    sol_spec = -spec * profile.inverse
     return idft(Spectrum(g.group, sol_spec))

@@ -45,6 +45,19 @@ def test_info_bad_group_exits_2(capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_memory_error_exits_2(monkeypatch, capsys):
+    import groupsobolev.cli as cli
+
+    # stands in for an allocation too large for the machine, without making one
+    def exhausted(group, name):
+        raise MemoryError("Unable to allocate 745. GiB")
+
+    monkeypatch.setattr(cli, "make_weight", exhausted)
+    assert main(["info", "--group", "Z4"]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: Unable to allocate 745. GiB\n"
+
+
 def test_constants_json_matches_library(capsys):
     assert main(["constants", "--group", "Z12", "--s", "1.0", "--json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -81,6 +81,10 @@ def test_parse_nonlinearity():
     g = parse_group("Z8")
     h = lowfreq_forcing(g, 0.1)
     assert parse_nonlinearity("power:2,0.5", g).name == "power:2,0.5"
+    # the name carries lam exactly, so a report identifies its coupling
+    assert parse_nonlinearity("power:2,0.1234567", g).name == "power:2,0.1234567"
+    forced = parse_nonlinearity("forced-power:2,0.1234567", g, h)
+    assert forced.name == "forced-power:2,0.1234567"
     assert parse_nonlinearity("affine", g, h).name == "affine"
     assert parse_nonlinearity("forced-power:3,0.25", g, h).alpha == 3.0
     with pytest.raises(ValueError, match="forcing"):

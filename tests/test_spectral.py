@@ -163,6 +163,20 @@ def test_idft_remembers_its_spectrum(rng):
     assert np.allclose(dual_coefficients(raw), dft_fast(raw).values)
 
 
+def test_exact_dual_is_a_validated_field(rng):
+    g = parse_group("Z8")
+    F = Spectrum(g, rng.standard_normal(8) + 1j * rng.standard_normal(8))
+    sig = idft(F)
+    assert not sig.exact_dual.flags.writeable
+    assert "exact_dual" not in repr(sig)
+    with pytest.raises(ValueError):
+        Signal(g, sig.values, exact_dual=F.values[:4])
+    with pytest.raises(ValueError):
+        Signal(g, sig.values, exact_dual=np.full(8, np.nan))
+    kept = Signal(g, sig.values, exact_dual=F.values)
+    assert np.array_equal(kept.exact_dual, F.values)
+
+
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from groupsobolev.group import character_table, parse_group
-from groupsobolev.sobolev import lp_norm, make_weight, sobolev_norm
+from groupsobolev.sobolev import lp_norm, make_weight, sobolev_norm, weight_from_table
 from groupsobolev.spectral import Signal, Spectrum, idft
 from groupsobolev.stringop import (
     ACTIVE_COEFF_TOL,
@@ -66,6 +66,32 @@ def test_scale_must_be_positive():
     for c in (0.0, -1.0, math.inf, math.nan):
         with pytest.raises(ValueError):
             build_multiplier(g, w, c)
+
+
+def test_multiplier_built_once_per_operator():
+    g = parse_group("Z16")
+    w = make_weight(g, "sym-euclid")
+    prof = build_multiplier(g, w, 1.0)
+    assert build_multiplier(g, w, 1.0) is prof
+    assert build_multiplier(g, w, 0.5).c == 0.5
+
+
+def test_multiplier_cache_tells_weights_apart():
+    # same group, same name, different tables: the cache must not key by name
+    g = parse_group("Z4")
+    a = build_multiplier(g, weight_from_table(g, [0.0, 1.0, 2.0, 1.0], 1.0), 1.0)
+    b = build_multiplier(g, weight_from_table(g, [0.0, 2.0, 3.0, 2.0], 1.0), 1.0)
+    assert a.weight_name == b.weight_name == "custom"
+    assert not np.array_equal(a.log_values, b.log_values)
+
+
+def test_multiplier_inverse_is_exact_and_frozen():
+    g = parse_group("Z64")
+    prof = build_multiplier(g, make_weight(g, "sym-euclid"), 1.0)
+    assert np.array_equal(prof.inverse, np.exp(-prof.log_values))
+    assert prof.inverse[30] == 0.0  # 1/m underflows where m overflows
+    for arr in (prof.log_values, prof.values, prof.inverse):
+        assert not arr.flags.writeable
 
 
 def test_weight_group_mismatch():
