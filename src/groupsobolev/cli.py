@@ -26,14 +26,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from .checks import run_checks, suite_names
+from .checks import _alpha_grid, run_checks, suite_names
 from .group import FiniteAbelianGroup, parse_group
 from .nonlinear import (
     SolverConfig,
     lowfreq_forcing,
     parse_nonlinearity,
     solve_nonlinear,
-    verify_solution,
 )
 from .sobolev import (
     Weight,
@@ -49,6 +48,9 @@ from .sobolev import (
 from .spectral import (
     Signal,
     Spectrum,
+    _csv_rows,
+    _fmt17,
+    _read_table_csv,
     dft_fast,
     dft_naive,
     idft,
@@ -65,39 +67,17 @@ from .stringop import apply_operator, build_multiplier, domain_norm, solve_linea
 
 __all__ = ["main"]
 
-_FMT = ".17g"
-
-
-def _fmt(x: float) -> str:
-    return format(float(x), _FMT)
-
-
 def _print_json(doc: dict) -> None:
     sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
 
 
 def _load_weight(group: FiniteAbelianGroup, args) -> Weight:
-    if getattr(args, "weight_table", None):
-        gamma = []
-        with open(args.weight_table, "r", encoding="ascii") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-        if not lines or lines[0].replace(" ", "") != "index,gamma":
-            raise ValueError(f"{args.weight_table}: expected header 'index,gamma'")
-        for expected, row in enumerate(lines[1:]):
-            cells = row.split(",")
-            if len(cells) != 2:
-                raise ValueError(f"{args.weight_table}: row {row!r} is not 'index,gamma'")
-            try:
-                idx, val = int(cells[0]), float(cells[1])
-            except ValueError:
-                raise ValueError(
-                    f"{args.weight_table}: row {row!r} has a cell that is not a number"
-                ) from None
-            if idx != expected:
-                raise ValueError(f"{args.weight_table}: row {idx} out of order")
-            gamma.append(val)
+    if args.weight_table:
+        gamma = _read_table_csv(args.weight_table, group, ("gamma",))[:, 0]
         c_gamma = args.c_gamma if args.c_gamma is not None else 1.0
         return weight_from_table(group, gamma, c_gamma, name="custom")
+    if args.c_gamma is not None:
+        raise ValueError("--c-gamma applies only with --weight-table")
     return make_weight(group, args.weight)
 
 
@@ -148,18 +128,20 @@ def _cmd_info(args) -> int:
     else:
         print(f"group {group.descriptor}: order {group.order}, factors {list(group.factors)}")
         print(
-            f"weight {w.name}: c_gamma={_fmt(w.c_gamma)}, "
-            f"gamma range [{_fmt(w.values.min())}, {_fmt(w.values.max())}], "
+            f"weight {w.name}: c_gamma={_fmt17(w.c_gamma)}, "
+            f"gamma range [{_fmt17(w.values.min())}, {_fmt17(w.values.max())}], "
             f"subadditive={sub['ok']} (worst ratio {sub['worst_ratio']:.6g})"
         )
-        print(f"s = {_fmt(args.s)}")
-        print(f"sup-embedding constant C = {_fmt(doc['embedding_constant_sup'])}")
-        print(f"algebra constant        D = {_fmt(doc['algebra_constant'])}")
+        print(f"s = {_fmt17(args.s)}")
+        print(f"sup-embedding constant C = {_fmt17(doc['embedding_constant_sup'])}")
+        print(f"algebra constant        D = {_fmt17(doc['algebra_constant'])}")
     return 0
 
 
 def _cmd_transform(args) -> int:
     group = parse_group(args.group)
+    if args.inverse and (args.oracle or args.naive):
+        raise ValueError("--oracle and --naive apply only to the forward transform")
     if args.inverse:
         spec = _read_field(args.input, group, spectral=True)
         out = idft(spec)
@@ -173,7 +155,7 @@ def _cmd_transform(args) -> int:
                     np.linalg.norm(fast.values - naive.values)
                     / max(np.linalg.norm(naive.values), 1e-30)
                 )
-                print(f"oracle deviation (relative l2): {_fmt(dev)}")
+                print(f"oracle deviation (relative l2): {_fmt17(dev)}")
                 if dev > 1e-10:
                     print("FAIL: fast transform disagrees with the naive oracle", file=sys.stderr)
                     return 1
@@ -183,8 +165,7 @@ def _cmd_transform(args) -> int:
     if args.output:
         _write_field(args.output, out)
     else:
-        for i, v in enumerate(out.values):
-            print(f"{i},{_fmt(v.real)},{_fmt(v.imag)}")
+        print("\n".join(_csv_rows(out.values)))
     return 0
 
 
@@ -192,9 +173,7 @@ def _cmd_constants(args) -> int:
     group = parse_group(args.group)
     w = _load_weight(group, args)
     s = args.s
-    alphas = args.alpha if args.alpha else sorted(
-        {a for a in (s + 0.5, 2 * s + 1.0, 4.0) if a >= 1.0 and a > s}
-    )
+    alphas = args.alpha if args.alpha else _alpha_grid(s)
     per_alpha = []
     for alpha in alphas:
         emb = embedding_constant_lalpha(group, w, s, alpha)
@@ -210,13 +189,13 @@ def _cmd_constants(args) -> int:
     if args.json:
         _print_json(doc)
     else:
-        print(f"group {group.descriptor}, weight {w.name}, s={_fmt(s)}")
-        print(f"C(gamma,s) = {_fmt(doc['embedding_constant_sup'])}")
-        print(f"D(gamma,s) = {_fmt(doc['algebra_constant'])}")
+        print(f"group {group.descriptor}, weight {w.name}, s={_fmt17(s)}")
+        print(f"C(gamma,s) = {_fmt17(doc['embedding_constant_sup'])}")
+        print(f"D(gamma,s) = {_fmt17(doc['algebra_constant'])}")
         for row in per_alpha:
             print(
-                f"alpha={_fmt(row['alpha'])}: alpha*={_fmt(row['alpha_star'])}, "
-                f"constant={_fmt(row['constant'])}"
+                f"alpha={_fmt17(row['alpha'])}: alpha*={_fmt17(row['alpha_star'])}, "
+                f"constant={_fmt17(row['constant'])}"
             )
     return 0
 
@@ -319,7 +298,6 @@ def _cmd_solve_nonlinear(args) -> int:
     )
     cfg = _solver_config(args, group)
     phi, rep = solve_nonlinear(nl, w, args.c, cfg)
-    record = verify_solution(phi, nl, w, args.c, s=args.s, residual_tol=10 * args.tol)
     report = {
         "version": __version__,
         "config": {
@@ -334,7 +312,7 @@ def _cmd_solve_nonlinear(args) -> int:
             "forcing_l2": lp_norm(nl.h, 2),
         },
         "result": rep.as_dict(),
-        "verification": record,
+        "verification": rep.verification,
     }
     if args.output:
         _write_field(args.output, phi)
@@ -346,7 +324,7 @@ def _cmd_solve_nonlinear(args) -> int:
     else:
         print(f"status: {rep.status} after {rep.iterations} iterations; "
               f"equation residual {rep.final_residual_eq:.3e}")
-    return 0 if rep.converged and record["all_ok"] else 1
+    return 0 if rep.converged and rep.verification["all_ok"] else 1
 
 
 _SWEEP_PARAMS = ("c", "theta", "forcing-scale", "lam")
@@ -396,17 +374,17 @@ def _cmd_sweep(args) -> int:
             ",".join(
                 [
                     args.param,
-                    _fmt(value),
+                    _fmt17(value),
                     rep.status,
                     str(rep.converged).lower(),
                     str(rep.iterations),
-                    _fmt(rep.final_residual_eq),
-                    _fmt(rep.norms["l2"]),
-                    _fmt(rep.norms["l2alpha"]),
-                    _fmt(rep.norms["domain"]) if math.isfinite(rep.norms["domain"]) else "inf",
-                    _fmt(rep.norms["sup"]),
+                    _fmt17(rep.final_residual_eq),
+                    _fmt17(rep.norms["l2"]),
+                    _fmt17(rep.norms["l2alpha"]),
+                    _fmt17(rep.norms["domain"]) if math.isfinite(rep.norms["domain"]) else "inf",
+                    _fmt17(rep.norms["sup"]),
                     str(rep.ball_respected).lower(),
-                    _fmt(rep.ball_radius) if math.isfinite(rep.ball_radius) else "inf",
+                    _fmt17(rep.ball_radius) if math.isfinite(rep.ball_radius) else "inf",
                 ]
             )
         )

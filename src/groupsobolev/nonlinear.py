@@ -36,6 +36,7 @@ import numpy as np
 from .group import FiniteAbelianGroup, element_at, inverse_indices
 from .sobolev import (
     Weight,
+    embedding_constant_lalpha,
     embedding_constant_sup,
     lp_norm,
     lp_norm_batch,
@@ -343,9 +344,12 @@ class SolveReport:
     s_embed: float                       # smoothness used inside the ball rule
     continuity_constant: float           # sup-embedding constant at config.s
     theta_used: float
+    verification: dict                   # the certificate; not in as_dict
 
     def as_dict(self) -> dict:
-        return {**asdict(self), "residual_history": list(self.residual_history)}
+        doc = {**asdict(self), "residual_history": list(self.residual_history)}
+        del doc["verification"]
+        return doc
 
 
 def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) -> dict:
@@ -379,13 +383,11 @@ def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) 
     if delta is None:
         delta = 4.0
     s_embed = delta - delta / (2.0 * nl.alpha)
-    s_delta = float(((1.0 + gam2) ** (-delta)).sum())
 
     profile = build_multiplier(group, w, c)
     log_ratio = (s_embed / 2.0) * np.log1p(gam2) - profile.log_values
     c_chain = float(np.exp(log_ratio.max()))
-    c_lalpha = s_delta ** (s_embed / (2.0 * delta))
-    e_const = c_chain * c_lalpha
+    e_const = c_chain * embedding_constant_lalpha(group, w, s_embed, delta)["constant"]
 
     h_norm = lp_norm(nl.h, 2)
     d_prime = 2.0 * nl.c_growth**2 * e_const**2
@@ -438,8 +440,9 @@ def solve_nonlinear(
     consecutive steps, or going non-finite -- triggers a restart with the
     damping halved, at most twice, before reporting status "diverged".
     "max_iter" reports budget exhaustion.  No status raises: sweeps treat
-    them as data.  The report's residual, domain and sup norms and
-    continuity constant are those of :func:`verify_solution` at cfg.s.
+    them as data.  The report's ``verification`` is :func:`verify_solution`
+    at cfg.s and ``residual_tol = 10 * cfg.tol``; its residual, domain and
+    sup norms and continuity constant are the report's.
     """
     group = nl.group
     if w.group != group:
@@ -519,7 +522,7 @@ def solve_nonlinear(
     phi = idft(Spectrum(group, a), real=True)
 
     # the a posteriori certificate goes through the forward operator
-    record = verify_solution(phi, nl, w, c, cfg.s, residual_tol=cfg.tol)
+    record = verify_solution(phi, nl, w, c, cfg.s, residual_tol=10 * cfg.tol)
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged field reads inf
         norms = {
             "l2": lp_norm(phi, 2),
@@ -541,6 +544,7 @@ def solve_nonlinear(
         s_embed=float(ball["s_embed"]),
         continuity_constant=record["continuity_constant"],
         theta_used=theta,
+        verification=record,
     )
     return phi, report
 

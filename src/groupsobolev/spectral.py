@@ -228,7 +228,8 @@ def convolve_dual(u: Spectrum, v: Spectrum) -> Spectrum:
 # Two formats, both with decimal floats at 17 significant digits (lossless
 # double round-trip), both laid out in enumeration order:
 #
-#   CSV:   header "index,re,im", one row per coefficient;
+#   CSV:   header "index,re,im", one row per coefficient (_read_table_csv
+#          reads any "index,<columns>" table, the CLI's weight tables too);
 #   JSON:  {"group": "Z64", "values": [[re, im], ...]}.
 # ---------------------------------------------------------------------------
 
@@ -236,34 +237,52 @@ def _fmt17(x: float) -> str:
     return format(float(x), ".17g")
 
 
+def _csv_rows(values: np.ndarray) -> list[str]:
+    return [f"{i},{_fmt17(v.real)},{_fmt17(v.imag)}" for i, v in enumerate(values)]
+
+
 def _write_values_csv(path, values: np.ndarray) -> None:
-    lines = ["index,re,im"]
-    for i, v in enumerate(values):
-        lines.append(f"{i},{_fmt17(v.real)},{_fmt17(v.imag)}")
     with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write("\n".join(["index,re,im", *_csv_rows(values)]) + "\n")
 
 
-def _read_values_csv(path, group: FiniteAbelianGroup) -> np.ndarray:
+def _read_table_csv(path, group: FiniteAbelianGroup, columns: tuple[str, ...]) -> np.ndarray:
+    """The C-contiguous (order, len(columns)) float table of an "index,<columns>"
+    CSV in enumeration order; an error names the file and the first bad row."""
+    header = ",".join(("index", *columns))
     with open(path, "r", encoding="ascii") as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0].replace(" ", "") != "index,re,im":
-        raise ValueError(f"{path}: expected header 'index,re,im'")
+    if not lines or lines[0].replace(" ", "") != header:
+        raise ValueError(f"{path}: expected header {header!r}")
     rows = lines[1:]
     if len(rows) != group.order:
         raise ValueError(
             f"{path}: {len(rows)} rows but group {group.descriptor} has order {group.order}"
         )
-    out = np.empty(group.order, dtype=np.complex128)
-    for expected, row in enumerate(rows):
-        parts = row.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"{path}: malformed row {row!r}")
-        idx = int(parts[0])
-        if idx != expected:
-            raise ValueError(f"{path}: row index {idx} out of order (expected {expected})")
-        out[idx] = complex(float(parts[1]), float(parts[2]))
-    return out
+    # an integer index refuses "1.0"; comments=None refuses, not skips, "#" rows
+    dtype = np.dtype([("index", np.int64), ("values", np.float64, (len(columns),))])
+    try:
+        table = np.loadtxt(rows, dtype=dtype, delimiter=",", comments=None, ndmin=1)
+    except ValueError as exc:
+        for row in rows:  # quote the first row a plain reading refuses
+            cells = row.split(",")
+            try:
+                int(cells[0]), [float(cell) for cell in cells[1:]]
+                well_formed = len(cells) == len(columns) + 1
+            except ValueError:
+                well_formed = False
+            if not well_formed:
+                raise ValueError(f"{path}: malformed row {row!r}") from None
+        raise ValueError(f"{path}: {exc}") from None
+    bad = np.flatnonzero(table["index"] != np.arange(group.order))
+    if bad.size:
+        raise ValueError(f"{path}: row {rows[bad[0]]!r} is out of order (expected index {bad[0]})")
+    return np.ascontiguousarray(table["values"])
+
+
+def _read_values_csv(path, group: FiniteAbelianGroup) -> np.ndarray:
+    # a view, not re + 1j*im, which would turn a -0.0 real part into +0.0
+    return _read_table_csv(path, group, ("re", "im")).view(np.complex128).reshape(-1)
 
 
 def _write_values_json(path, group: FiniteAbelianGroup, values: np.ndarray) -> None:

@@ -104,6 +104,20 @@ def test_weight_table_bad_row_names_file_and_row(tmp_path, capsys):
         assert "gamma.csv" in err and repr(row) in err
 
 
+def test_weight_table_wrong_row_count_names_file(tmp_path, capsys):
+    table = tmp_path / "gamma.csv"
+    table.write_text("index,gamma\n0,0\n1,1\n2,2\n")
+    assert main(["info", "--group", "Z2", "--weight-table", str(table)]) == 2
+    err = capsys.readouterr().err
+    assert "gamma.csv" in err and "3 rows" in err
+
+
+def test_c_gamma_without_weight_table_exits_2(capsys):
+    # --c-gamma is a property of a custom table; alone it would be ignored
+    assert main(["info", "--group", "Z4", "--c-gamma", "5", "--json"]) == 2
+    assert "--weight-table" in capsys.readouterr().err
+
+
 def test_weight_table_asymmetric_rejected_before_solving(tmp_path, capsys):
     # gamma(1) != gamma(-1 = 3): real fields would not stay real
     table = tmp_path / "gamma.csv"
@@ -153,6 +167,27 @@ def test_transform_malformed_file(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("this,is,not\na,signal,file\n")
     assert main(["transform", "--group", "Z4", "--input", str(bad)]) == 2
+
+
+@pytest.mark.parametrize("flag", ["--oracle", "--naive"])
+def test_transform_inverse_rejects_forward_only_flags(tmp_path, rng, capsys, flag):
+    g = parse_group("Z4")
+    _write_random_signal(rng, tmp_path / "spec.csv", g)
+    assert main(["transform", "--group", "Z4", "--inverse", flag,
+                 "--input", str(tmp_path / "spec.csv")]) == 2
+    assert "forward transform" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("row", [
+    "1,1_0,0",    # float() reads 10, numpy's parser refuses it
+    "# 1,1,0",    # a comment-like row is refused, not skipped
+])
+def test_transform_csv_row_python_and_numpy_disagree_on_exits_2(tmp_path, capsys, row):
+    path = tmp_path / "sig.csv"
+    path.write_text(f"index,re,im\n0,1,0\n{row}\n2,1,0\n3,1,0\n")
+    assert main(["transform", "--group", "Z4", "--input", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert "sig.csv" in err and "Traceback" not in err
 
 
 def test_transform_naive_refuses_huge_table(tmp_path, capsys):
@@ -246,6 +281,26 @@ def test_solve_nonlinear_failed_verification_exits_1(argv, capsys):
     assert doc["result"]["status"] == "converged"
     assert doc["verification"]["residual_ok"] is False
     assert code == 1
+
+
+def test_solve_nonlinear_verifies_once(monkeypatch, capsys):
+    import groupsobolev.cli as cli
+    import groupsobolev.nonlinear as nonlinear
+
+    calls = []
+    real = nonlinear.verify_solution
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("residual_tol"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(nonlinear, "verify_solution", counting)
+    monkeypatch.setattr(cli, "verify_solution", counting, raising=False)  # a CLI-side call
+    code = main(["solve-nonlinear", "--group", "Z12", "--c", "0.5", "--tol", "1e-11",
+                 "--nonlinearity", "forced-power:2,0.1", "--forcing-scale", "0.01"])
+    assert code == 0
+    assert calls == [pytest.approx(1e-10)]  # the report's certificate, at 10 tol
+    assert json.loads(capsys.readouterr().out)["verification"]["all_ok"] is True
 
 
 def test_solve_nonlinear_diverged_prints_no_warnings(tmp_path):

@@ -228,6 +228,24 @@ def test_report_certificate_is_verify_solution(p, lam, scale, s, status):
     assert rep.continuity_constant == check["continuity_constant"]
 
 
+@pytest.mark.parametrize("p, lam, scale, status", [
+    (2, 0.1, 0.01, "converged"),
+    (3, 5.0, 100.0, "diverged"),
+])
+def test_report_carries_its_verification(p, lam, scale, status):
+    g = parse_group("Z12")
+    w = make_weight(g, "sym-euclid")
+    nl = forced_power_nonlinearity(p, lam, lowfreq_forcing(g, scale))
+    cfg = SolverConfig(tol=1e-11, s=1.5)
+    phi, rep = solve_nonlinear(nl, w, 0.5, cfg)
+    assert rep.status == status
+    check = verify_solution(phi, nl, w, 0.5, s=cfg.s, residual_tol=10 * cfg.tol)
+    assert rep.verification.keys() == check.keys()
+    for key, value in check.items():
+        assert rep.verification[key] == value, key
+    assert "verification" not in rep.as_dict()
+
+
 def test_solver_leaves_initial_untouched():
     g = parse_group("Z12")
     w = make_weight(g, "sym-euclid")

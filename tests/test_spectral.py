@@ -183,11 +183,14 @@ def test_exact_dual_is_a_validated_field(rng):
 
 def test_csv_roundtrip_bit_exact(tmp_path, rng):
     g = parse_group("Z12")
-    f = _rand_signal(g, rng)
+    vals = _rand_signal(g, rng).values.copy()
+    vals[:3] = [complex(-0.0, 5e-324), complex(1e300, -1e300), complex(-5e-324, -0.0)]
+    f = Signal(g, vals)
     path = tmp_path / "sig.csv"
     write_signal_csv(path, f)
     back = read_signal_csv(path, g)
     assert np.array_equal(back.values, f.values)  # 17 digits round-trip losslessly
+    assert back.values.tobytes() == f.values.tobytes()  # the signs of zeros too
     spec = dft_fast(f)
     spath = tmp_path / "spec.csv"
     write_spectrum_csv(spath, spec)
@@ -218,6 +221,27 @@ def test_csv_out_of_order_rejected(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("index,re,im\n1,1.0,0.0\n0,2.0,0.0\n")
     with pytest.raises(ValueError):
+        read_signal_csv(path, parse_group("Z2"))
+
+
+def test_csv_reader_matches_python_float(tmp_path, rng):
+    # the reader parses with numpy; Python's float() is the reference
+    g = parse_group("Z64")
+    x = rng.standard_normal(2 * g.order) * 10.0 ** rng.integers(-300, 300, 2 * g.order)
+    forms = ("{!r}", "{:.17g}", "{:.5e}", "{:.3f}", "{:E}", " {:.9g} ")
+    cells = [forms[i % len(forms)].format(float(v)) for i, v in enumerate(x)]
+    cells[:6] = ["-0", "5e-324", "-4.9e-324", "1e300", "-.5", "+2."]
+    rows = [f"{i},{cells[2 * i]},{cells[2 * i + 1]}" for i in range(g.order)]
+    path = tmp_path / "sig.csv"
+    path.write_text("\n".join(["index,re,im", *rows]) + "\n")
+    ref = np.array([float(c) for c in cells])
+    assert read_signal_csv(path, g).values.view(np.float64).tobytes() == ref.tobytes()
+
+
+def test_csv_bad_cell_names_file_and_row(tmp_path):
+    path = tmp_path / "bad.csv"
+    path.write_text("index,re,im\n0,1.0,0.0\n1,abc,0.0\n")
+    with pytest.raises(ValueError, match=r"bad\.csv: .*'1,abc,0\.0'"):
         read_signal_csv(path, parse_group("Z2"))
 
 
