@@ -468,6 +468,15 @@ def solve_nonlinear(
         a0 = 0.5 * (d0 + np.conj(d0[inv]))
         y0 = cfg.initial.values.real
     v_hat0 = _source_hat(nl, group, y0)
+    if cfg.initial is not None and v_hat0 is not None:
+        # samples fix their dual coefficients only to within their rounding,
+        # about eps * ||y0||; where the equation's own coefficient -V_hat/m
+        # lies within 4x that, take it.  Damping keeps (1 - theta)^k of the
+        # difference, and m times it, which overflows at high frequencies,
+        # would swamp the residual and the domain norm.
+        eq = _real_step(v_hat0, profile.inverse, inv)
+        rounding = 4.0 * np.finfo(np.float64).eps * _l2(group, y0)
+        a0 = np.where(np.abs(a0 - eq) <= rounding, eq, a0)
 
     for theta in (cfg.theta, cfg.theta / 2.0, cfg.theta / 4.0):
         a, y, v_hat = a0, y0, v_hat0

@@ -12,14 +12,21 @@ inverse really inverts, with no extra normalization constants anywhere.
 
 Two transform paths are provided.  ``dft_naive`` is the O(|G|^2) definition,
 kept as the correctness oracle.  ``dft_fast`` reshapes the values onto the
-grid of cyclic factors and runs one ``numpy.fft.fftn`` over it (pocketfft:
-mixed-radix Cooley-Tukey, Bluestein at large prime lengths).
+grid of cyclic factors and factors the transform as a Kronecker product
+(Van Loan, *Computational Frameworks for the FFT*, sec. 3.4): runs of
+consecutive factors whose product is at most ``_BLOCK_ORDER`` are merged
+into one axis and transformed by one matrix product with the dense
+character table of their subgroup, and every other factor goes through one
+``numpy.fft.fftn`` call (pocketfft: mixed-radix Cooley-Tukey, Bluestein at
+large prime lengths).  A group with no such run, a cyclic group for one, is
+transformed by that single ``fftn`` call alone.
 """
 from __future__ import annotations
 
 import json
-import re
+import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -117,21 +124,65 @@ def _same_group(a, b) -> FiniteAbelianGroup:
 # core transform kernels
 # ---------------------------------------------------------------------------
 
+# Largest order of a merged block, chosen by measurement (2 vCPUs, numpy
+# 2.4.6, OpenBLAS): order 8 transforms Z2^12 in about 0.1 ms against 1.9 ms
+# for 12 pocketfft passes.  A block of order b costs one matrix product of
+# b*|G| complex multiply-adds, and OpenBLAS runs a product of 65536 or more
+# on several threads: order 16 does so on groups of order 4096 (CPU/wall
+# about 2), order 8 only from order 8192 on.
+_BLOCK_ORDER = 8
+
+
+@lru_cache(maxsize=128)
+def _grid_plan(factors: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
+    """How ``_transform_grid`` lays a group's values out and transforms them.
+
+    Returns the grid shape, one axis per run of consecutive factors merged
+    greedily while their product stays within ``_BLOCK_ORDER``; the axes of
+    single factors for ``fftn``, counted from the end so that leading batch
+    axes need no offset; and, per merged axis, (the number of grid
+    points after it, forward matrix conj(T)/b, inverse matrix T), where T is
+    the run's character table T[k, x] = xi_k(x), of order b and symmetric.
+    """
+    runs: list[list[int]] = []
+    for n in factors:
+        if runs and math.prod(runs[-1]) * n <= _BLOCK_ORDER:
+            runs[-1].append(n)
+        else:
+            runs.append([n])
+    shape = tuple(math.prod(run) for run in runs)
+    fft_axes = tuple(axis - len(runs) for axis, run in enumerate(runs) if len(run) == 1)
+    blocks = []
+    for axis, run in enumerate(runs):
+        if len(run) > 1:
+            table = character_table(FiniteAbelianGroup(tuple(run)))
+            fwd = table.conj() / shape[axis]
+            for arr in (table, fwd):
+                arr.setflags(write=False)
+            blocks.append((math.prod(shape[axis + 1:]), fwd, table))
+    return shape, fft_axes, tuple(blocks)
+
+
 def _transform_grid(group: FiniteAbelianGroup, values: np.ndarray, inverse: bool) -> np.ndarray:
-    """One multi-dimensional FFT over the cyclic factor grid.
+    """The transform over the factor grid laid out by ``_grid_plan``.
 
     ``values`` may carry leading batch axes; the last axis must have length
     ``group.order`` and is interpreted in enumeration order, which coincides
-    with C-order over the factor grid.  ``norm="forward"`` puts the 1/|G|
-    Haar factor on the forward transform and none on the inverse, which is
+    with C-order over the factor grid (and over the merged grid).
+    ``norm="forward"`` and the 1/b of each forward block put the 1/|G| Haar
+    factor on the forward transform and none on the inverse, which is
     exactly the module's convention.
     """
     vals = np.asarray(values, dtype=np.complex128)
     batch = vals.shape[:-1]
-    grid = vals.reshape(*batch, *group.factors)
-    axes = tuple(range(len(batch), grid.ndim))
-    fft = np.fft.ifftn if inverse else np.fft.fftn
-    return fft(grid, axes=axes, norm="forward").reshape(*batch, group.order)
+    shape, fft_axes, blocks = _grid_plan(group.factors)
+    grid = vals.reshape(*batch, *shape)
+    if fft_axes:
+        fft = np.fft.ifftn if inverse else np.fft.fftn
+        grid = fft(grid, axes=fft_axes, norm="forward")
+    for post, fwd, inv in blocks:
+        grid = np.matmul(inv if inverse else fwd, grid.reshape(-1, len(fwd), post))
+    return grid.reshape(*batch, group.order)
 
 
 def dft_values(group: FiniteAbelianGroup, values: np.ndarray) -> np.ndarray:
@@ -159,7 +210,9 @@ def dft_naive(f: Signal) -> Spectrum:
 
 
 def dft_fast(f: Signal) -> Spectrum:
-    """Fast transform over the factor grid; agrees with dft_naive to ~1e-15 relative."""
+    """Fast transform: ``fftn`` over the large cyclic factors and dense
+    character-table blocks over runs of small ones (see the module
+    docstring); agrees with dft_naive to ~1e-15 relative."""
     return Spectrum(f.group, dft_values(f.group, f.values))
 
 
@@ -277,6 +330,9 @@ def _read_table_csv(path, group: FiniteAbelianGroup, columns: tuple[str, ...]) -
     bad = np.flatnonzero(table["index"] != np.arange(group.order))
     if bad.size:
         raise ValueError(f"{path}: row {rows[bad[0]]!r} is out of order (expected index {bad[0]})")
+    bad = np.flatnonzero(~np.isfinite(table["values"]).all(axis=1))
+    if bad.size:  # "1e999" reads as inf
+        raise ValueError(f"{path}: row {rows[bad[0]]!r} has a value that is not finite")
     return np.ascontiguousarray(table["values"])
 
 

@@ -112,6 +112,18 @@ def test_weight_table_wrong_row_count_names_file(tmp_path, capsys):
     assert "gamma.csv" in err and "3 rows" in err
 
 
+@pytest.mark.parametrize("argv, name, text", [
+    (["transform", "--group", "Z2", "--input"], "s.csv", "index,re,im\n0,1.0,0.0\n1,1e999,0.0\n"),
+    (["info", "--group", "Z2", "--weight-table"], "w.csv", "index,gamma\n0,0\n1,1e999\n"),
+])
+def test_csv_cell_overflowing_to_inf_names_file_and_row(tmp_path, capsys, argv, name, text):
+    path = tmp_path / name
+    path.write_text(text)
+    assert main([*argv, str(path)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "'1,1e999" in err
+
+
 def test_c_gamma_without_weight_table_exits_2(capsys):
     # --c-gamma is a property of a custom table; alone it would be ignored
     assert main(["info", "--group", "Z4", "--c-gamma", "5", "--json"]) == 2

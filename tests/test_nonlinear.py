@@ -257,6 +257,23 @@ def test_solver_leaves_initial_untouched():
     assert np.array_equal(initial.values, np.zeros(12))
 
 
+def test_damped_solve_from_sampled_initial_keeps_a_finite_residual():
+    # an initial given by its samples, as read from a file, carries their
+    # rounding noise where m is huge; a damped solve must not keep it
+    g = parse_group("Z64")
+    w = make_weight(g, "sym-euclid")
+    h = Signal(g, 0.2 * np.cos(2 * np.pi * np.arange(64) / 64))
+    nl = forced_power_nonlinearity(2, 0.5, h)
+    start, _ = solve_nonlinear(nl, w, 1.0, SolverConfig())
+    initial = Signal(g, start.values)
+    ref, _ = solve_nonlinear(nl, w, 1.0, SolverConfig(initial=initial, theta=1.0))
+    cfg = SolverConfig(initial=initial, theta=0.7)
+    phi, rep = solve_nonlinear(nl, w, 1.0, cfg)
+    assert rep.converged
+    assert rep.final_residual_eq <= 10 * cfg.tol
+    assert lp_norm(Signal(g, phi.values - ref.values), 2) <= cfg.tol
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(theta=0.0)

@@ -1,7 +1,9 @@
+import math
+
 import numpy as np
 import pytest
 
-from groupsobolev.group import character_table, element_at, parse_group
+from groupsobolev.group import character_table, element_at, parse_group, residue_grid
 from groupsobolev.spectral import (
     Signal,
     Spectrum,
@@ -80,6 +82,52 @@ def test_fast_matches_oracle_on_hard_shapes(name, rng):
     F = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
     ref = table.T @ F  # f(x) = sum_xi F(xi) xi(x), straight from the definition
     assert np.linalg.norm(idft_values(g, F) - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
+def _definition(group, rows):
+    """Forward and inverse transforms of each row straight from the
+    definition, 256 characters at a time so no order x order table is held:
+    xi_k(x) = w^P with w = exp(2 pi i / L), L = lcm(n_j), and the integer
+    phase P = sum_j k_j x_j L / n_j mod L."""
+    lcm = math.lcm(*group.factors)
+    roots = np.exp(2j * np.pi * np.arange(lcm) / lcm)
+    res = residue_grid(group).astype(np.float64)  # BLAS; phases below 2**53 stay exact
+    scaled = res * np.array([lcm // n for n in group.factors])[:, None]
+    fwd = np.empty(rows.shape, dtype=np.complex128)
+    inv = np.empty(rows.shape, dtype=np.complex128)
+    for start in range(0, group.order, 256):
+        chars = roots[(scaled[:, start:start + 256].T @ res % lcm).astype(np.int64)]
+        fwd[:, start:start + 256] = rows @ chars.conj().T / group.order
+        inv[:, start:start + 256] = rows @ chars.T
+    return fwd, inv
+
+
+@pytest.mark.parametrize("name", [
+    "x".join(["Z2"] * 10), "x".join(["Z2"] * 12), "x".join(["Z3"] * 7), "x".join(["Z4"] * 6),
+    "Z2xZ3xZ5xZ7", "Z2xZ2xZ1024", "Z2xZ2xZ2",
+])
+def test_blocked_plan_matches_definition(name, rng):
+    # runs of small factors go through dense character-table blocks,
+    # Z2xZ2xZ2 through blocks alone; a batch of rows transforms row by row
+    g = parse_group(name)
+    f = rng.standard_normal((3, g.order)) + 1j * rng.standard_normal((3, g.order))
+    for transform, refs in zip((dft_values, idft_values), _definition(g, f)):
+        batch = transform(g, f)
+        for row, got, ref in zip(f, batch, refs):
+            alone = transform(g, row)
+            assert np.linalg.norm(alone - ref) <= 1e-14 * np.linalg.norm(ref)
+            assert np.linalg.norm(got - alone) <= 1e-15 * np.linalg.norm(alone)
+
+
+@pytest.mark.parametrize("name", ["Z4096", "Z64xZ64", "Z16xZ16xZ16", "Z257", "Z128xZ128"])
+def test_groups_without_small_runs_take_one_fftn_call(name, rng):
+    g = parse_group(name)
+    f = rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)
+    grid = f.reshape(g.factors)
+    fwd = np.fft.fftn(grid, norm="forward").reshape(-1)
+    inv = np.fft.ifftn(grid, norm="forward").reshape(-1)
+    assert np.array_equal(dft_values(g, f), fwd)
+    assert np.array_equal(idft_values(g, f), inv)
 
 
 @pytest.mark.parametrize("name", ZOO + ["Z720", "Z4096", "Z3xZ5xZ7"])
