@@ -13,6 +13,12 @@ with convergence certified a posteriori: the reported equation residual
 ||L phi - V(., phi)||_L2 is recomputed through an independent forward
 application of the operator, never taken from the iteration's own arithmetic.
 
+The iterate is held as its dual coefficients a; its samples y = F^{-1}(a)
+are synthesized from them once per iteration, and one forward transform
+brings V(., y) back.  The returned phi carries both, so the certificate
+(:func:`verify_solution`) reads its Sobolev and domain norms from a and
+makes a single transform, the synthesis of L phi.
+
 Nonlinearities are described by the growth data (alpha, beta, C, h, f):
 
     |U(x,y) - y|            <= C (|h(x)| + |y|^alpha),
@@ -28,7 +34,7 @@ asserted tiny.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -41,7 +47,7 @@ from .sobolev import (
     lp_norm,
     lp_norm_batch,
     make_weight,
-    sobolev_norm,
+    sobolev_norm_batch,
 )
 from .spectral import Signal, Spectrum, dft_values, dual_coefficients, idft, idft_values
 from .stringop import (
@@ -130,6 +136,24 @@ def affine_nonlinearity(h: Signal) -> Nonlinearity:
     )
 
 
+def _signed_power(y: np.ndarray, p: int) -> np.ndarray:
+    """y^p for an integer p >= 1, as a power of |y| with the sign restored
+    for odd p.  numpy's ``y ** p`` drops to a scalar pow loop wherever a base
+    is negative, about 20 times slower on a signed field; this costs the
+    same for every p and stays within an ulp of it."""
+    mag = np.abs(y) ** p
+    return np.copysign(mag, y) if p % 2 else mag
+
+
+def _check_power(p: int, lam: float) -> tuple[int, float]:
+    p, lam = int(p), float(lam)
+    if p < 2:
+        raise ValueError(f"power nonlinearity needs integer p >= 2, got {p}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise ValueError(f"coupling must be finite and positive, got {lam}")
+    return p, lam
+
+
 def power_nonlinearity(group: FiniteAbelianGroup, p: int, lam: float) -> Nonlinearity:
     """U(x, y) = y + lam * y^p for integer p >= 2.
 
@@ -137,16 +161,11 @@ def power_nonlinearity(group: FiniteAbelianGroup, p: int, lam: float) -> Nonline
     theory.  Growth data is exact: alpha = p, beta = p - 1, C = p*lam, with
     zero envelopes.
     """
-    p = int(p)
-    lam = float(lam)
-    if p < 2:
-        raise ValueError(f"power nonlinearity needs integer p >= 2, got {p}")
-    if not lam > 0:
-        raise ValueError(f"coupling must be positive, got {lam}")
+    p, lam = _check_power(p, lam)
     return Nonlinearity(
         name=f"power:{p},{lam!r}",
-        u_func=lambda y: y + lam * y**p,
-        du_func=lambda y: 1.0 + p * lam * y ** (p - 1),
+        u_func=lambda y: y + lam * _signed_power(y, p),
+        du_func=lambda y: 1.0 + p * lam * _signed_power(y, p - 1),
         alpha=float(p),
         beta=float(p - 1),
         c_growth=p * lam,
@@ -157,17 +176,12 @@ def power_nonlinearity(group: FiniteAbelianGroup, p: int, lam: float) -> Nonline
 
 def forced_power_nonlinearity(p: int, lam: float, h: Signal) -> Nonlinearity:
     """U(x, y) = y + lam * y^p + h(x)."""
-    p = int(p)
-    lam = float(lam)
-    if p < 2:
-        raise ValueError(f"power nonlinearity needs integer p >= 2, got {p}")
-    if not lam > 0:
-        raise ValueError(f"coupling must be positive, got {lam}")
+    p, lam = _check_power(p, lam)
     hv = h.values.real.copy()
     return Nonlinearity(
         name=f"forced-power:{p},{lam!r}",
-        u_func=lambda y: y + lam * y**p + hv,
-        du_func=lambda y: 1.0 + p * lam * y ** (p - 1),
+        u_func=lambda y: y + lam * _signed_power(y, p) + hv,
+        du_func=lambda y: 1.0 + p * lam * _signed_power(y, p - 1),
         alpha=float(p),
         beta=float(p - 1),
         c_growth=max(1.0, p * lam),
@@ -262,12 +276,12 @@ def eval_source(nl: Nonlinearity, u: Signal) -> Signal:
 
 def _source_hat(nl: Nonlinearity, group: FiniteAbelianGroup, y: np.ndarray) -> np.ndarray | None:
     """Dual coefficients of the source V(., y), or None when V or its
-    transform is not finite, which the iteration treats as divergence."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        v = nl.u_func(y) - y
-        if not np.isfinite(v).all():
-            return None
-        v_hat = dft_values(group, v)
+    transform is not finite, which the iteration treats as divergence.
+    Callers silence numpy's overflow and invalid warnings around it."""
+    v = nl.u_func(y) - y
+    if not np.isfinite(v).all():
+        return None
+    v_hat = dft_values(group, v)
     return v_hat if np.isfinite(v_hat).all() else None
 
 
@@ -277,13 +291,18 @@ def _real_step(v_hat: np.ndarray, inv_m: np.ndarray, inv: np.ndarray) -> np.ndar
 
     The symmetrization must be a rounding-level projection; a larger
     anti-Hermitian part (compared in L2, by Plancherel) means the
-    multiplier/weight pair does not preserve real fields.
+    multiplier/weight pair does not preserve real fields.  A blown-up step
+    passes; callers silence numpy's overflow and invalid warnings.
     """
-    raw = -v_hat * inv_m
-    sym = 0.5 * (raw + np.conj(raw[inv]))
-    with np.errstate(over="ignore", invalid="ignore"):  # a blown-up step passes
-        worst_imag = _l2_dual(raw - sym)
-        scale = max(1.0, _l2_dual(sym))
+    raw = v_hat * inv_m
+    np.negative(raw, out=raw)
+    sym = raw[inv]
+    np.conjugate(sym, out=sym)
+    sym += raw
+    sym *= 0.5
+    raw -= sym  # the anti-Hermitian part
+    worst_imag = _l2_dual(raw)
+    scale = max(1.0, _l2_dual(sym))
     if worst_imag > _IMAG_TOL * scale:
         raise ValueError(
             f"linear solve returned relative imaginary magnitude "
@@ -298,10 +317,11 @@ def picard_step(u: Signal, nl: Nonlinearity, w: Weight, c: float) -> Signal:
     V(., u).  The result is projected to its real part, which must be a
     rounding-level projection only, and carries its dual coefficients."""
     eval_source(nl, u)  # enforce the real-field contract on the input
-    v_hat = _source_hat(nl, u.group, u.values.real)
-    if v_hat is None:
-        raise ValueError("source values are not finite (field overflow)")
-    step = _real_step(v_hat, build_multiplier(u.group, w, c).inverse, inverse_indices(u.group))
+    with np.errstate(over="ignore", invalid="ignore"):
+        v_hat = _source_hat(nl, u.group, u.values.real)
+        if v_hat is None:
+            raise ValueError("source values are not finite (field overflow)")
+        step = _real_step(v_hat, build_multiplier(u.group, w, c).inverse, inverse_indices(u.group))
     return idft(Spectrum(u.group, step), real=True)
 
 
@@ -347,9 +367,8 @@ class SolveReport:
     verification: dict                   # the certificate; not in as_dict
 
     def as_dict(self) -> dict:
-        doc = {**asdict(self), "residual_history": list(self.residual_history)}
-        del doc["verification"]
-        return doc
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "verification"}
+        return {**doc, "residual_history": list(self.residual_history), "norms": dict(self.norms)}
 
 
 def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) -> dict:
@@ -394,7 +413,8 @@ def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) 
     a = nl.alpha
 
     def gap(eps: float) -> float:
-        return d_prime * (h_norm**2 + eps ** (2 * a)) - eps**2
+        # h_norm * h_norm reads inf past float64, where ** would raise
+        return d_prime * (h_norm * h_norm + eps ** (2 * a)) - eps**2
 
     eps_star = (1.0 / (a * d_prime)) ** (1.0 / (2.0 * a - 2.0))
     base = {
@@ -417,16 +437,24 @@ def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) 
     return {"epsilon": hi, "ok": True, **base}
 
 
+def _sum_squares(values: np.ndarray) -> float:
+    """sum |v|^2 without np.abs's hypot: real entries are squared directly,
+    complex ones through their float64 view.  Summed in numpy, not by a BLAS
+    dot product, which starts its own threads on long vectors: one call then
+    costs about twice its wall time in CPU.  Callers silence overflow, so a
+    blown-up field reads inf."""
+    flat = values.view(np.float64) if np.iscomplexobj(values) else values
+    return float((flat * flat).sum())
+
+
 def _l2(group: FiniteAbelianGroup, values: np.ndarray) -> float:
-    with np.errstate(over="ignore"):  # norms of blown-up fields read as inf
-        return float(np.sqrt((np.abs(values) ** 2).sum() / group.order))
+    """L2 norm under normalized Haar measure."""
+    return math.sqrt(_sum_squares(values) / group.order)
 
 
 def _l2_dual(values: np.ndarray) -> float:
-    """l2 norm under counting measure on the dual.  Summed in numpy, not
-    through np.linalg.norm, whose BLAS dot product starts its own threads
-    on long vectors: one call then costs about twice its wall time in CPU."""
-    return float(np.sqrt((np.abs(values) ** 2).sum()))
+    """l2 norm under counting measure on the dual."""
+    return math.sqrt(_sum_squares(values))
 
 
 def solve_nonlinear(
@@ -457,85 +485,83 @@ def solve_nonlinear(
     eps = cfg.epsilon_ball if cfg.epsilon_ball is not None else ball["epsilon"]
     two_alpha = 2.0 * nl.alpha
     profile = build_multiplier(group, w, c)
-    # the iterate is held twice: as dual coefficients a, which stay exact
-    # where the multiplier is too large for the samples to carry them, and
-    # as real samples y, which the nonlinearity needs
-    if cfg.initial is None:
-        a0 = np.zeros(group.order, dtype=np.complex128)
-        y0 = np.zeros(group.order)
-    else:
-        d0 = dual_coefficients(cfg.initial)
-        a0 = 0.5 * (d0 + np.conj(d0[inv]))
-        y0 = cfg.initial.values.real
-    v_hat0 = _source_hat(nl, group, y0)
-    if cfg.initial is not None and v_hat0 is not None:
-        # samples fix their dual coefficients only to within their rounding,
-        # about eps * ||y0||; where the equation's own coefficient -V_hat/m
-        # lies within 4x that, take it.  Damping keeps (1 - theta)^k of the
-        # difference, and m times it, which overflows at high frequencies,
-        # would swamp the residual and the domain norm.
-        eq = _real_step(v_hat0, profile.inverse, inv)
-        rounding = 4.0 * np.finfo(np.float64).eps * _l2(group, y0)
-        a0 = np.where(np.abs(a0 - eq) <= rounding, eq, a0)
+    # blown-up iterates read as inf or nan, which the loop below turns into
+    # status "diverged"; numpy's warnings about them are silenced throughout
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the iterate is held twice: as dual coefficients a, which stay exact
+        # where the multiplier is too large for the samples to carry them, and
+        # as the real samples y = idft(a), which the nonlinearity needs
+        if cfg.initial is None:
+            a0 = np.zeros(group.order, dtype=np.complex128)
+            y0 = np.zeros(group.order)
+        else:
+            d0 = dual_coefficients(cfg.initial)
+            a0 = 0.5 * (d0 + np.conj(d0[inv]))
+            y0 = cfg.initial.values.real
+        v_hat0 = _source_hat(nl, group, y0)
+        if cfg.initial is not None and v_hat0 is not None:
+            # samples fix their dual coefficients only to within their rounding,
+            # about eps * ||y0||; where the equation's own coefficient -V_hat/m
+            # lies within 4x that, take it.  Damping keeps (1 - theta)^k of the
+            # difference, and m times it, which overflows at high frequencies,
+            # would swamp the residual and the domain norm.
+            eq = _real_step(v_hat0, profile.inverse, inv)
+            rounding = 4.0 * np.finfo(np.float64).eps * _l2(group, y0)
+            a0 = np.where(np.abs(a0 - eq) <= rounding, eq, a0)
 
-    for theta in (cfg.theta, cfg.theta / 2.0, cfg.theta / 4.0):
-        a, y, v_hat = a0, y0, v_hat0
-        history: list[float] = []
-        ball_ok = True
-        grow_streak = 0
-        status = "max_iter"
-        for _ in range(cfg.max_iter):
-            if v_hat is None:
-                status = "diverged"
-                break
-            # G is linear in the source, so the damped samples follow from
-            # one inverse transform of the step alone
-            step = _real_step(v_hat, profile.inverse, inv)
-            with np.errstate(over="ignore", invalid="ignore"):
-                y_new = (1.0 - theta) * y + theta * idft_values(group, step).real
-            if not np.isfinite(y_new).all():
-                status = "diverged"
-                break
-            a = (1.0 - theta) * a + theta * step
-            diff = _l2(group, y_new - y)
-            grow_streak = grow_streak + 1 if history and diff > history[-1] else 0
-            history.append(diff)
-            if math.isfinite(eps):
-                with np.errstate(over="ignore"):  # blown-up iterates read as inf
-                    in_ball = float(lp_norm_batch(group, y_new, two_alpha)) <= eps * (1.0 + 1e-12)
-                ball_ok = ball_ok and in_ball
-            y = y_new
-            if diff < cfg.tol:
-                status = "converged"
-                break
-            # residual monitor ||L phi - V||_L2 = ||m a + V_hat||_l2 by
-            # Plancherel; its V_hat is the next step's source, so it costs
-            # no extra transform.  Catches one-step exact cases (affine).
-            v_hat = _source_hat(nl, group, y)
-            try:
-                with np.errstate(over="ignore"):
+        for theta in (cfg.theta, cfg.theta / 2.0, cfg.theta / 4.0):
+            a, y, v_hat = a0, y0, v_hat0
+            history: list[float] = []
+            ball_ok = True
+            grow_streak = 0
+            status = "max_iter"
+            for _ in range(cfg.max_iter):
+                if v_hat is None:
+                    status = "diverged"
+                    break
+                # the samples are synthesized from the damped coefficients, so
+                # (a, y) stays the exact pair that phi returns
+                a_new = theta * _real_step(v_hat, profile.inverse, inv)
+                a_new += (1.0 - theta) * a
+                y_new = idft_values(group, a_new).real
+                if not np.isfinite(y_new).all():
+                    status = "diverged"
+                    break
+                diff = _l2(group, y_new - y)
+                grow_streak = grow_streak + 1 if history and diff > history[-1] else 0
+                history.append(diff)
+                if ball_ok and math.isfinite(eps):
+                    ball_ok = float(lp_norm_batch(group, y_new, two_alpha)) <= eps * (1.0 + 1e-12)
+                a, y = a_new, y_new
+                if diff < cfg.tol:
+                    status = "converged"
+                    break
+                # residual monitor ||L phi - V||_L2 = ||m a + V_hat||_l2 by
+                # Plancherel; its V_hat is the next step's source, so it costs
+                # no extra transform.  Catches one-step exact cases (affine).
+                v_hat = _source_hat(nl, group, y)
+                try:
                     resid = (
                         math.inf if v_hat is None
                         else _l2_dual(multiply_spectrum(profile, a) + v_hat)
                     )
-            except NotInDomainError:
-                resid = math.inf
-            if resid < cfg.tol:
-                status = "converged"
+                except NotInDomainError:
+                    resid = math.inf
+                if resid < cfg.tol:
+                    status = "converged"
+                    break
+                if not ball_ok and grow_streak >= 10:
+                    status = "diverged"
+                    break
+            if status != "diverged":
                 break
-            if not ball_ok and grow_streak >= 10:
-                status = "diverged"
-                break
-        if status != "diverged":
-            break
-    phi = idft(Spectrum(group, a), real=True)
+        phi = Signal(group, y, exact_dual=a)
 
-    # the a posteriori certificate goes through the forward operator
-    record = verify_solution(phi, nl, w, c, cfg.s, residual_tol=10 * cfg.tol)
-    with np.errstate(over="ignore", invalid="ignore"):  # a diverged field reads inf
+        # the a posteriori certificate goes through the forward operator
+        record = verify_solution(phi, nl, w, c, cfg.s, residual_tol=10 * cfg.tol)
         norms = {
-            "l2": lp_norm(phi, 2),
-            "l2alpha": lp_norm(phi, two_alpha),
+            "l2": float(lp_norm_batch(group, y, 2)),
+            "l2alpha": float(lp_norm_batch(group, y, two_alpha)),
             "domain": record["domain_norm"],
             "sup": record["sup_norm"],
         }
@@ -570,21 +596,27 @@ def verify_solution(
 
     Recomputes the equation residual from scratch, checks the sup-norm
     continuity certificate sup|phi| <= C(gamma, s) * ||phi||_{s,gamma}, and
-    reports whether phi has finite domain norm.
+    reports whether phi has finite domain norm.  The residual synthesizes
+    L phi from phi's dual coefficients and evaluates V on its samples; the
+    Sobolev and domain norms read those coefficients directly, so a phi
+    that carries them (every solver output does) costs one transform.
     """
     group = phi.group
+    if w.group != group:
+        raise ValueError("signal and weight live on different groups")
     # a diverged field may overflow these norms; inf is the honest report
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            residual = _l2(
-                group, apply_operator(phi, w, c).values - eval_source(nl, phi).values
-            )
+            r = apply_operator(phi, w, c).values - eval_source(nl, phi).values
+            # summed over |r|, so the printed residual keeps the digits of
+            # earlier releases
+            residual = _l2(group, np.abs(r))
             residual_ok = residual <= residual_tol
         except (NotInDomainError, ValueError):
             residual = math.inf
             residual_ok = False
         sup = lp_norm(phi, math.inf)
-        sob = sobolev_norm(phi, w, s)
+        sob = float(sobolev_norm_batch(w, s, dual_coefficients(phi)))
         try:
             dom = domain_norm(phi, w, c)
         except NotInDomainError:

@@ -241,13 +241,44 @@ def sobolev_norm(f: Signal, w: Weight, s: float) -> float:
     return float(sobolev_norm_batch(w, s, spec))
 
 
+_TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64
+
+
+def _power_sum(mag: np.ndarray, p: float) -> np.ndarray:
+    """sum |v|^p along the last axis of real values; an even integer p
+    squares them first, which keeps pow off signed bases and, at p = 2 and 4,
+    off the pow loop altogether."""
+    if p % 2 == 0:
+        sq = mag * mag
+        return (sq if p == 2 else sq ** (p / 2)).sum(axis=-1)
+    return (np.abs(mag) ** p).sum(axis=-1)
+
+
 def lp_norm_batch(group: FiniteAbelianGroup, values: np.ndarray, p) -> np.ndarray:
+    """L^p norms along the last axis under normalized Haar measure.
+
+    A row whose plain mean of |v|^p overflows, or falls below the normal
+    range, while its largest |v| is finite and nonzero, is summed again
+    scaled by that maximum, so a finite field never reads inf or 0; a row
+    holding inf reads inf.  Never warns.
+    """
+    values = np.asarray(values)
     if p == math.inf or p == np.inf:
         return np.abs(values).max(axis=-1)
     p = float(p)
     if p < 1:
         raise ValueError(f"lp_norm needs p >= 1 (or inf), got {p}")
-    mean = (np.abs(values) ** p).sum(axis=-1) / group.order
+    mag = np.abs(values) if np.iscomplexobj(values) else values
+    with np.errstate(over="ignore", under="ignore"):
+        mean = _power_sum(mag, p) / group.order
+        normal = (mean >= _TINY) & (mean < math.inf)
+        if not (normal if normal.ndim == 0 else normal.all()):
+            peak = np.abs(mag).max(axis=-1)
+            redo = ~normal & (peak > 0.0) & (peak < math.inf)
+            if redo.any():
+                scale = np.where(redo, peak, 1.0)
+                scaled = _power_sum(mag / scale[..., None], p) / group.order
+                return np.where(redo, scale * scaled ** (1.0 / p), mean ** (1.0 / p))
     return mean ** (1.0 / p)
 
 

@@ -37,6 +37,10 @@ The Picard loop in ``nonlinear`` stays on the coefficient side: it divides
 by the profile's ``inverse`` and forms the residual ||m a + F(V)||_l2 through
 ``multiply_spectrum``.  Only its final certificate goes through
 ``apply_operator`` and ``domain_norm``, which get the same cached profile.
+The profile lists the overflowed dual indices and holds m with zeros there,
+so the membership guard and the log-space products look at those entries
+only; a c for which c * gamma^2 itself overflows is refused when the
+profile is built.
 """
 from __future__ import annotations
 
@@ -76,8 +80,10 @@ class MultiplierProfile:
     """The multiplier m over the dual, in linear, log and inverse form.
 
     ``log_values`` are always finite; ``values`` hold exp(log_values) and
-    are +inf exactly where m is not representable in float64; ``inverse``
-    holds 1/m = exp(-log_values), the only place it is formed.
+    are +inf exactly at the dual indices listed, ascending, in ``overflow``,
+    where m is not representable in float64; ``finite_values`` are
+    ``values`` with 0 there; ``inverse`` holds 1/m = exp(-log_values), the
+    only place it is formed.
     """
 
     group: FiniteAbelianGroup
@@ -86,11 +92,13 @@ class MultiplierProfile:
     log_values: np.ndarray
     values: np.ndarray
     inverse: np.ndarray
+    overflow: np.ndarray
+    finite_values: np.ndarray
 
     @property
     def overflow_count(self) -> int:
         """Number of dual frequencies whose multiplier exceeds float64 range."""
-        return int(np.count_nonzero(~np.isfinite(self.values)))
+        return int(self.overflow.size)
 
 
 def _check_c(c: float) -> float:
@@ -108,15 +116,23 @@ def build_multiplier(group: FiniteAbelianGroup, w: Weight, c: float) -> Multipli
         raise ValueError("weight lives on a different group")
     gam = w.values
     # t = log(gamma^2 e^{c gamma^2}) = c*gamma^2 + 2*log gamma; -inf at gamma=0
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", over="ignore"):
         t = np.where(gam > 0.0, c * gam**2 + 2.0 * np.log(np.where(gam > 0.0, gam, 1.0)), -np.inf)
+    if np.isposinf(t).any():
+        raise ValueError(
+            f"operator scale c = {c!r} is too large for weight {w.name!r}: "
+            "c * gamma^2 overflows float64"
+        )
     log_values = np.logaddexp(0.0, t)
     with np.errstate(over="ignore"):
         values = np.exp(log_values)
     inverse = np.exp(-log_values)
-    for arr in (log_values, values, inverse):
+    overflow = np.flatnonzero(np.isinf(values))
+    finite_values = values.copy()
+    finite_values[overflow] = 0.0
+    for arr in (log_values, values, inverse, overflow, finite_values):
         arr.setflags(write=False)
-    return MultiplierProfile(group, w.name, c, log_values, values, inverse)
+    return MultiplierProfile(group, w.name, c, log_values, values, inverse, overflow, finite_values)
 
 
 def _logsumexp_last(t: np.ndarray) -> np.ndarray:
@@ -133,18 +149,18 @@ def _guard_membership(profile: MultiplierProfile, spectra: np.ndarray) -> np.nda
     """Raise NotInDomainError if an active coefficient meets an overflowed
     multiplier; return the |coefficient| array."""
     abs_spec = np.abs(spectra)
-    active = abs_spec > ACTIVE_COEFF_TOL
-    bad = active & ~np.isfinite(profile.values)
-    if bad.any():
+    at_over = np.take(abs_spec, profile.overflow, axis=-1)
+    active = at_over > ACTIVE_COEFF_TOL
+    if active.any():
         # report the worst offender, not merely the first one in scan order
-        flat = np.where(bad, abs_spec, 0.0).reshape(-1)
-        worst = int(np.argmax(flat))
-        pos = worst % profile.group.order
+        mags = np.where(active, at_over, 0.0)
+        worst = np.unravel_index(int(np.argmax(mags)), mags.shape)
+        pos = int(profile.overflow[worst[-1]])
         raise NotInDomainError(
             "signal is not in the operator domain: dual index "
             f"{pos} has log-multiplier {profile.log_values[pos]:.6g} "
             f"(beyond float64 range) with spectral magnitude "
-            f"{float(flat[worst]):.3g} > {ACTIVE_COEFF_TOL:g}"
+            f"{float(mags[worst]):.3g} > {ACTIVE_COEFF_TOL:g}"
         )
     return abs_spec
 
@@ -154,10 +170,11 @@ def domain_norm_batch(profile: MultiplierProfile, spectra: np.ndarray) -> np.nda
     abs_spec = _guard_membership(profile, spectra)
     with np.errstate(divide="ignore"):
         log_abs = np.log(abs_spec)  # -inf at exact zeros, which is what we want
-    terms = 2.0 * (profile.log_values + log_abs)
-    lse = _logsumexp_last(terms)
+    with np.errstate(over="ignore"):  # a sum beyond float64 is refused below
+        terms = 2.0 * (profile.log_values + log_abs)
+        lse = _logsumexp_last(terms)
     finite = np.isfinite(lse)
-    if (np.where(finite, lse, -np.inf) > 2.0 * LOG_MAX_DOUBLE).any():
+    if (lse > 2.0 * LOG_MAX_DOUBLE).any():
         raise NotInDomainError("domain norm exceeds float64 range")
     return np.where(finite, np.exp(0.5 * np.where(finite, lse, 0.0)), 0.0)
 
@@ -177,24 +194,31 @@ def multiply_spectrum(profile: MultiplierProfile, spectrum: np.ndarray) -> np.nd
     """Pointwise m(xi) * F(xi) with the overflowed entries done in log space.
 
     Requires every coefficient at an overflowed multiplier to be inactive
-    (<= 1e-300); their products are then formed as exp(log m + log|F|),
-    which recovers e.g. the original data when F came out of solve_linear.
-    Raises NotInDomainError if the guard fails or a product would itself
-    overflow float64.
+    (<= 1e-300); the nonzero ones among them are then multiplied as
+    exp(log m + log|F|), which recovers e.g. the original data when F came
+    out of solve_linear.  Only the overflowed entries are inspected.  Raises
+    NotInDomainError if the guard fails or a product would itself overflow
+    float64.
     """
-    abs_spec = _guard_membership(profile, spectrum)
-    over = ~np.isfinite(profile.values)
-    safe_m = np.where(over, 0.0, profile.values)
-    out = safe_m * spectrum
-    if not np.all(np.isfinite(out)):
+    over = profile.overflow
+    spec_over = np.take(spectrum, over, axis=-1)
+    nonzero = spec_over.any()  # a solve leaves exact zeros where 1/m underflows
+    if nonzero:
+        abs_over = np.abs(spec_over)
+        if (abs_over > ACTIVE_COEFF_TOL).any():
+            _guard_membership(profile, spectrum)  # raises, naming the worst offender
+    out = profile.finite_values * spectrum
+    if not np.isfinite(out).all():
         raise NotInDomainError(
             "operator output exceeds float64 range: m(xi) * F(xi) overflows "
             "even at a representable multiplier"
         )
-    hot = over & (abs_spec > 0.0)
-    if hot.any():
-        log_prod = profile.log_values + np.log(np.where(hot, abs_spec, 1.0))
-        if (np.where(hot, log_prod, -np.inf) > LOG_MAX_DOUBLE).any():
+    if nonzero:
+        *rows, cols = np.nonzero(abs_over)
+        hot = (*rows, over[cols])
+        mag = abs_over[(*rows, cols)]
+        log_prod = profile.log_values[over[cols]] + np.log(mag)
+        if (log_prod > LOG_MAX_DOUBLE).any():
             raise NotInDomainError(
                 "operator output is not representable: a sub-tolerance "
                 "coefficient meets a multiplier so large that even their "
@@ -204,9 +228,7 @@ def multiply_spectrum(profile: MultiplierProfile, spectrum: np.ndarray) -> np.nd
         # by an exact power of two before taking the phase so the division
         # never touches the subnormal range
         lift = 2.0**1000
-        scaled = np.where(hot, spectrum, 0.0) * lift
-        phase = scaled / np.where(hot, abs_spec * lift, 1.0)
-        out = out + np.exp(np.where(hot, log_prod, -np.inf)) * phase
+        out[hot] += np.exp(log_prod) * (spectrum[hot] * lift / (mag * lift))
     return out
 
 

@@ -315,6 +315,28 @@ def test_solve_nonlinear_verifies_once(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["verification"]["all_ok"] is True
 
 
+@pytest.mark.parametrize("flags, text", [
+    (["--c", "1", "--nonlinearity", "forced-power:2,inf"], "coupling must be finite"),
+    (["--c", "1e308", "--nonlinearity", "forced-power:2,1"], "c = 1e+308"),
+])
+def test_solve_nonlinear_refuses_non_finite_data(capsys, flags, text):
+    code = main(["solve-nonlinear", "--group", "Z12", *flags, "--forcing-scale", "0.1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and text in err and err.count("\n") == 1
+
+
+def test_solve_nonlinear_huge_forcing_reports_its_norm(capsys):
+    # the forcing's squares overflow float64; its norm does not
+    code = main(["solve-nonlinear", "--group", "Z12", "--c", "1",
+                 "--nonlinearity", "forced-power:2,1", "--forcing-scale", "1e300"])
+    out, err = capsys.readouterr()
+    assert code == 1 and err == ""
+    doc = json.loads(out)
+    assert doc["config"]["forcing_l2"] == pytest.approx(1e300, rel=1e-15)
+    assert doc["result"]["status"] == "diverged"
+
+
 def test_solve_nonlinear_diverged_prints_no_warnings(tmp_path):
     # the field blows up; its verification reports inf instead of warning
     with warnings.catch_warnings(record=True) as caught:

@@ -93,10 +93,46 @@ def test_parse_nonlinearity():
         parse_nonlinearity("forced-power:2,0.1", g)
     with pytest.raises(ValueError):
         parse_nonlinearity("power:1,0.5", g)
+    for spec in ("power:2,inf", "forced-power:2,inf", "power:2,nan"):
+        with pytest.raises(ValueError, match="finite and positive"):
+            parse_nonlinearity(spec, g, h)
     with pytest.raises(ValueError):
         parse_nonlinearity("power:2", g)
     with pytest.raises(ValueError):
         parse_nonlinearity("gaussian", g)
+
+
+@pytest.mark.parametrize("p", [2, 3, 4, 7, 31, 200000])
+def test_powers_on_signed_input_match_long_double(p):
+    if np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant:
+        pytest.skip("long double is no wider than double here")
+    lam = 0.5  # a power of two, so lam * y^p adds no rounding of its own
+    mags = [0.0, 5e-324, 1e-310, 1e-200, 1e-3, 0.3, 0.99999, 1.00002, 1.7, 3.25, 1e5,
+            1e100, 1e300]
+    y = np.array(mags + [-m for m in mags])
+    g = parse_group(f"Z{y.size}")
+    h = Signal(g, np.full(y.size, -0.0))  # adds nothing, and keeps the sign of -0.0
+    yl = y.astype(np.longdouble)
+    with np.errstate(over="ignore", under="ignore", invalid="ignore"):
+        # (1st term, 2nd term) of u = y + lam y^p and du = 1 + p lam y^(p-1)
+        terms = ((yl, np.longdouble(lam) * yl**p),
+                 (np.ones_like(yl), np.longdouble(p * lam) * yl ** (p - 1)))
+        refs = [(a + b).astype(np.float64) for a, b in terms]
+    # where the two terms nearly cancel, the sum's rounding, not the power's,
+    # sets the error; those points carry no information here
+    keep = [(np.sign(a) == np.sign(b)) | (np.abs(b) <= np.abs(a) / 4) | (np.abs(b) >= 4 * np.abs(a))
+            for a, b in terms]
+    for nl in (power_nonlinearity(g, p, lam), forced_power_nonlinearity(p, lam, h)):
+        with np.errstate(over="ignore"):
+            got = (nl.u_func(y), nl.du_func(y))
+        for value, ref, ok in zip(got, refs, keep):
+            assert ok.sum() >= y.size - 6
+            value, ref = value[ok], ref[ok]
+            assert np.array_equal(np.signbit(value), np.signbit(ref)), (nl.name, y[ok])
+            assert np.array_equal(np.isinf(value), np.isinf(ref)), (nl.name, y[ok])
+            finite = np.isfinite(ref)
+            ulps = np.abs(value[finite] - ref[finite]) / np.spacing(np.abs(ref[finite]))
+            assert ulps.max() <= 2.0, (nl.name, y[ok][finite][np.argmax(ulps)])
 
 
 def test_lowfreq_forcing_norm_and_reality():
@@ -272,6 +308,49 @@ def test_damped_solve_from_sampled_initial_keeps_a_finite_residual():
     assert rep.converged
     assert rep.final_residual_eq <= 10 * cfg.tol
     assert lp_norm(Signal(g, phi.values - ref.values), 2) <= cfg.tol
+
+
+@pytest.fixture
+def transform_count(monkeypatch):
+    """Counts every forward and inverse transform from here on."""
+    from groupsobolev import spectral
+
+    calls = []
+    real = spectral._transform_grid
+
+    def counting(group, values, inverse):
+        calls.append(inverse)
+        return real(group, values, inverse)
+
+    monkeypatch.setattr(spectral, "_transform_grid", counting)
+    return calls
+
+
+def _small_quadratic_problem():
+    g = parse_group("Z64")
+    w = make_weight(g, "sym-euclid")
+    return forced_power_nonlinearity(2, 0.1, lowfreq_forcing(g, 0.01)), w
+
+
+def test_solve_transform_count(transform_count):
+    nl, w = _small_quadratic_problem()
+    cfg = SolverConfig()
+    transform_count.clear()  # the forcing's synthesis
+    _, rep = solve_nonlinear(nl, w, 1.0, cfg)
+    # this solve stops on the update size: one forward transform of the
+    # initial source, then per iteration one inverse and, but for the last,
+    # one forward; and one inverse in the certificate
+    k = rep.iterations
+    assert rep.converged and k > 1 and rep.residual_history[-1] < cfg.tol
+    assert len(transform_count) == 2 * k + 1
+
+
+def test_certificate_makes_one_transform(transform_count):
+    nl, w = _small_quadratic_problem()
+    phi, _ = solve_nonlinear(nl, w, 1.0, SolverConfig())
+    transform_count.clear()
+    assert verify_solution(phi, nl, w, 1.0, s=1.0)["all_ok"]
+    assert transform_count == [True]  # L phi's synthesis, from phi's own coefficients
 
 
 def test_solver_config_validation():

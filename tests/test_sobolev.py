@@ -11,6 +11,7 @@ from groupsobolev.sobolev import (
     embedding_constant_lalpha,
     embedding_constant_sup,
     lp_norm,
+    lp_norm_batch,
     make_weight,
     sobolev_norm,
     translation_modulus,
@@ -137,6 +138,23 @@ def test_lp_norm_values():
     assert lp_norm(dirac, 1) == pytest.approx(1.0)  # mass (1/N)*N = 1
     with pytest.raises(ValueError):
         lp_norm(f, 0.5)
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-200, 1e-160])
+def test_lp_norm_of_extreme_finite_fields(scale):
+    # the plain sum of squares overflows, underflows to 0, or goes subnormal
+    g = parse_group("Z12")
+    f = Signal(g, np.full(12, scale))
+    assert lp_norm(f, 2) == pytest.approx(scale, rel=1e-15)
+    assert lp_norm(f, 3) == pytest.approx(scale, rel=1e-15)
+    rows = np.stack([np.full(12, scale), np.ones(12), np.zeros(12)])
+    assert np.allclose(lp_norm_batch(g, rows, 4) / [scale, 1.0, 1.0], [1.0, 1.0, 0.0],
+                       rtol=1e-15, atol=0.0)
+
+
+def test_lp_norm_of_infinite_field_is_infinite():
+    g = parse_group("Z4")
+    assert lp_norm_batch(g, np.array([1.0, -np.inf, 0.0, 2.0]), 2) == math.inf
 
 
 def test_embedding_constant_sup_z4():

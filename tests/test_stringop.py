@@ -58,6 +58,30 @@ def test_log_multiplier_beyond_float64():
     assert not np.isfinite(prof.values[k])
     # gamma >= 27 overflows at c = 1, i.e. k in 27..37
     assert prof.overflow_count == 11
+    assert prof.overflow.tolist() == list(range(27, 38))
+    assert np.array_equal(prof.finite_values, np.where(np.isinf(prof.values), 0.0, prof.values))
+
+
+def test_scale_whose_gamma_term_overflows_is_refused():
+    # c * gamma^2 beyond float64 would leave log m infinite, and the domain
+    # norm of a constant field would read 0 instead of 1
+    g = parse_group("Z12")
+    w = make_weight(g, "sym-euclid")
+    with pytest.raises(ValueError, match=r"c = 1e\+308"):
+        build_multiplier(g, w, 1e308)
+    with pytest.raises(ValueError, match="overflows"):
+        domain_norm(Signal(g, np.ones(12)), w, 1e308)
+    assert domain_norm(Signal(g, np.ones(12)), w, 1e306) == 1.0
+
+
+def test_domain_norm_beyond_float64_is_refused_not_zero():
+    # gamma = 6 at c = 4e306: log m = 1.44e308 is finite, but twice it, the
+    # log of an inactive coefficient's squared term, is not
+    g = parse_group("Z12")
+    dual = np.zeros(12, dtype=np.complex128)
+    dual[6] = 1e-300
+    with pytest.raises(NotInDomainError, match="exceeds float64"):
+        domain_norm(idft(Spectrum(g, dual)), make_weight(g, "sym-euclid"), 4e306)
 
 
 def test_scale_must_be_positive():
