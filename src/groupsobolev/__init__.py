@@ -85,7 +85,16 @@ from .nonlinear import (  # noqa: E402
     solve_nonlinear,
     verify_solution,
 )
-from .checks import run_checks, suite_names  # noqa: E402
+
+
+def __getattr__(name: str):
+    # the suites load on first use: most commands never run them
+    if name in ("run_checks", "suite_names"):
+        from . import checks
+
+        return getattr(checks, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "__version__",

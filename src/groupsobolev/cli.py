@@ -26,7 +26,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from .checks import _alpha_grid, run_checks, suite_names
 from .group import FiniteAbelianGroup, parse_group
 from .nonlinear import (
     SolverConfig,
@@ -170,6 +169,8 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_constants(args) -> int:
+    from .checks import _alpha_grid  # the suites load only where they are used
+
     group = parse_group(args.group)
     w = _load_weight(group, args)
     s = args.s
@@ -201,6 +202,8 @@ def _cmd_constants(args) -> int:
 
 
 def _cmd_check(args) -> int:
+    from .checks import run_checks
+
     doc = run_checks(seed=args.seed, inject_bug=args.inject_bug, only=args.only or None)
     text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
     if args.output:
@@ -401,6 +404,19 @@ def _cmd_sweep(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _SuiteListFormatter(argparse.HelpFormatter):
+    """Fills the suite list into ``check``'s help only when help is printed,
+    so that other commands do not import the suites."""
+
+    def _get_help_string(self, action: argparse.Action) -> str | None:
+        text = super()._get_help_string(action)
+        if text and "{suites}" in text:
+            from .checks import suite_names
+
+            text = text.replace("{suites}", ", ".join(suite_names()))
+        return text
+
+
 def _add_weight_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--weight", default="sym-euclid",
                    help="zero | sym-euclid | hamming | pruefer:<p> (default sym-euclid)")
@@ -462,12 +478,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_constants)
 
-    p = sub.add_parser("check", help="run the seeded verification suites")
+    p = sub.add_parser("check", help="run the seeded verification suites",
+                       formatter_class=_SuiteListFormatter)
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--json", action="store_true")
     p.add_argument("--output", default=None, help="write the JSON result here")
     p.add_argument("--only", action="append", default=None,
-                   help=f"restrict to a suite ({', '.join(suite_names())})")
+                   help="restrict to a suite ({suites})")
     p.add_argument("--inject-bug", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_check)
 

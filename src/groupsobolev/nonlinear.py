@@ -19,6 +19,17 @@ brings V(., y) back.  The returned phi carries both, so the certificate
 (:func:`verify_solution`) reads its Sobolev and domain norms from a and
 makes a single transform, the synthesis of L phi.
 
+The field is real, so a is held on the half layout of the dual
+(``spectral.HalfLayout``): the coefficients F(xi) for about half of the
+characters, which fix F(xi^-1) = conj F(xi) for the rest.  Both transforms
+of an iteration are then real-to-half ones (``half=True``), about half the
+work of complex ones; the step, the damping and the multiplier arithmetic
+run on the half, and the monitored residual and the certificate's norms
+weight each entry by its multiplicity.  A group whose every cyclic factor of
+length 3 or more is merged into a dense block (Z2^n, for one) has no axis
+to halve: its half is the full dual and the arithmetic is the complex one.
+The returned phi carries its full coefficients, expanded once.
+
 Nonlinearities are described by the growth data (alpha, beta, C, h, f):
 
     |U(x,y) - y|            <= C (|h(x)| + |y|^alpha),
@@ -28,13 +39,15 @@ The smallness analysis runs through a ball  Y_eps = {u : ||u||_{L^{2alpha}} <= e
 that the map G preserves when the forcing is small.  The executable sizing
 rule (the underlying theory only asserts "eps exists") is spelled out at
 :func:`size_ball`.  The string field is real-valued throughout; transforms
-introduce only rounding-level imaginary parts, which are projected away and
-asserted tiny.
+leave only a rounding-level anti-Hermitian part in its coefficients (on the
+half layout, only where an entry's partner is stored too), which is
+projected away and asserted tiny.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
@@ -42,6 +55,7 @@ import numpy as np
 from .group import FiniteAbelianGroup, element_at, inverse_indices
 from .sobolev import (
     Weight,
+    _inverse_power_sum,
     embedding_constant_lalpha,
     embedding_constant_sup,
     lp_norm,
@@ -49,14 +63,16 @@ from .sobolev import (
     make_weight,
     sobolev_norm_batch,
 )
-from .spectral import Signal, Spectrum, dft_values, dual_coefficients, idft, idft_values
-from .stringop import (
-    NotInDomainError,
-    apply_operator,
-    build_multiplier,
-    domain_norm,
-    multiply_spectrum,
+from .spectral import (
+    Signal,
+    Spectrum,
+    dft_values,
+    dual_coefficients,
+    half_layout,
+    idft,
+    idft_values,
 )
+from .stringop import NotInDomainError, build_multiplier, domain_norm_batch, multiply_spectrum
 
 __all__ = [
     "Nonlinearity",
@@ -274,21 +290,30 @@ def eval_source(nl: Nonlinearity, u: Signal) -> Signal:
     return Signal(u.group, nl.u_func(y) - y)
 
 
-def _source_hat(nl: Nonlinearity, group: FiniteAbelianGroup, y: np.ndarray) -> np.ndarray | None:
-    """Dual coefficients of the source V(., y), or None when V or its
-    transform is not finite, which the iteration treats as divergence.
-    Callers silence numpy's overflow and invalid warnings around it."""
+def _source_hat(
+    nl: Nonlinearity, group: FiniteAbelianGroup, y: np.ndarray, half: bool = False
+) -> np.ndarray | None:
+    """Dual coefficients of the source V(., y), on the half layout with
+    ``half``, or None when V or its transform is not finite, which the
+    iteration treats as divergence.  Callers silence numpy's overflow and
+    invalid warnings around it."""
     v = nl.u_func(y) - y
     if not np.isfinite(v).all():
         return None
-    v_hat = dft_values(group, v)
+    v_hat = dft_values(group, v, half=half)
     return v_hat if np.isfinite(v_hat).all() else None
 
 
-def _real_step(v_hat: np.ndarray, inv_m: np.ndarray, inv: np.ndarray) -> np.ndarray:
+def _real_step(
+    v_hat: np.ndarray, inv_m: np.ndarray, partner: np.ndarray, paired: np.ndarray | None = None
+) -> np.ndarray:
     """Dual coefficients of G's output, -v_hat / m, Hermitian-symmetrized so
     that the field they synthesize is exactly real.
 
+    On the full dual (``paired`` None) every entry is averaged with the
+    conjugate of its partner at ``partner``, the inverse map.  On a half
+    layout only the entries ``paired``, whose partners are stored too, can
+    carry an anti-Hermitian part, and ``partner`` locates those partners.
     The symmetrization must be a rounding-level projection; a larger
     anti-Hermitian part (compared in L2, by Plancherel) means the
     multiplier/weight pair does not preserve real fields.  A blown-up step
@@ -296,20 +321,27 @@ def _real_step(v_hat: np.ndarray, inv_m: np.ndarray, inv: np.ndarray) -> np.ndar
     """
     raw = v_hat * inv_m
     np.negative(raw, out=raw)
-    sym = raw[inv]
+    own = raw if paired is None else raw[paired]
+    sym = raw[partner]
     np.conjugate(sym, out=sym)
-    sym += raw
+    sym += own
     sym *= 0.5
-    raw -= sym  # the anti-Hermitian part
-    worst_imag = _l2_dual(raw)
-    scale = max(1.0, _l2_dual(sym))
-    if worst_imag > _IMAG_TOL * scale:
-        raise ValueError(
-            f"linear solve returned relative imaginary magnitude "
-            f"{worst_imag / scale:.3g}; the multiplier/weight pair does not "
-            "preserve real fields"
-        )
-    return sym
+    own -= sym  # the anti-Hermitian part
+    if paired is None:
+        step = sym
+    else:
+        raw[paired] = sym
+        step = raw
+    worst_imag = _l2_dual(own)
+    if worst_imag > _IMAG_TOL:  # the scale below is at least 1
+        scale = max(1.0, _l2_dual(step, paired))
+        if worst_imag > _IMAG_TOL * scale:
+            raise ValueError(
+                f"linear solve returned relative imaginary magnitude "
+                f"{worst_imag / scale:.3g}; the multiplier/weight pair does not "
+                "preserve real fields"
+            )
+    return step
 
 
 def picard_step(u: Signal, nl: Nonlinearity, w: Weight, c: float) -> Signal:
@@ -371,6 +403,26 @@ class SolveReport:
         return {**doc, "residual_history": list(self.residual_history), "norms": dict(self.norms)}
 
 
+_DELTAS = (1.25, 1.5, 2.0, 3.0, 4.0)
+
+
+@lru_cache(maxsize=8)  # weights hash by identity; the cached key keeps its weight alive
+def _ball_weight_data(w: Weight) -> tuple[float, np.ndarray]:
+    """``size_ball``'s weight-only data: delta and log(1 + gamma^2), read-only."""
+    delta = next((cand for cand in _DELTAS if _inverse_power_sum(w, cand) <= 10.0), 4.0)
+    log1p_gam2 = np.log1p(w.values**2)
+    log1p_gam2.setflags(write=False)
+    return delta, log1p_gam2
+
+
+def _float_pow(x: float, y: float) -> float:
+    """x ** y for floats, inf where Python raises OverflowError."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
 def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) -> dict:
     """Executable sizing of the invariant ball Y_eps in L^{2 alpha}.
 
@@ -391,40 +443,43 @@ def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) 
 
     Returns {"epsilon", "ok", "delta", "s_embed", "embedding_const",
     "contraction_coeff"}; ok=False (and epsilon=inf) when the forcing is too
-    large for any admissible ball.
+    large for any admissible ball, or D' overflows.  When D' underflows to 0
+    every ball is invariant: epsilon=inf and ok=True; so too when eps*
+    overflows, where only balls narrower than sqrt(D') ||h|| < 1e-154 ||h||
+    are not.
     """
-    gam2 = w.values**2
-    delta = None
-    for cand in (1.25, 1.5, 2.0, 3.0, 4.0):
-        if ((1.0 + gam2) ** (-cand)).sum() <= 10.0:
-            delta = cand
-            break
-    if delta is None:
-        delta = 4.0
+    delta, log1p_gam2 = _ball_weight_data(w)
     s_embed = delta - delta / (2.0 * nl.alpha)
 
     profile = build_multiplier(group, w, c)
-    log_ratio = (s_embed / 2.0) * np.log1p(gam2) - profile.log_values
+    log_ratio = (s_embed / 2.0) * log1p_gam2 - profile.log_values
     c_chain = float(np.exp(log_ratio.max()))
     e_const = c_chain * embedding_constant_lalpha(group, w, s_embed, delta)["constant"]
 
     h_norm = lp_norm(nl.h, 2)
-    d_prime = 2.0 * nl.c_growth**2 * e_const**2
+    # squares by multiplication read inf past float64, where ** would raise
+    d_prime = 2.0 * (nl.c_growth * nl.c_growth) * (e_const * e_const)
     a = nl.alpha
 
     def gap(eps: float) -> float:
-        # h_norm * h_norm reads inf past float64, where ** would raise
-        return d_prime * (h_norm * h_norm + eps ** (2 * a)) - eps**2
+        grow = _float_pow(eps, 2 * a)
+        if grow < math.inf:
+            return d_prime * (h_norm * h_norm + grow) - eps**2
+        # d' eps^(2a) = eps^2 * d' eps^(2a-2), whose last factor stays below
+        # 1/a up to eps*
+        return d_prime * h_norm * h_norm + eps * eps * (d_prime * _float_pow(eps, 2 * a - 2) - 1.0)
 
-    eps_star = (1.0 / (a * d_prime)) ** (1.0 / (2.0 * a - 2.0))
     base = {
         "delta": delta,
         "s_embed": s_embed,
         "embedding_const": e_const,
         "contraction_coeff": d_prime,
     }
-    if h_norm == 0.0:
-        return {"epsilon": eps_star, "ok": True, **base}
+    if d_prime == math.inf:
+        return {"epsilon": math.inf, "ok": False, **base}
+    eps_star = math.inf if d_prime == 0.0 else _float_pow(1.0 / (a * d_prime), 1.0 / (2.0 * a - 2.0))
+    if h_norm == 0.0 or eps_star == math.inf:
+        return {"epsilon": eps_star if h_norm == 0.0 else math.inf, "ok": True, **base}
     if gap(eps_star) > 0.0:
         return {"epsilon": math.inf, "ok": False, **base}
     lo, hi = 0.0, eps_star
@@ -452,9 +507,13 @@ def _l2(group: FiniteAbelianGroup, values: np.ndarray) -> float:
     return math.sqrt(_sum_squares(values) / group.order)
 
 
-def _l2_dual(values: np.ndarray) -> float:
-    """l2 norm under counting measure on the dual."""
-    return math.sqrt(_sum_squares(values))
+def _l2_dual(values: np.ndarray, paired: np.ndarray | None = None) -> float:
+    """l2 norm under counting measure on the dual.  Half-layout coefficients
+    (``paired`` given) count twice, but for the entries ``paired``."""
+    total = _sum_squares(values)
+    if paired is not None and total < math.inf:
+        total += total - _sum_squares(values[paired])
+    return math.sqrt(total)
 
 
 def solve_nonlinear(
@@ -484,28 +543,31 @@ def solve_nonlinear(
     ball = size_ball(group, w, c, nl)
     eps = cfg.epsilon_ball if cfg.epsilon_ball is not None else ball["epsilon"]
     two_alpha = 2.0 * nl.alpha
-    profile = build_multiplier(group, w, c)
+    layout = half_layout(group)
+    profile = build_multiplier(group, w, c).half
+    inv_m, partner, paired = profile.inverse, layout.partner, layout.paired
     # blown-up iterates read as inf or nan, which the loop below turns into
     # status "diverged"; numpy's warnings about them are silenced throughout
     with np.errstate(over="ignore", invalid="ignore"):
-        # the iterate is held twice: as dual coefficients a, which stay exact
-        # where the multiplier is too large for the samples to carry them, and
-        # as the real samples y = idft(a), which the nonlinearity needs
+        # the iterate is held twice: as its coefficients a on the half layout,
+        # which stay exact where the multiplier is too large for the samples
+        # to carry them, and as the real samples y = idft(a), which the
+        # nonlinearity needs
         if cfg.initial is None:
-            a0 = np.zeros(group.order, dtype=np.complex128)
+            a0 = np.zeros(layout.size, dtype=np.complex128)
             y0 = np.zeros(group.order)
         else:
             d0 = dual_coefficients(cfg.initial)
-            a0 = 0.5 * (d0 + np.conj(d0[inv]))
+            a0 = layout.gather(0.5 * (d0 + np.conj(d0[inv])))
             y0 = cfg.initial.values.real
-        v_hat0 = _source_hat(nl, group, y0)
+        v_hat0 = _source_hat(nl, group, y0, half=True)
         if cfg.initial is not None and v_hat0 is not None:
             # samples fix their dual coefficients only to within their rounding,
             # about eps * ||y0||; where the equation's own coefficient -V_hat/m
             # lies within 4x that, take it.  Damping keeps (1 - theta)^k of the
             # difference, and m times it, which overflows at high frequencies,
             # would swamp the residual and the domain norm.
-            eq = _real_step(v_hat0, profile.inverse, inv)
+            eq = _real_step(v_hat0, inv_m, partner, paired)
             rounding = 4.0 * np.finfo(np.float64).eps * _l2(group, y0)
             a0 = np.where(np.abs(a0 - eq) <= rounding, eq, a0)
 
@@ -521,9 +583,11 @@ def solve_nonlinear(
                     break
                 # the samples are synthesized from the damped coefficients, so
                 # (a, y) stays the exact pair that phi returns
-                a_new = theta * _real_step(v_hat, profile.inverse, inv)
-                a_new += (1.0 - theta) * a
-                y_new = idft_values(group, a_new).real
+                a_new = _real_step(v_hat, inv_m, partner, paired)
+                if theta < 1.0:  # undamped, the step is the new iterate
+                    a_new *= theta
+                    a_new += (1.0 - theta) * a
+                y_new = idft_values(group, a_new, half=True)
                 if not np.isfinite(y_new).all():
                     status = "diverged"
                     break
@@ -539,11 +603,11 @@ def solve_nonlinear(
                 # residual monitor ||L phi - V||_L2 = ||m a + V_hat||_l2 by
                 # Plancherel; its V_hat is the next step's source, so it costs
                 # no extra transform.  Catches one-step exact cases (affine).
-                v_hat = _source_hat(nl, group, y)
+                v_hat = _source_hat(nl, group, y, half=True)
                 try:
                     resid = (
                         math.inf if v_hat is None
-                        else _l2_dual(multiply_spectrum(profile, a) + v_hat)
+                        else _l2_dual(multiply_spectrum(profile, a) + v_hat, paired)
                     )
                 except NotInDomainError:
                     resid = math.inf
@@ -555,7 +619,7 @@ def solve_nonlinear(
                     break
             if status != "diverged":
                 break
-        phi = Signal(group, y, exact_dual=a)
+        phi = Signal(group, y, exact_dual=layout.expand(a))
 
         # the a posteriori certificate goes through the forward operator
         record = verify_solution(phi, nl, w, c, cfg.s, residual_tol=10 * cfg.tol)
@@ -600,14 +664,34 @@ def verify_solution(
     L phi from phi's dual coefficients and evaluates V on its samples; the
     Sobolev and domain norms read those coefficients directly, so a phi
     that carries them (every solver output does) costs one transform.
+
+    A real phi whose coefficients are those of a real field (Hermitian, as
+    every solver output's are) is certified on the half layout: its
+    coefficients gathered onto the half, L phi synthesized by the real
+    inverse transform, and the norms weighted by multiplicity.  Any other
+    phi is certified on the full dual.
     """
     group = phi.group
     if w.group != group:
         raise ValueError("signal and weight live on different groups")
+    dual = phi.exact_dual
+    half = not phi.values.imag.any() and (
+        dual is None or np.array_equal(dual[inverse_indices(group)], dual.conj())
+    )
+    if dual is None:
+        coeffs = dft_values(group, phi.values.real if half else phi.values, half=half)
+    else:
+        coeffs = half_layout(group).gather(dual) if half else dual
+    profile = build_multiplier(group, w, c)
+    if half:
+        profile = profile.half
     # a diverged field may overflow these norms; inf is the honest report
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            r = apply_operator(phi, w, c).values - eval_source(nl, phi).values
+            lphi = idft_values(group, -multiply_spectrum(profile, coeffs), half=half)
+            if not np.isfinite(lphi).all():
+                raise ValueError("L phi is not finite")
+            r = lphi - eval_source(nl, phi).values.real  # V of the real part: real
             # summed over |r|, so the printed residual keeps the digits of
             # earlier releases
             residual = _l2(group, np.abs(r))
@@ -616,9 +700,9 @@ def verify_solution(
             residual = math.inf
             residual_ok = False
         sup = lp_norm(phi, math.inf)
-        sob = float(sobolev_norm_batch(w, s, dual_coefficients(phi)))
+        sob = float(sobolev_norm_batch(w, s, coeffs, half=half))
         try:
-            dom = domain_norm(phi, w, c)
+            dom = float(domain_norm_batch(profile, coeffs))
         except NotInDomainError:
             dom = math.inf
     constant = embedding_constant_sup(group, w, s)

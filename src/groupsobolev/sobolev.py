@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .group import (
     element_at,
     residue_grid,
 )
-from .spectral import Signal, dft_values
+from .spectral import Signal, dft_values, half_layout
 
 __all__ = [
     "Weight",
@@ -226,10 +227,34 @@ def _check_s(s: float) -> float:
     return s
 
 
-def sobolev_norm_batch(w: Weight, s: float, spectra: np.ndarray) -> np.ndarray:
-    """Sobolev norms from already-transformed coefficients (last axis = dual)."""
-    s = _check_s(s)
+# The weight-only data below is cached per weight, as the string multiplier
+# is: weights hash by identity, and a cached key keeps its weight alive, so
+# an id cannot be reused while it is cached.
+
+@lru_cache(maxsize=8)
+def _sobolev_weights(w: Weight, s: float, half: bool) -> np.ndarray:
+    """(1 + gamma^2)^s over the dual, or with ``half`` over the group's half
+    layout, times each entry's multiplicity; read-only."""
     weights = (1.0 + w.values**2) ** s
+    layout = half_layout(w.group)
+    if half and layout.index is not None:
+        weights = layout.gather(weights) * layout.multiplicity
+    weights.setflags(write=False)
+    return weights
+
+
+@lru_cache(maxsize=32)
+def _inverse_power_sum(w: Weight, exponent: float) -> float:
+    """sum_xi (1 + gamma^2)^(-exponent), behind the embedding constants."""
+    return ((1.0 + w.values**2) ** (-exponent)).sum()
+
+
+def sobolev_norm_batch(w: Weight, s: float, spectra: np.ndarray, half: bool = False) -> np.ndarray:
+    """Sobolev norms from already-transformed coefficients (last axis = dual).
+
+    With ``half`` the coefficients are a real field's on the group's half
+    layout (``spectral.half_layout``), each weighted by its multiplicity."""
+    weights = _sobolev_weights(w, _check_s(s), half)
     return np.sqrt((weights * np.abs(spectra) ** 2).sum(axis=-1))
 
 
@@ -298,7 +323,7 @@ def embedding_constant_sup(group: FiniteAbelianGroup, w: Weight, s: float) -> fl
     against the inversion formula.  Always finite on a finite dual.
     """
     s = _check_s(s)
-    return float(np.sqrt(((1.0 + w.values**2) ** (-s)).sum()))
+    return float(np.sqrt(_inverse_power_sum(w, s)))
 
 
 def embedding_constant_lalpha(
@@ -313,7 +338,7 @@ def embedding_constant_lalpha(
     if alpha <= s:
         raise ValueError(f"need alpha > s, got alpha={alpha}, s={s}")
     alpha_star = 2.0 * alpha / (alpha - s)
-    constant = float((((1.0 + w.values**2) ** (-alpha)).sum()) ** (s / (2.0 * alpha)))
+    constant = float(_inverse_power_sum(w, alpha) ** (s / (2.0 * alpha)))
     return {"alpha_star": alpha_star, "constant": constant}
 
 

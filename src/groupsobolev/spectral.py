@@ -20,6 +20,19 @@ character table of their subgroup, and every other factor goes through one
 ``numpy.fft.fftn`` call (pocketfft: mixed-radix Cooley-Tukey, Bluestein at
 large prime lengths).  A group with no such run, a cyclic group for one, is
 transformed by that single ``fftn`` call alone.
+
+A real field's coefficients are Hermitian, F(xi^-1) = conj F(xi), so half
+of them determine the rest.  ``dft_values``/``idft_values`` with
+``half=True`` transform a real field to and from its coefficients on the
+:class:`HalfLayout` of :func:`half_layout`: the last single-factor axis of
+length >= 3 is halved to n//2 + 1 by ``rfft``/``irfft``, the other
+single-factor axes go through ``fft``/``ifft`` (together what
+``rfftn``/``irfftn`` do), and the block products run on the half grid.
+Each entry has a multiplicity, 1 where its partner xi^-1 is stored too and
+2 elsewhere, which Plancherel and every other sum over the dual weight it
+by.  A group with no such axis (every factor merged into blocks, or all
+single factors of length 2) keeps the full dual as its half, with the
+complex arithmetic and no gathers.
 """
 from __future__ import annotations
 
@@ -27,6 +40,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -43,6 +57,8 @@ from .group import (
 __all__ = [
     "Signal",
     "Spectrum",
+    "HalfLayout",
+    "half_layout",
     "dft_naive",
     "dft_fast",
     "idft",
@@ -133,16 +149,98 @@ def _same_group(a, b) -> FiniteAbelianGroup:
 _BLOCK_ORDER = 8
 
 
+@dataclass(frozen=True, eq=False)
+class HalfLayout:
+    """The half of the dual that holds a real field's coefficients.
+
+    A real field's coefficients satisfy F(xi^-1) = conj F(xi), so the entries
+    with coordinate 0..n/2 on one grid axis of length n >= 3 (the halved
+    axis, counted from the end) determine the rest.  ``index`` holds the
+    full dual index of each half entry; ``multiplicity`` is 1 where the
+    entry's partner xi^-1 is stored too (coordinate 0 or n/2 on the halved
+    axis) and 2 elsewhere, so that sum |F|^2 over the dual is the
+    multiplicity-weighted sum over the half; ``paired`` lists the entries of
+    multiplicity 1 and ``partner`` the positions of their partners.  Full
+    index i reads half entry ``source[i]``, conjugated where ``conjugate``
+    is set.
+
+    When no axis can be halved the half is the full dual: ``axis``,
+    ``index``, ``multiplicity``, ``paired``, ``source`` and ``conjugate`` are
+    None (every entry is its own half entry, of multiplicity 1, and paired),
+    ``partner`` is the inverse map of the dual, and :meth:`gather` and
+    :meth:`expand` return their argument.
+    """
+
+    axis: int | None
+    shape: tuple[int, ...]
+    size: int
+    index: np.ndarray | None
+    multiplicity: np.ndarray | None
+    paired: np.ndarray | None
+    partner: np.ndarray
+    source: np.ndarray | None
+    conjugate: np.ndarray | None
+
+    def gather(self, full: np.ndarray) -> np.ndarray:
+        """The half entries of full-dual coefficients (last axis = dual)."""
+        return full if self.index is None else np.take(full, self.index, axis=-1)
+
+    def expand(self, half: np.ndarray) -> np.ndarray:
+        """The full-dual coefficients of a real field from its half entries."""
+        if self.index is None:
+            return half
+        full = half[..., self.source]
+        np.conjugate(full, out=full, where=self.conjugate)
+        return full
+
+
+def _half_layout(factors: tuple[int, ...], shape: tuple[int, ...], single: list[int]) -> HalfLayout:
+    """Halve the last of the single-factor grid axes ``single`` of length >= 3."""
+    group = FiniteAbelianGroup(factors)
+    inv = inverse_indices(group)
+    halvable = [axis for axis in single if shape[axis] >= 3]
+    if not halvable:
+        return HalfLayout(None, shape, group.order, None, None, None, inv, None, None)
+    axis = halvable[-1]
+    n, post = shape[axis], math.prod(shape[axis + 1:])
+    half_shape = (*shape[:axis], n // 2 + 1, *shape[axis + 1:])
+    grid = np.arange(group.order).reshape(shape)
+    index = grid[(slice(None),) * axis + (slice(0, n // 2 + 1),)].reshape(-1)
+    k = index // post % n
+    paired = np.flatnonzero((k == 0) | (2 * k == n))
+    multiplicity = np.full(index.size, 2.0)
+    multiplicity[paired] = 1.0
+    pos = np.full(group.order, -1)
+    pos[index] = np.arange(index.size)
+    partner = pos[inv[index[paired]]]
+    conjugate = pos < 0
+    source = np.where(conjugate, pos[inv], pos)
+    for arr in (index, multiplicity, paired, partner, source, conjugate):
+        arr.setflags(write=False)
+    return HalfLayout(axis - len(shape), half_shape, index.size, index, multiplicity,
+                      paired, partner, source, conjugate)
+
+
+class _GridPlan(NamedTuple):
+    shape: tuple[int, ...]
+    fft_axes: tuple[int, ...]
+    blocks: tuple
+    half: HalfLayout
+    unhalved_axes: tuple[int, ...]
+
+
 @lru_cache(maxsize=128)
-def _grid_plan(factors: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...], tuple]:
+def _grid_plan(factors: tuple[int, ...]) -> _GridPlan:
     """How ``_transform_grid`` lays a group's values out and transforms them.
 
-    Returns the grid shape, one axis per run of consecutive factors merged
+    Holds the grid shape, one axis per run of consecutive factors merged
     greedily while their product stays within ``_BLOCK_ORDER``; the axes of
     single factors for ``fftn``, counted from the end so that leading batch
-    axes need no offset; and, per merged axis, (the number of grid
-    points after it, forward matrix conj(T)/b, inverse matrix T), where T is
-    the run's character table T[k, x] = xi_k(x), of order b and symmetric.
+    axes need no offset; per merged axis, (the number of grid points after
+    it on the full grid, the same on the half grid, forward matrix
+    conj(T)/b, inverse matrix T), where T is the run's character table
+    T[k, x] = xi_k(x), of order b and symmetric; the :class:`HalfLayout`;
+    and the fft axes but the halved one.
     """
     runs: list[list[int]] = []
     for n in factors:
@@ -151,7 +249,9 @@ def _grid_plan(factors: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
         else:
             runs.append([n])
     shape = tuple(math.prod(run) for run in runs)
-    fft_axes = tuple(axis - len(runs) for axis, run in enumerate(runs) if len(run) == 1)
+    single = [axis for axis, run in enumerate(runs) if len(run) == 1]
+    fft_axes = tuple(axis - len(runs) for axis in single)
+    half = _half_layout(factors, shape, single)
     blocks = []
     for axis, run in enumerate(runs):
         if len(run) > 1:
@@ -159,11 +259,19 @@ def _grid_plan(factors: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ..
             fwd = table.conj() / shape[axis]
             for arr in (table, fwd):
                 arr.setflags(write=False)
-            blocks.append((math.prod(shape[axis + 1:]), fwd, table))
-    return shape, fft_axes, tuple(blocks)
+            blocks.append((math.prod(shape[axis + 1:]), math.prod(half.shape[axis + 1:]), fwd, table))
+    unhalved_axes = tuple(axis for axis in fft_axes if axis != half.axis)
+    return _GridPlan(shape, fft_axes, tuple(blocks), half, unhalved_axes)
 
 
-def _transform_grid(group: FiniteAbelianGroup, values: np.ndarray, inverse: bool) -> np.ndarray:
+def half_layout(group: FiniteAbelianGroup) -> HalfLayout:
+    """The half of ``group``'s dual that holds a real field's coefficients."""
+    return _grid_plan(group.factors).half
+
+
+def _transform_grid(
+    group: FiniteAbelianGroup, values: np.ndarray, inverse: bool, half: bool = False
+) -> np.ndarray:
     """The transform over the factor grid laid out by ``_grid_plan``.
 
     ``values`` may carry leading batch axes; the last axis must have length
@@ -172,27 +280,63 @@ def _transform_grid(group: FiniteAbelianGroup, values: np.ndarray, inverse: bool
     ``norm="forward"`` and the 1/b of each forward block put the 1/|G| Haar
     factor on the forward transform and none on the inverse, which is
     exactly the module's convention.
+
+    With ``half`` the samples are real and the coefficients live on the
+    plan's :class:`HalfLayout`: ``rfft``/``irfft`` over the halved axis,
+    ``fft``/``ifft`` over the other fft axes, in ``rfftn``'s and
+    ``irfftn``'s order but without their per-call argument handling, and the
+    same block products on the half grid (inverse blocks first, so that
+    ``irfft`` comes last).  On a layout with no halved axis this is the
+    complex transform, and the inverse returns its real part.
     """
+    plan = _grid_plan(group.factors)
+    layout = plan.half
+    if half and layout.axis is not None:
+        if inverse:
+            vals = np.asarray(values, dtype=np.complex128)
+            batch = vals.shape[:-1]
+            grid = vals
+            for _, post, _, inv in plan.blocks:
+                grid = np.matmul(inv, grid.reshape(-1, len(inv), post))
+            grid = grid.reshape(*batch, *layout.shape)
+            for axis in plan.unhalved_axes:
+                grid = np.fft.ifft(grid, axis=axis, norm="forward")
+            grid = np.fft.irfft(grid, plan.shape[layout.axis], axis=layout.axis, norm="forward")
+            return grid.reshape(*batch, group.order)
+        vals = np.asarray(values, dtype=np.float64)
+        batch = vals.shape[:-1]
+        grid = np.fft.rfft(vals.reshape(*batch, *plan.shape), axis=layout.axis, norm="forward")
+        for axis in reversed(plan.unhalved_axes):
+            grid = np.fft.fft(grid, axis=axis, norm="forward")
+        for _, post, fwd, _ in plan.blocks:
+            grid = np.matmul(fwd, grid.reshape(-1, len(fwd), post))
+        return grid.reshape(*batch, layout.size)
     vals = np.asarray(values, dtype=np.complex128)
     batch = vals.shape[:-1]
-    shape, fft_axes, blocks = _grid_plan(group.factors)
-    grid = vals.reshape(*batch, *shape)
-    if fft_axes:
+    grid = vals.reshape(*batch, *plan.shape)
+    if plan.fft_axes:
         fft = np.fft.ifftn if inverse else np.fft.fftn
-        grid = fft(grid, axes=fft_axes, norm="forward")
-    for post, fwd, inv in blocks:
+        grid = fft(grid, axes=plan.fft_axes, norm="forward")
+    for post, _, fwd, inv in plan.blocks:
         grid = np.matmul(inv if inverse else fwd, grid.reshape(-1, len(fwd), post))
-    return grid.reshape(*batch, group.order)
+    out = grid.reshape(*batch, group.order)
+    return out.real if half and inverse else out
 
 
-def dft_values(group: FiniteAbelianGroup, values: np.ndarray) -> np.ndarray:
-    """Array-level forward transform (batch-friendly); includes the 1/|G| factor."""
-    return _transform_grid(group, values, inverse=False)
+def dft_values(group: FiniteAbelianGroup, values: np.ndarray, half: bool = False) -> np.ndarray:
+    """Array-level forward transform (batch-friendly); includes the 1/|G| factor.
+
+    With ``half`` the values must be real and the result holds their
+    coefficients on :func:`half_layout`'s entries."""
+    return _transform_grid(group, values, inverse=False, half=half)
 
 
-def idft_values(group: FiniteAbelianGroup, values: np.ndarray) -> np.ndarray:
-    """Array-level inverse transform (counting measure: plain sum)."""
-    return _transform_grid(group, values, inverse=True)
+def idft_values(group: FiniteAbelianGroup, values: np.ndarray, half: bool = False) -> np.ndarray:
+    """Array-level inverse transform (counting measure: plain sum).
+
+    With ``half`` the values are a real field's coefficients on
+    :func:`half_layout`'s entries and the result is that real field."""
+    return _transform_grid(group, values, inverse=True, half=half)
 
 
 # ---------------------------------------------------------------------------

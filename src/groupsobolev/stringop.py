@@ -33,26 +33,29 @@ the dual array still holds the exact value.  For signals without a
 remembered dual (file input, raw samples) the forward transform of the
 values is used, which is the only information they carry.
 
-The Picard loop in ``nonlinear`` stays on the coefficient side: it divides
-by the profile's ``inverse`` and forms the residual ||m a + F(V)||_l2 through
-``multiply_spectrum``.  Only its final certificate goes through
-``apply_operator`` and ``domain_norm``, which get the same cached profile.
-The profile lists the overflowed dual indices and holds m with zeros there,
-so the membership guard and the log-space products look at those entries
-only; a c for which c * gamma^2 itself overflows is refused when the
-profile is built.
+The Picard loop in ``nonlinear`` stays on the coefficient side, on the
+half layout of real fields (``spectral.HalfLayout``): it divides by the
+``inverse`` of the profile's ``half`` and forms the residual
+||m a + F(V)||_l2 through ``multiply_spectrum``; its certificate synthesizes
+L phi and takes the domain norm on the same half profile, whose
+log-multiplicities weight each entry of the log-space sum.  The half profile
+is gathered once per profile; on a layout with no halved axis it is the
+profile itself.  A profile lists the overflowed entries and holds m with
+zeros there, so the membership guard and the log-space products look at
+those entries only; a c for which c * gamma^2 itself overflows is refused
+when the profile is built.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from .group import FiniteAbelianGroup
 from .sobolev import Weight
-from .spectral import Signal, Spectrum, dual_coefficients, idft
+from .spectral import Signal, Spectrum, dual_coefficients, half_layout, idft
 
 __all__ = [
     "LOG_MAX_DOUBLE",
@@ -80,10 +83,17 @@ class MultiplierProfile:
     """The multiplier m over the dual, in linear, log and inverse form.
 
     ``log_values`` are always finite; ``values`` hold exp(log_values) and
-    are +inf exactly at the dual indices listed, ascending, in ``overflow``,
+    are +inf exactly at the entries listed, ascending, in ``overflow``,
     where m is not representable in float64; ``finite_values`` are
     ``values`` with 0 there; ``inverse`` holds 1/m = exp(-log_values), the
     only place it is formed.
+
+    ``half`` is the same profile on the group's half layout (see
+    ``spectral.HalfLayout``), for real fields' half coefficients: its
+    entries are the full dual indices ``dual_index``, and
+    ``log_multiplicity`` weights each entry in the domain norm.  Both are
+    None on a full-dual profile, and a layout with no halved axis has the
+    profile itself as its half.
     """
 
     group: FiniteAbelianGroup
@@ -94,11 +104,32 @@ class MultiplierProfile:
     inverse: np.ndarray
     overflow: np.ndarray
     finite_values: np.ndarray
+    dual_index: np.ndarray | None = None
+    log_multiplicity: np.ndarray | None = None
 
     @property
     def overflow_count(self) -> int:
-        """Number of dual frequencies whose multiplier exceeds float64 range."""
+        """Number of entries whose multiplier exceeds float64 range."""
         return int(self.overflow.size)
+
+    @property
+    def half(self) -> MultiplierProfile:
+        if self.dual_index is None and half_layout(self.group).index is not None:
+            return self._half
+        return self
+
+    @cached_property
+    def _half(self) -> MultiplierProfile:
+        # never the profile itself: a profile that refers to itself outlives
+        # its cache entry until a full garbage collection
+        layout = half_layout(self.group)
+        values = layout.gather(self.values)
+        arrays = (layout.gather(self.log_values), values, layout.gather(self.inverse),
+                  np.flatnonzero(np.isinf(values)), layout.gather(self.finite_values),
+                  layout.index, np.log(layout.multiplicity))
+        for arr in arrays:
+            arr.setflags(write=False)
+        return MultiplierProfile(self.group, self.weight_name, self.c, *arrays)
 
 
 def _check_c(c: float) -> float:
@@ -123,7 +154,11 @@ def build_multiplier(group: FiniteAbelianGroup, w: Weight, c: float) -> Multipli
             f"operator scale c = {c!r} is too large for weight {w.name!r}: "
             "c * gamma^2 overflows float64"
         )
-    log_values = np.logaddexp(0.0, t)
+    # logaddexp(0, t) = t + log1p(exp(-t)) rounds to t once t > 40, where
+    # exp(-t) < 4.3e-18 is below half an ulp of t: only the rest needs it
+    log_values = t.copy()
+    low = t <= 40.0
+    log_values[low] = np.logaddexp(0.0, t[low])
     with np.errstate(over="ignore"):
         values = np.exp(log_values)
     inverse = np.exp(-log_values)
@@ -156,9 +191,10 @@ def _guard_membership(profile: MultiplierProfile, spectra: np.ndarray) -> np.nda
         mags = np.where(active, at_over, 0.0)
         worst = np.unravel_index(int(np.argmax(mags)), mags.shape)
         pos = int(profile.overflow[worst[-1]])
+        dual = pos if profile.dual_index is None else int(profile.dual_index[pos])
         raise NotInDomainError(
             "signal is not in the operator domain: dual index "
-            f"{pos} has log-multiplier {profile.log_values[pos]:.6g} "
+            f"{dual} has log-multiplier {profile.log_values[pos]:.6g} "
             f"(beyond float64 range) with spectral magnitude "
             f"{float(mags[worst]):.3g} > {ACTIVE_COEFF_TOL:g}"
         )
@@ -166,12 +202,15 @@ def _guard_membership(profile: MultiplierProfile, spectra: np.ndarray) -> np.nda
 
 
 def domain_norm_batch(profile: MultiplierProfile, spectra: np.ndarray) -> np.ndarray:
-    """Domain norms from spectral coefficients (last axis = dual), log-space."""
+    """Domain norms from spectral coefficients (last axis = the profile's
+    entries: the dual, or the half layout of a ``profile.half``), log-space."""
     abs_spec = _guard_membership(profile, spectra)
     with np.errstate(divide="ignore"):
         log_abs = np.log(abs_spec)  # -inf at exact zeros, which is what we want
     with np.errstate(over="ignore"):  # a sum beyond float64 is refused below
         terms = 2.0 * (profile.log_values + log_abs)
+        if profile.log_multiplicity is not None:
+            terms += profile.log_multiplicity
         lse = _logsumexp_last(terms)
     finite = np.isfinite(lse)
     if (lse > 2.0 * LOG_MAX_DOUBLE).any():

@@ -315,6 +315,16 @@ def test_solve_nonlinear_verifies_once(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["verification"]["all_ok"] is True
 
 
+@pytest.mark.parametrize("flags", [
+    ["--nonlinearity", "power:2,1e-200"],  # D' underflows to 0
+    ["--nonlinearity", "forced-power:3,1e300", "--forcing-scale", "0.1"],  # C^2 overflows
+])
+def test_solve_nonlinear_extreme_coupling_ends_without_traceback(capsys, flags):
+    code = main(["solve-nonlinear", "--group", "Z12", "--c", "1", *flags])
+    assert code in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("flags, text", [
     (["--c", "1", "--nonlinearity", "forced-power:2,inf"], "coupling must be finite"),
     (["--c", "1e308", "--nonlinearity", "forced-power:2,1"], "c = 1e+308"),
@@ -489,6 +499,20 @@ def test_forcing_json_values_not_pairs_exits_2(tmp_path, capsys):
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
+
+def test_cli_imports_the_suites_only_to_run_them(capsys):
+    import subprocess
+    import sys
+
+    probe = "import sys, groupsobolev.cli; print('groupsobolev.checks' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
+    # check --help still lists every suite
+    assert main(["check", "--help"]) == 0
+    text = "".join(capsys.readouterr().out.split())
+    assert "".join(f"restrict to a suite ({', '.join(suite_names())})".split()) in text
+
 
 def test_check_single_suite(capsys):
     name = suite_names()[0]

@@ -318,9 +318,9 @@ def transform_count(monkeypatch):
     calls = []
     real = spectral._transform_grid
 
-    def counting(group, values, inverse):
+    def counting(group, values, inverse, half=False):
         calls.append(inverse)
-        return real(group, values, inverse)
+        return real(group, values, inverse, half=half)
 
     monkeypatch.setattr(spectral, "_transform_grid", counting)
     return calls
@@ -412,6 +412,84 @@ def test_size_ball_rejects_large_forcing():
     ball = size_ball(g, w, 1.0, nl)
     assert not ball["ok"]
     assert math.isinf(ball["epsilon"])
+
+
+def _growth_only(group, c_growth, h):
+    """A nonlinearity whose growth data alone drives size_ball."""
+    return Nonlinearity("growth-only", lambda y: y, np.ones_like, 2.0, 1.0, c_growth, h,
+                        _zero(group))
+
+
+def test_size_ball_extreme_couplings():
+    g = parse_group("Z12")
+    w = make_weight(g, "sym-euclid")
+    h = lowfreq_forcing(g, 0.1)
+    # D' = 2 C^2 E^2 underflows to 0: every ball is invariant
+    for forcing in (_zero(g), h):
+        ball = size_ball(g, w, 1.0, _growth_only(g, 1e-200, forcing))
+        assert ball["contraction_coeff"] == 0.0
+        assert ball["ok"] and ball["epsilon"] == math.inf
+    # C^2 overflows: D' reads inf and no ball is certified
+    ball = size_ball(g, w, 1.0, _growth_only(g, 1e300, h))
+    assert ball["contraction_coeff"] == math.inf
+    assert not ball["ok"] and ball["epsilon"] == math.inf
+    # eps* ~ 1e99, where eps*^(2 alpha) overflows: a finite invariant ball
+    ball = size_ball(g, w, 1.0, _growth_only(g, 1e-100, h))
+    eps, d_prime = ball["epsilon"], ball["contraction_coeff"]
+    assert ball["ok"] and 0.0 < eps < math.inf
+    assert d_prime * (0.01 + eps**2 * eps**2) <= eps**2  # ||h||_2 = 0.1
+
+
+def test_weight_constants_computed_once_per_weight():
+    from groupsobolev.nonlinear import _ball_weight_data
+    from groupsobolev.sobolev import _inverse_power_sum
+
+    g = parse_group("Z12")
+    w = make_weight(g, "sym-euclid")
+    nl = power_nonlinearity(g, 2, 0.5)
+    size_ball(g, w, 0.5, nl)
+    before = _ball_weight_data.cache_info().misses, _inverse_power_sum.cache_info().misses
+    for c in (0.75, 1.0, 1.25, 1.5):  # a sweep over c
+        size_ball(g, w, c, nl)
+    after = _ball_weight_data.cache_info().misses, _inverse_power_sum.cache_info().misses
+    assert after == before
+
+
+def test_certificate_half_and_full_paths_agree():
+    # a real phi is certified on the half layout, a complex one on the full
+    # dual; for the same field the figures agree to rounding.  c is small
+    # enough for every multiplier to be finite, so that the samples alone
+    # carry the field too
+    for name, weight in (("Z64", "sym-euclid"), ("Z6xZ10", "sym-euclid"),
+                         ("Z2xZ2xZ2xZ2xZ2xZ2", "hamming")):
+        g = parse_group(name)
+        w = make_weight(g, weight)
+        nl = forced_power_nonlinearity(2, 0.5, lowfreq_forcing(g, 0.1))
+        phi, rep = solve_nonlinear(nl, w, 0.01, SolverConfig())
+        assert rep.converged
+        half = verify_solution(phi, nl, w, 0.01, s=1.0)
+        nudged = Signal(g, phi.values + 1e-30j, exact_dual=phi.exact_dual)
+        full = verify_solution(nudged, nl, w, 0.01, s=1.0)
+        sampled = verify_solution(Signal(g, phi.values), nl, w, 0.01, s=1.0)
+        # the samples fix the coefficients to their rounding only, which the
+        # multiplier amplifies in L phi
+        for rec, resid_tol in ((full, 1e-15), (sampled, 1e-11)):
+            assert rec["all_ok"] and half["all_ok"]
+            for key in ("sobolev_norm", "domain_norm", "sup_norm", "continuity_constant"):
+                assert rec[key] == pytest.approx(half[key], rel=1e-13)
+            assert abs(rec["residual_eq"] - half["residual_eq"]) <= resid_tol
+
+
+def test_certificate_reads_a_non_hermitian_dual_in_full():
+    # real values whose remembered coefficients are not a real field's:
+    # the certificate reads the coefficients, anti-Hermitian part included
+    g = parse_group("Z8")
+    w = make_weight(g, "sym-euclid")
+    nl = power_nonlinearity(g, 2, 0.5)
+    dual = np.zeros(8, dtype=complex)
+    dual[1] = 1e-3  # its partner, index 7, stays 0
+    rec = verify_solution(Signal(g, np.zeros(8), exact_dual=dual), nl, w, 1.0, s=1.0)
+    assert rec["sobolev_norm"] == pytest.approx(1e-3 * math.sqrt(2.0), rel=1e-14)
 
 
 def test_verify_solution_affine(rng):

@@ -2,8 +2,17 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from groupsobolev.group import character_table, element_at, parse_group, residue_grid
+from groupsobolev.group import (
+    FiniteAbelianGroup,
+    character_table,
+    element_at,
+    inverse_indices,
+    parse_group,
+    residue_grid,
+)
 from groupsobolev.spectral import (
     Signal,
     Spectrum,
@@ -12,6 +21,7 @@ from groupsobolev.spectral import (
     dft_naive,
     dft_values,
     dual_coefficients,
+    half_layout,
     idft,
     idft_values,
     pointwise_mul,
@@ -128,6 +138,88 @@ def test_groups_without_small_runs_take_one_fftn_call(name, rng):
     inv = np.fft.ifftn(grid, norm="forward").reshape(-1)
     assert np.array_equal(dft_values(g, f), fwd)
     assert np.array_equal(idft_values(g, f), inv)
+
+
+# ---------------------------------------------------------------------------
+# the half layout of real fields
+# ---------------------------------------------------------------------------
+
+HALF_GROUPS = ["Z4096", "Z64xZ64", "Z16xZ16xZ16", "Z257", "x".join(["Z2"] * 12),
+               "Z2xZ2xZ1024", "Z3xZ5xZ7", "Z6xZ10", "Z2xZ4xZ2xZ4"]
+
+
+def _oracle(group, rows):
+    """Forward transforms of real rows from the definition: dft_naive where
+    its table is small, the blockwise definition above otherwise."""
+    if group.order <= 1024:
+        return np.array([dft_naive(Signal(group, row)).values for row in rows])
+    return _definition(group, rows.astype(np.complex128))[0]
+
+
+def _check_half_layout(g, rows):
+    layout = half_layout(g)
+    half = dft_values(g, rows, half=True)
+    ref = _oracle(g, rows)
+    # forward: the oracle's coefficients on the half entries
+    want = layout.gather(ref)
+    assert np.linalg.norm(half - want) <= 1e-12 * np.linalg.norm(want)
+    # the Hermitian expansion reproduces the full transform
+    full = layout.expand(half)
+    assert np.linalg.norm(full - ref) <= 1e-12 * np.linalg.norm(ref)
+    # inverse: a real field back from its half
+    back = idft_values(g, half, half=True)
+    assert back.dtype == np.float64
+    assert np.linalg.norm(back - rows) <= 1e-12 * np.linalg.norm(rows)
+    # Plancherel with multiplicities
+    mult = 1.0 if layout.multiplicity is None else layout.multiplicity
+    l2 = (rows**2).mean(axis=-1)
+    assert np.allclose((mult * np.abs(half) ** 2).sum(axis=-1), l2, rtol=1e-12, atol=0)
+    return layout
+
+
+@pytest.mark.parametrize("name", HALF_GROUPS)
+def test_half_transforms_match_oracle(name, rng):
+    g = parse_group(name)
+    layout = _check_half_layout(g, rng.standard_normal((2, g.order)))
+    assert layout.size == (g.order if layout.index is None else layout.index.size)
+    if layout.index is not None:  # every full index is an entry or an entry's partner
+        assert np.unique(layout.index).size == layout.size < g.order
+        assert layout.multiplicity.sum() == g.order
+
+
+@pytest.mark.parametrize("name", ["x".join(["Z2"] * 12), "Z2xZ4xZ2xZ4", "Z2xZ2", "Z1"])
+def test_degenerate_half_layout_is_the_complex_transform(name, rng):
+    # no axis to halve: the half is the full dual, transformed by exactly
+    # the complex arithmetic, and the inverse returns its real part
+    g = parse_group(name)
+    layout = half_layout(g)
+    assert layout.axis is None and layout.index is None and layout.multiplicity is None
+    assert np.array_equal(layout.partner, inverse_indices(g))
+    x = rng.standard_normal(g.order)
+    coeffs = dft_values(g, x)
+    assert np.array_equal(dft_values(g, x, half=True), coeffs)
+    assert np.array_equal(idft_values(g, coeffs, half=True), idft_values(g, coeffs).real)
+    assert layout.gather(coeffs) is coeffs and layout.expand(coeffs) is coeffs
+
+
+def test_half_layout_halves_the_last_long_single_axis():
+    # Z2xZ9xZ2: the axes of length 2 cannot be halved, the middle one can
+    g = parse_group("Z2xZ9xZ2")
+    layout = half_layout(g)
+    assert layout.axis == -2 and layout.shape == (2, 5, 2)
+    # the entries with coordinate 0 on the halved axis pair among themselves
+    assert np.array_equal(layout.paired, np.flatnonzero(layout.index % 18 < 2))
+    partners = inverse_indices(g)[layout.index[layout.paired]]
+    assert np.array_equal(layout.index[layout.partner], partners)
+
+
+@settings(max_examples=60, deadline=None)
+@given(factors=st.lists(st.integers(1, 9), min_size=1, max_size=4),
+       seed=st.integers(0, 2**32 - 1))
+def test_half_layout_property(factors, seed):
+    g = FiniteAbelianGroup(tuple(factors))
+    rows = np.random.default_rng(seed).standard_normal((2, g.order))
+    _check_half_layout(g, rows)
 
 
 @pytest.mark.parametrize("name", ZOO + ["Z720", "Z4096", "Z3xZ5xZ7"])
