@@ -106,6 +106,7 @@ def _cmd_info(args) -> int:
     group = parse_group(args.group)
     w = _load_weight(group, args)
     sub = check_subadditivity(group, w)
+    d_const = algebra_constant(group, w, args.s)
     doc = {
         "group": group.descriptor,
         "order": group.order,
@@ -120,7 +121,7 @@ def _cmd_info(args) -> int:
         },
         "s": args.s,
         "embedding_constant_sup": embedding_constant_sup(group, w, args.s),
-        "algebra_constant": algebra_constant(group, w, args.s),
+        "algebra_constant": d_const if math.isfinite(d_const) else "inf",
     }
     if args.json:
         _print_json(doc)
@@ -179,12 +180,13 @@ def _cmd_constants(args) -> int:
     for alpha in alphas:
         emb = embedding_constant_lalpha(group, w, s, alpha)
         per_alpha.append({"alpha": alpha, **emb})
+    d_const = algebra_constant(group, w, s)
     doc = {
         "group": group.descriptor,
         "weight": w.name,
         "s": s,
         "embedding_constant_sup": embedding_constant_sup(group, w, s),
-        "algebra_constant": algebra_constant(group, w, s),
+        "algebra_constant": d_const if math.isfinite(d_const) else "inf",
         "lebesgue_embeddings": per_alpha,
     }
     if args.json:
@@ -404,6 +406,11 @@ def _cmd_sweep(args) -> int:
 # parser
 # ---------------------------------------------------------------------------
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str):  # main prints it in one line and exits 2
+        raise ValueError(f"{self.prog}: {message}")
+
+
 class _SuiteListFormatter(argparse.HelpFormatter):
     """Fills the suite list into ``check``'s help only when help is printed,
     so that other commands do not import the suites."""
@@ -443,7 +450,7 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="groupsobolev",
         description="Sobolev spaces, spectral multipliers, and the nonlocal "
                     "string-equation solver on finite abelian groups",
@@ -572,7 +579,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     # find --config in every spelling the full parser accepts (--config=F,
     # the prefix --conf F), and only before the subcommand, as it does
-    pre = argparse.ArgumentParser(prog=parser.prog, add_help=False)
+    pre = _Parser(prog=parser.prog, add_help=False)
     pre.add_argument("--config", default=None)
     pre.add_argument("rest", nargs=argparse.REMAINDER)
     try:

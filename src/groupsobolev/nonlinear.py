@@ -5,30 +5,28 @@ solution is a fixed point of the solve-then-substitute map
 
     G(u) = solve_linear(V(., u)).
 
-That map is realized here as a damped Picard iteration
+G is one object on dual coefficients, ``_FixedPointMap``, which
+:func:`picard_step`, the solver and its certificate all apply.  The solver
+runs the damped Picard iteration
 
-    phi_{k+1} = (1 - theta) phi_k + theta * G(phi_k),
+    phi_{k+1} = (1 - theta) phi_k + theta * G(phi_k)
 
-with convergence certified a posteriori: the reported equation residual
+on the iterate's coefficients a: one inverse transform synthesizes its
+samples y, and one forward transform brings V(., y) back.  Convergence is
+certified a posteriori (:func:`verify_solution`): the equation residual
 ||L phi - V(., phi)||_L2 is recomputed through an independent forward
-application of the operator, never taken from the iteration's own arithmetic.
-
-The iterate is held as its dual coefficients a; its samples y = F^{-1}(a)
-are synthesized from them once per iteration, and one forward transform
-brings V(., y) back.  The returned phi carries both, so the certificate
-(:func:`verify_solution`) reads its Sobolev and domain norms from a and
-makes a single transform, the synthesis of L phi.
+application of the operator, and the norms are read from phi's
+coefficients, so the certificate makes one transform, the synthesis of L phi.
 
 The field is real, so a is held on the half layout of the dual
 (``spectral.HalfLayout``): the coefficients F(xi) for about half of the
-characters, which fix F(xi^-1) = conj F(xi) for the rest.  Both transforms
-of an iteration are then real-to-half ones (``half=True``), about half the
-work of complex ones; the step, the damping and the multiplier arithmetic
-run on the half, and the monitored residual and the certificate's norms
-weight each entry by its multiplicity.  A group whose every cyclic factor of
-length 3 or more is merged into a dense block (Z2^n, for one) has no axis
-to halve: its half is the full dual and the arithmetic is the complex one.
-The returned phi carries its full coefficients, expanded once.
+characters, which fix F(xi^-1) = conj F(xi) for the rest.  G then makes
+real-to-half transforms, about half the work of complex ones, on the
+multiplier it gathers onto that layout, and weights each entry's share of a
+norm by its multiplicity.  A group whose every cyclic factor of length 3 or
+more is merged into a dense block (Z2^n, for one) has no axis to halve: its
+half is the full dual and the arithmetic is the complex one.  The returned
+phi carries its full coefficients, expanded once.
 
 Nonlinearities are described by the growth data (alpha, beta, C, h, f):
 
@@ -55,6 +53,7 @@ import numpy as np
 from .group import FiniteAbelianGroup, element_at, inverse_indices
 from .sobolev import (
     Weight,
+    _float_pow,
     _inverse_power_sum,
     embedding_constant_lalpha,
     embedding_constant_sup,
@@ -64,6 +63,7 @@ from .sobolev import (
     sobolev_norm_batch,
 )
 from .spectral import (
+    HalfLayout,
     Signal,
     Spectrum,
     dft_values,
@@ -72,7 +72,13 @@ from .spectral import (
     idft,
     idft_values,
 )
-from .stringop import NotInDomainError, build_multiplier, domain_norm_batch, multiply_spectrum
+from .stringop import (
+    MultiplierProfile,
+    NotInDomainError,
+    build_multiplier,
+    domain_norm_batch,
+    multiply_spectrum,
+)
 
 __all__ = [
     "Nonlinearity",
@@ -279,81 +285,127 @@ def lowfreq_forcing(group: FiniteAbelianGroup, scale: float) -> Signal:
 # the fixed-point map
 # ---------------------------------------------------------------------------
 
-def eval_source(nl: Nonlinearity, u: Signal) -> Signal:
-    """V(., u) = U(., u) - u, evaluated pointwise on a real-valued field."""
+def _real_values(u: Signal) -> np.ndarray:
+    """u's samples as a real array; u must be real-valued to within _IMAG_TOL."""
     worst_imag = float(np.abs(u.values.imag).max(initial=0.0))
     if worst_imag > _IMAG_TOL:
         raise ValueError(
             f"field has imaginary magnitude {worst_imag:.3g} beyond tolerance {_IMAG_TOL:g}"
         )
-    y = u.values.real
+    return u.values.real
+
+
+def eval_source(nl: Nonlinearity, u: Signal) -> Signal:
+    """V(., u) = U(., u) - u, evaluated pointwise on a real-valued field."""
+    y = _real_values(u)
     return Signal(u.group, nl.u_func(y) - y)
 
 
-def _source_hat(
-    nl: Nonlinearity, group: FiniteAbelianGroup, y: np.ndarray, half: bool = False
-) -> np.ndarray | None:
-    """Dual coefficients of the source V(., y), on the half layout with
-    ``half``, or None when V or its transform is not finite, which the
-    iteration treats as divergence.  Callers silence numpy's overflow and
-    invalid warnings around it."""
-    v = nl.u_func(y) - y
-    if not np.isfinite(v).all():
-        return None
-    v_hat = dft_values(group, v, half=half)
-    return v_hat if np.isfinite(v_hat).all() else None
+@dataclass(frozen=True, eq=False)
+class _FixedPointMap:
+    """G(u) = L^{-1} V(., u) for one (nl, w, c) on the coefficients of u:
+    over the full dual (``layout`` None), or over ``layout``, the group's
+    half layout, with ``profile`` gathered onto it.  Callers silence numpy's
+    overflow and invalid warnings: a blown-up iterate reads inf or nan, which
+    the solver treats as divergence."""
+
+    nl: Nonlinearity
+    layout: HalfLayout | None
+    profile: MultiplierProfile
+    partner: np.ndarray
+    paired: np.ndarray | None
+
+    def source_hat(self, y: np.ndarray) -> np.ndarray | None:
+        """Coefficients of the source V(., y), or None when V or its
+        transform is not finite."""
+        v = self.nl.u_func(y) - y
+        if not np.isfinite(v).all():
+            return None
+        v_hat = dft_values(self.profile.group, v, half=self.layout is not None)
+        return v_hat if np.isfinite(v_hat).all() else None
+
+    def step(self, v_hat: np.ndarray) -> np.ndarray:
+        """Coefficients of G's output, -v_hat / m, each entry averaged with
+        the conjugate of its partner at ``partner`` (on a half layout, only
+        the entries ``paired``, whose partners are stored too) so that the
+        field they synthesize is exactly real.  That must be a rounding-level
+        projection: a larger anti-Hermitian part (compared in L2) means the
+        multiplier/weight pair does not preserve real fields."""
+        raw = v_hat * self.profile.inverse
+        np.negative(raw, out=raw)
+        own = raw if self.paired is None else raw[self.paired]
+        sym = raw[self.partner]
+        np.conjugate(sym, out=sym)
+        sym += own
+        sym *= 0.5
+        own -= sym  # the anti-Hermitian part
+        if self.paired is None:
+            step = sym
+        else:
+            raw[self.paired] = sym
+            step = raw
+        worst_imag = math.sqrt(_sum_squares(own))
+        if worst_imag > _IMAG_TOL:  # the scale below is at least 1
+            scale = max(1.0, self.norm(step))
+            if worst_imag > _IMAG_TOL * scale:
+                raise ValueError(
+                    f"linear solve returned relative imaginary magnitude "
+                    f"{worst_imag / scale:.3g}; the multiplier/weight pair does not "
+                    "preserve real fields"
+                )
+        return step
+
+    def norm(self, coeffs: np.ndarray) -> float:
+        """l2 norm under counting measure on the dual: half-layout entries
+        count twice, but for the entries ``paired``."""
+        total = _sum_squares(coeffs)
+        if self.paired is not None and total < math.inf:
+            total += total - _sum_squares(coeffs[self.paired])
+        return math.sqrt(total)
+
+    def residual(self, a: np.ndarray, v_hat: np.ndarray | None) -> float:
+        """||L phi - V(., phi)||_L2 = ||m a + v_hat||_l2 for phi of
+        coefficients a and source coefficients v_hat; inf out of range."""
+        if v_hat is None:
+            return math.inf
+        try:
+            return self.norm(multiply_spectrum(self.profile, a) + v_hat)
+        except NotInDomainError:
+            return math.inf
+
+    def samples(self, a: np.ndarray) -> np.ndarray:
+        """The field synthesized from coefficients a (real on a half layout)."""
+        return idft_values(self.profile.group, a, half=self.layout is not None)
 
 
-def _real_step(
-    v_hat: np.ndarray, inv_m: np.ndarray, partner: np.ndarray, paired: np.ndarray | None = None
-) -> np.ndarray:
-    """Dual coefficients of G's output, -v_hat / m, Hermitian-symmetrized so
-    that the field they synthesize is exactly real.
-
-    On the full dual (``paired`` None) every entry is averaged with the
-    conjugate of its partner at ``partner``, the inverse map.  On a half
-    layout only the entries ``paired``, whose partners are stored too, can
-    carry an anti-Hermitian part, and ``partner`` locates those partners.
-    The symmetrization must be a rounding-level projection; a larger
-    anti-Hermitian part (compared in L2, by Plancherel) means the
-    multiplier/weight pair does not preserve real fields.  A blown-up step
-    passes; callers silence numpy's overflow and invalid warnings.
-    """
-    raw = v_hat * inv_m
-    np.negative(raw, out=raw)
-    own = raw if paired is None else raw[paired]
-    sym = raw[partner]
-    np.conjugate(sym, out=sym)
-    sym += own
-    sym *= 0.5
-    own -= sym  # the anti-Hermitian part
-    if paired is None:
-        step = sym
-    else:
-        raw[paired] = sym
-        step = raw
-    worst_imag = _l2_dual(own)
-    if worst_imag > _IMAG_TOL:  # the scale below is at least 1
-        scale = max(1.0, _l2_dual(step, paired))
-        if worst_imag > _IMAG_TOL * scale:
-            raise ValueError(
-                f"linear solve returned relative imaginary magnitude "
-                f"{worst_imag / scale:.3g}; the multiplier/weight pair does not "
-                "preserve real fields"
-            )
-    return step
+@lru_cache(maxsize=1)  # a solve, its certificate and a caller's verify_solution share one
+def _fixed_point_map(nl: Nonlinearity, w: Weight, c: float, half: bool) -> _FixedPointMap:
+    group = nl.group
+    profile = build_multiplier(group, w, c)
+    layout = half_layout(group) if half else None
+    if layout is None or layout.index is None:
+        return _FixedPointMap(nl, layout, profile, inverse_indices(group), None)
+    values = layout.gather(profile.values)
+    arrays = (layout.gather(profile.log_values), values, layout.gather(profile.inverse),
+              np.flatnonzero(np.isinf(values)), layout.gather(profile.finite_values),
+              layout.index, np.log(layout.multiplicity))
+    for arr in arrays:
+        arr.setflags(write=False)
+    half_profile = MultiplierProfile(group, profile.weight_name, profile.c, *arrays)
+    return _FixedPointMap(nl, layout, half_profile, layout.partner, layout.paired)
 
 
 def picard_step(u: Signal, nl: Nonlinearity, w: Weight, c: float) -> Signal:
     """One application of the map G: solve the linear problem with source
     V(., u).  The result is projected to its real part, which must be a
     rounding-level projection only, and carries its dual coefficients."""
-    eval_source(nl, u)  # enforce the real-field contract on the input
+    y = _real_values(u)
+    fmap = _fixed_point_map(nl, w, c, False)
     with np.errstate(over="ignore", invalid="ignore"):
-        v_hat = _source_hat(nl, u.group, u.values.real)
+        v_hat = fmap.source_hat(y)
         if v_hat is None:
             raise ValueError("source values are not finite (field overflow)")
-        step = _real_step(v_hat, build_multiplier(u.group, w, c).inverse, inverse_indices(u.group))
+        step = fmap.step(v_hat)
     return idft(Spectrum(u.group, step), real=True)
 
 
@@ -413,14 +465,6 @@ def _ball_weight_data(w: Weight) -> tuple[float, np.ndarray]:
     log1p_gam2 = np.log1p(w.values**2)
     log1p_gam2.setflags(write=False)
     return delta, log1p_gam2
-
-
-def _float_pow(x: float, y: float) -> float:
-    """x ** y for floats, inf where Python raises OverflowError."""
-    try:
-        return x**y
-    except OverflowError:
-        return math.inf
 
 
 def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) -> dict:
@@ -483,8 +527,7 @@ def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) 
     if gap(eps_star) > 0.0:
         return {"epsilon": math.inf, "ok": False, **base}
     lo, hi = 0.0, eps_star
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
+    while lo < (mid := 0.5 * (lo + hi)) < hi:  # until lo and hi are adjacent floats
         if gap(mid) <= 0.0:
             hi = mid
         else:
@@ -505,15 +548,6 @@ def _sum_squares(values: np.ndarray) -> float:
 def _l2(group: FiniteAbelianGroup, values: np.ndarray) -> float:
     """L2 norm under normalized Haar measure."""
     return math.sqrt(_sum_squares(values) / group.order)
-
-
-def _l2_dual(values: np.ndarray, paired: np.ndarray | None = None) -> float:
-    """l2 norm under counting measure on the dual.  Half-layout coefficients
-    (``paired`` given) count twice, but for the entries ``paired``."""
-    total = _sum_squares(values)
-    if paired is not None and total < math.inf:
-        total += total - _sum_squares(values[paired])
-    return math.sqrt(total)
 
 
 def solve_nonlinear(
@@ -543,9 +577,8 @@ def solve_nonlinear(
     ball = size_ball(group, w, c, nl)
     eps = cfg.epsilon_ball if cfg.epsilon_ball is not None else ball["epsilon"]
     two_alpha = 2.0 * nl.alpha
-    layout = half_layout(group)
-    profile = build_multiplier(group, w, c).half
-    inv_m, partner, paired = profile.inverse, layout.partner, layout.paired
+    fmap = _fixed_point_map(nl, w, c, True)
+    layout = fmap.layout
     # blown-up iterates read as inf or nan, which the loop below turns into
     # status "diverged"; numpy's warnings about them are silenced throughout
     with np.errstate(over="ignore", invalid="ignore"):
@@ -560,14 +593,14 @@ def solve_nonlinear(
             d0 = dual_coefficients(cfg.initial)
             a0 = layout.gather(0.5 * (d0 + np.conj(d0[inv])))
             y0 = cfg.initial.values.real
-        v_hat0 = _source_hat(nl, group, y0, half=True)
+        v_hat0 = fmap.source_hat(y0)
         if cfg.initial is not None and v_hat0 is not None:
             # samples fix their dual coefficients only to within their rounding,
             # about eps * ||y0||; where the equation's own coefficient -V_hat/m
             # lies within 4x that, take it.  Damping keeps (1 - theta)^k of the
             # difference, and m times it, which overflows at high frequencies,
             # would swamp the residual and the domain norm.
-            eq = _real_step(v_hat0, inv_m, partner, paired)
+            eq = fmap.step(v_hat0)
             rounding = 4.0 * np.finfo(np.float64).eps * _l2(group, y0)
             a0 = np.where(np.abs(a0 - eq) <= rounding, eq, a0)
 
@@ -583,11 +616,11 @@ def solve_nonlinear(
                     break
                 # the samples are synthesized from the damped coefficients, so
                 # (a, y) stays the exact pair that phi returns
-                a_new = _real_step(v_hat, inv_m, partner, paired)
+                a_new = fmap.step(v_hat)
                 if theta < 1.0:  # undamped, the step is the new iterate
                     a_new *= theta
                     a_new += (1.0 - theta) * a
-                y_new = idft_values(group, a_new, half=True)
+                y_new = fmap.samples(a_new)
                 if not np.isfinite(y_new).all():
                     status = "diverged"
                     break
@@ -600,18 +633,11 @@ def solve_nonlinear(
                 if diff < cfg.tol:
                     status = "converged"
                     break
-                # residual monitor ||L phi - V||_L2 = ||m a + V_hat||_l2 by
-                # Plancherel; its V_hat is the next step's source, so it costs
-                # no extra transform.  Catches one-step exact cases (affine).
-                v_hat = _source_hat(nl, group, y, half=True)
-                try:
-                    resid = (
-                        math.inf if v_hat is None
-                        else _l2_dual(multiply_spectrum(profile, a) + v_hat, paired)
-                    )
-                except NotInDomainError:
-                    resid = math.inf
-                if resid < cfg.tol:
+                # the monitored residual's V_hat is the next step's source, so
+                # it costs no extra transform.  Catches one-step exact cases
+                # (affine).
+                v_hat = fmap.source_hat(y)
+                if fmap.residual(a, v_hat) < cfg.tol:
                     status = "converged"
                     break
                 if not ball_ok and grow_streak >= 10:
@@ -665,11 +691,9 @@ def verify_solution(
     Sobolev and domain norms read those coefficients directly, so a phi
     that carries them (every solver output does) costs one transform.
 
-    A real phi whose coefficients are those of a real field (Hermitian, as
-    every solver output's are) is certified on the half layout: its
-    coefficients gathered onto the half, L phi synthesized by the real
-    inverse transform, and the norms weighted by multiplicity.  Any other
-    phi is certified on the full dual.
+    A real phi with Hermitian coefficients (every solver output) is
+    certified through the fixed-point map on the half layout, any other phi
+    through the map on the full dual.
     """
     group = phi.group
     if w.group != group:
@@ -678,17 +702,15 @@ def verify_solution(
     half = not phi.values.imag.any() and (
         dual is None or np.array_equal(dual[inverse_indices(group)], dual.conj())
     )
+    fmap = _fixed_point_map(nl, w, c, half)
     if dual is None:
         coeffs = dft_values(group, phi.values.real if half else phi.values, half=half)
     else:
-        coeffs = half_layout(group).gather(dual) if half else dual
-    profile = build_multiplier(group, w, c)
-    if half:
-        profile = profile.half
+        coeffs = fmap.layout.gather(dual) if half else dual
     # a diverged field may overflow these norms; inf is the honest report
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            lphi = idft_values(group, -multiply_spectrum(profile, coeffs), half=half)
+            lphi = fmap.samples(-multiply_spectrum(fmap.profile, coeffs))
             if not np.isfinite(lphi).all():
                 raise ValueError("L phi is not finite")
             r = lphi - eval_source(nl, phi).values.real  # V of the real part: real
@@ -702,7 +724,7 @@ def verify_solution(
         sup = lp_norm(phi, math.inf)
         sob = float(sobolev_norm_batch(w, s, coeffs, half=half))
         try:
-            dom = float(domain_norm_batch(profile, coeffs))
+            dom = float(domain_norm_batch(fmap.profile, coeffs))
         except NotInDomainError:
             dom = math.inf
     constant = embedding_constant_sup(group, w, s)

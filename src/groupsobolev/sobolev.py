@@ -234,11 +234,12 @@ def _check_s(s: float) -> float:
 @lru_cache(maxsize=8)
 def _sobolev_weights(w: Weight, s: float, half: bool) -> np.ndarray:
     """(1 + gamma^2)^s over the dual, or with ``half`` over the group's half
-    layout, times each entry's multiplicity; read-only."""
-    weights = (1.0 + w.values**2) ** s
+    layout, times each entry's multiplicity; read-only; inf past float64."""
     layout = half_layout(w.group)
-    if half and layout.index is not None:
-        weights = layout.gather(weights) * layout.multiplicity
+    with np.errstate(over="ignore"):
+        weights = (1.0 + w.values**2) ** s
+        if half and layout.index is not None:
+            weights = layout.gather(weights) * layout.multiplicity
     weights.setflags(write=False)
     return weights
 
@@ -253,9 +254,11 @@ def sobolev_norm_batch(w: Weight, s: float, spectra: np.ndarray, half: bool = Fa
     """Sobolev norms from already-transformed coefficients (last axis = dual).
 
     With ``half`` the coefficients are a real field's on the group's half
-    layout (``spectral.half_layout``), each weighted by its multiplicity."""
+    layout (``spectral.half_layout``), each weighted by its multiplicity.
+    An exactly zero coefficient adds 0, also where its weight is inf."""
     weights = _sobolev_weights(w, _check_s(s), half)
-    return np.sqrt((weights * np.abs(spectra) ** 2).sum(axis=-1))
+    sq = np.abs(spectra) ** 2
+    return np.sqrt((np.where(sq > 0.0, weights, 0.0) * sq).sum(axis=-1))
 
 
 def sobolev_norm(f: Signal, w: Weight, s: float) -> float:
@@ -316,6 +319,14 @@ def lp_norm(f: Signal, p) -> float:
 # constants
 # ---------------------------------------------------------------------------
 
+def _float_pow(x: float, y: float) -> float:
+    """x ** y for floats, inf where Python raises OverflowError."""
+    try:
+        return x**y
+    except OverflowError:
+        return math.inf
+
+
 def embedding_constant_sup(group: FiniteAbelianGroup, w: Weight, s: float) -> float:
     """C(gamma, s) = (sum_xi (1 + gamma^2)^{-s})^{1/2}.
 
@@ -348,11 +359,11 @@ def algebra_constant(group: FiniteAbelianGroup, w: Weight, s: float) -> float:
     With this constant the space is a Banach algebra under pointwise
     multiplication: ||f g||_{s,gamma} <= D ||f||_{s,gamma} ||g||_{s,gamma}.
     The Young constant for the dual-side convolution is exactly 1 under
-    counting measure, so it does not appear.
+    counting measure, so it does not appear.  Reads inf where it overflows.
     """
     s = _check_s(s)
-    return float(2.0**s * (1.0 + w.c_gamma**2) ** (s / 2.0)
-                 * embedding_constant_sup(group, w, s))
+    return (_float_pow(2.0, s) * _float_pow(1.0 + w.c_gamma * w.c_gamma, s / 2.0)
+            * embedding_constant_sup(group, w, s))
 
 
 # ---------------------------------------------------------------------------

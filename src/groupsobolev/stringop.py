@@ -33,29 +33,24 @@ the dual array still holds the exact value.  For signals without a
 remembered dual (file input, raw samples) the forward transform of the
 values is used, which is the only information they carry.
 
-The Picard loop in ``nonlinear`` stays on the coefficient side, on the
-half layout of real fields (``spectral.HalfLayout``): it divides by the
-``inverse`` of the profile's ``half`` and forms the residual
-||m a + F(V)||_l2 through ``multiply_spectrum``; its certificate synthesizes
-L phi and takes the domain norm on the same half profile, whose
-log-multiplicities weight each entry of the log-space sum.  The half profile
-is gathered once per profile; on a layout with no halved axis it is the
-profile itself.  A profile lists the overflowed entries and holds m with
-zeros there, so the membership guard and the log-space products look at
-those entries only; a c for which c * gamma^2 itself overflows is refused
-when the profile is built.
+A profile lists the overflowed entries and holds m with zeros there, so the
+membership guard and the log-space products look at those entries only; a c
+for which c * gamma^2 itself overflows is refused when the profile is built.
+The fixed-point map of ``nonlinear`` gathers its profile onto the half
+layout of real fields (``spectral.HalfLayout``), whose log-multiplicities
+weight the domain norm's log-space sum.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
 from .group import FiniteAbelianGroup
 from .sobolev import Weight
-from .spectral import Signal, Spectrum, dual_coefficients, half_layout, idft
+from .spectral import Signal, Spectrum, dual_coefficients, idft
 
 __all__ = [
     "LOG_MAX_DOUBLE",
@@ -88,12 +83,10 @@ class MultiplierProfile:
     ``values`` with 0 there; ``inverse`` holds 1/m = exp(-log_values), the
     only place it is formed.
 
-    ``half`` is the same profile on the group's half layout (see
-    ``spectral.HalfLayout``), for real fields' half coefficients: its
-    entries are the full dual indices ``dual_index``, and
-    ``log_multiplicity`` weights each entry in the domain norm.  Both are
-    None on a full-dual profile, and a layout with no halved axis has the
-    profile itself as its half.
+    A profile gathered onto a half layout (see ``spectral.HalfLayout``)
+    holds real fields' half coefficients: its entries are the full dual
+    indices ``dual_index``, and ``log_multiplicity`` weights each entry in
+    the domain norm.  Both are None on a full-dual profile.
     """
 
     group: FiniteAbelianGroup
@@ -111,25 +104,6 @@ class MultiplierProfile:
     def overflow_count(self) -> int:
         """Number of entries whose multiplier exceeds float64 range."""
         return int(self.overflow.size)
-
-    @property
-    def half(self) -> MultiplierProfile:
-        if self.dual_index is None and half_layout(self.group).index is not None:
-            return self._half
-        return self
-
-    @cached_property
-    def _half(self) -> MultiplierProfile:
-        # never the profile itself: a profile that refers to itself outlives
-        # its cache entry until a full garbage collection
-        layout = half_layout(self.group)
-        values = layout.gather(self.values)
-        arrays = (layout.gather(self.log_values), values, layout.gather(self.inverse),
-                  np.flatnonzero(np.isinf(values)), layout.gather(self.finite_values),
-                  layout.index, np.log(layout.multiplicity))
-        for arr in arrays:
-            arr.setflags(write=False)
-        return MultiplierProfile(self.group, self.weight_name, self.c, *arrays)
 
 
 def _check_c(c: float) -> float:
@@ -203,7 +177,7 @@ def _guard_membership(profile: MultiplierProfile, spectra: np.ndarray) -> np.nda
 
 def domain_norm_batch(profile: MultiplierProfile, spectra: np.ndarray) -> np.ndarray:
     """Domain norms from spectral coefficients (last axis = the profile's
-    entries: the dual, or the half layout of a ``profile.half``), log-space."""
+    entries: the dual, or the half layout it was gathered onto), log-space."""
     abs_spec = _guard_membership(profile, spectra)
     with np.errstate(divide="ignore"):
         log_abs = np.log(abs_spec)  # -inf at exact zeros, which is what we want

@@ -1,9 +1,13 @@
+import contextlib
+import io
 import json
 import math
 import warnings
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from groupsobolev.checks import suite_names
 from groupsobolev.cli import main
@@ -69,6 +73,18 @@ def test_constants_json_matches_library(capsys):
     assert alphas == [1.5, 3.0, 4.0]
     for row in doc["lebesgue_embeddings"]:
         assert row["alpha_star"] == pytest.approx(2 * row["alpha"] / (row["alpha"] - 1.0))
+
+
+@pytest.mark.parametrize("command, label", [("info", "D = inf"), ("constants", "D(gamma,s) = inf")])
+def test_overflowing_algebra_constant_reads_inf(capsys, command, label):
+    # 2^s overflows float64 at s = 1100
+    assert main([command, "--group", "Z4", "--s", "1100", "--json"]) == 0
+    out, err = capsys.readouterr()
+    assert json.loads(out)["algebra_constant"] == "inf"
+    assert main([command, "--group", "Z4", "--s", "1100"]) == 0
+    text, err2 = capsys.readouterr()
+    assert label in text
+    assert "Traceback" not in err + err2
 
 
 def test_constants_explicit_alpha(capsys):
@@ -336,6 +352,18 @@ def test_solve_nonlinear_refuses_non_finite_data(capsys, flags, text):
     assert err.startswith("error: ") and text in err and err.count("\n") == 1
 
 
+def test_solve_nonlinear_converged_at_large_s_exits_0(tmp_path):
+    # (1 + gamma^2)^60 overflows where 1/m has left exact zeros in phi
+    report = tmp_path / "rep.json"
+    code = main(["solve-nonlinear", "--group", "Z4096", "--c", "1", "--s", "60",
+                 "--nonlinearity", "forced-power:2,1", "--forcing-scale", "0.2",
+                 "--report", str(report)])
+    doc = json.loads(report.read_text())
+    assert doc["result"]["status"] == "converged"
+    assert math.isfinite(doc["verification"]["sobolev_norm"])
+    assert doc["verification"]["continuity_ok"] and code == 0
+
+
 def test_solve_nonlinear_huge_forcing_reports_its_norm(capsys):
     # the forcing's squares overflow float64; its norm does not
     code = main(["solve-nonlinear", "--group", "Z12", "--c", "1",
@@ -578,3 +606,62 @@ def test_config_file_must_be_object(tmp_path, capsys):
         cfg.write_text(json.dumps({key: val}))
         assert main(["--config", str(cfg), "info", "--group", "Z4"]) == 2
         assert f"config key {key!r}" in capsys.readouterr().err
+
+
+# ---------------------------------------------------------------------------
+# every input ends in a result or a one-line error
+# ---------------------------------------------------------------------------
+
+_NUMBERS = ("nan", "inf", "-inf", "-1", "0", "5e-324", "1e-300", "1e300", "1100")
+_groups = st.lists(st.integers(1, 16), min_size=1, max_size=3).filter(
+    lambda f: math.prod(f) <= 512).map(lambda f: "x".join(f"Z{n}" for n in f))
+_VALUES = {
+    "--group": st.one_of(_groups, st.sampled_from(
+        ("", "Z0", "Z-3", "Zx", "Z4x", "Z2xxZ2", "Q8", "Z1.5", "z4", "Z2xZ2xZ2", "Z9"))),
+    "--weight": st.sampled_from(
+        ("zero", "sym-euclid", "hamming", "pruefer:2", "pruefer:3", "pruefer:", "pruefer:x", "l1")),
+    "--nonlinearity": st.one_of(
+        st.sampled_from(("affine", "power:1,1", "power:2", "forced-power:x,1", "cubic")),
+        st.builds("{}:{},{}".format, st.sampled_from(("power", "forced-power")),
+                  st.sampled_from(("2", "3")), st.sampled_from(_NUMBERS))),
+    "--param": st.sampled_from(("c", "theta", "forcing-scale", "lam")),
+    "--grid": st.lists(st.sampled_from(_NUMBERS), min_size=1, max_size=2).map(",".join),
+}
+_FLAGS = {
+    "info": ("--group", "--weight", "--s"),
+    "constants": ("--group", "--weight", "--s", "--alpha"),
+    "solve-nonlinear": ("--group", "--weight", "--s", "--c", "--nonlinearity", "--forcing-scale",
+                        "--theta", "--tol", "--max-iter", "--epsilon-ball"),
+}
+_FLAGS["sweep"] = (*_FLAGS["solve-nonlinear"], "--param", "--grid")
+
+
+@st.composite
+def _argv(draw):
+    """A command line whose every flag is ordinary but for one or two, each
+    drawn from that flag's malformed spellings and extreme values."""
+    command = draw(st.sampled_from(tuple(_FLAGS)))
+    opts = {"--group": draw(_groups), "--weight": "sym-euclid", "--s": "1"}
+    if command in ("solve-nonlinear", "sweep"):
+        opts.update({"--c": "1", "--nonlinearity": "forced-power:2,1", "--forcing-scale": "0.1"})
+    if command == "sweep":
+        opts.update({"--param": draw(_VALUES["--param"]), "--grid": "0.5,1"})
+    for flag in draw(st.lists(st.sampled_from(_FLAGS[command]), min_size=1, max_size=2,
+                              unique=True)):
+        opts[flag] = draw(_VALUES.get(flag, st.sampled_from(_NUMBERS)))
+    argv = [command, *(tok for item in opts.items() for tok in item)]
+    return argv + ["--json"] if command in ("info", "constants") and draw(st.booleans()) else argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_argv())
+@example(argv=["info", "--group", "Z4", "--s", "1100"])
+@example(argv=["constants", "--group", "Z4", "--s", "1e300", "--json"])
+def test_cli_ends_in_a_result_or_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1

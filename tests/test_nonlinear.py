@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -185,6 +186,20 @@ def test_picard_step_affine_matches_linear_solve(rng):
     assert np.allclose(out.values, ref.values.real, atol=1e-12)
 
 
+def test_picard_step_evaluates_u_once_and_keeps_the_real_field_check():
+    g = parse_group("Z12")
+    w = make_weight(g, "sym-euclid")
+    base = forced_power_nonlinearity(2, 0.1, lowfreq_forcing(g, 0.01))
+    calls = []
+    nl = dataclasses.replace(base, u_func=lambda y: calls.append(y) or base.u_func(y))
+    out = picard_step(_zero(g), nl, w, 0.5)
+    assert len(calls) == 1
+    assert np.array_equal(out.values, picard_step(_zero(g), base, w, 0.5).values)
+    with pytest.raises(ValueError, match="imaginary"):
+        picard_step(Signal(g, np.full(12, 1e-6j)), nl, w, 0.5)
+    assert len(calls) == 1
+
+
 def test_affine_solves_in_one_step(rng):
     g = parse_group("Z12")
     w = make_weight(g, "sym-euclid")
@@ -353,6 +368,17 @@ def test_certificate_makes_one_transform(transform_count):
     assert transform_count == [True]  # L phi's synthesis, from phi's own coefficients
 
 
+def test_solve_and_certificates_share_one_fixed_point_map():
+    from groupsobolev.nonlinear import _fixed_point_map
+
+    nl, w = _small_quadratic_problem()
+    before = _fixed_point_map.cache_info().misses
+    phi, rep = solve_nonlinear(nl, w, 1.0, SolverConfig())
+    assert verify_solution(phi, nl, w, 1.0, s=1.0, residual_tol=1e-9) == rep.verification
+    # the loop's map serves its own certificate and the caller's
+    assert _fixed_point_map.cache_info().misses == before + 1
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(theta=0.0)
@@ -436,7 +462,7 @@ def test_size_ball_extreme_couplings():
     # eps* ~ 1e99, where eps*^(2 alpha) overflows: a finite invariant ball
     ball = size_ball(g, w, 1.0, _growth_only(g, 1e-100, h))
     eps, d_prime = ball["epsilon"], ball["contraction_coeff"]
-    assert ball["ok"] and 0.0 < eps < math.inf
+    assert ball["ok"] and 0.0 < eps <= 2 * math.sqrt(d_prime) * 0.1
     assert d_prime * (0.01 + eps**2 * eps**2) <= eps**2  # ||h||_2 = 0.1
 
 

@@ -14,11 +14,12 @@ from groupsobolev.sobolev import (
     lp_norm_batch,
     make_weight,
     sobolev_norm,
+    sobolev_norm_batch,
     translation_modulus,
     verify_scale,
     weight_from_table,
 )
-from groupsobolev.spectral import Signal, Spectrum, dft_fast, idft, pointwise_mul
+from groupsobolev.spectral import Signal, Spectrum, dft_fast, half_layout, idft, pointwise_mul
 
 
 def test_sym_euclid_table_z4():
@@ -112,6 +113,19 @@ def test_sobolev_norm_single_mode():
     f = idft(Spectrum(g, [0.0, 1.0, 0.0, 0.0]))  # gamma = 1 at that mode
     assert sobolev_norm(f, w, 1.0) == pytest.approx(math.sqrt(2.0), rel=1e-12)
     assert sobolev_norm(f, w, 0.0) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("half", [False, True])
+def test_sobolev_norm_skips_exact_zeros_where_the_weight_overflows(half):
+    g = parse_group("Z4096")
+    w = make_weight(g, "sym-euclid")
+    with np.errstate(over="ignore"):
+        assert np.isinf((1.0 + w.values**2) ** 60.0).any()
+    spec = np.zeros(g.order, dtype=complex)
+    spec[[1, -1]] = 0.5  # a real field's
+    coeffs = half_layout(g).gather(spec) if half else spec
+    norm = float(sobolev_norm_batch(w, 60.0, coeffs, half=half))
+    assert norm == pytest.approx(math.sqrt(0.5) * (1.0 + w.values[1] ** 2) ** 30.0, rel=1e-14)
 
 
 def test_sobolev_norm_at_zero_is_l2(rng):
