@@ -15,18 +15,23 @@ on the iterate's coefficients a: one inverse transform synthesizes its
 samples y, and one forward transform brings V(., y) back.  Convergence is
 certified a posteriori (:func:`verify_solution`): the equation residual
 ||L phi - V(., phi)||_L2 is recomputed through an independent forward
-application of the operator, and the norms are read from phi's
-coefficients, so the certificate makes one transform, the synthesis of L phi.
+application of the operator.  The product m a of phi's coefficients a
+gives both L phi, by one transform, and the domain norm ||m a||; the other
+norms are read from a and from phi's samples.
 
 The field is real, so a is held on the half layout of the dual
 (``spectral.HalfLayout``): the coefficients F(xi) for about half of the
 characters, which fix F(xi^-1) = conj F(xi) for the rest.  G then makes
 real-to-half transforms, about half the work of complex ones, on the
-multiplier it gathers onto that layout, and weights each entry's share of a
-norm by its multiplicity.  A group whose every cyclic factor of length 3 or
-more is merged into a dense block (Z2^n, for one) has no axis to halve: its
-half is the full dual and the arithmetic is the complex one.  The returned
-phi carries its full coefficients, expanded once.
+multiplier it builds on that layout, and weights each entry's share of a
+norm by its multiplicity.  On an elementary abelian 2-group (Z2^n, the
+Walsh case) every character is real, and so are a real field's
+coefficients: a is float64 on the full dual, G's transforms are real
+products with the +-1 character tables, and the Hermitian projection is the
+identity.  A group with no axis to halve that is not a 2-group (every
+factor of length 3 or more merged into a dense block, e.g. Z2xZ4xZ2xZ4)
+keeps the full dual and the complex arithmetic.  The returned phi carries
+its full coefficients, expanded once.
 
 Nonlinearities are described by the growth data (alpha, beta, C, h, f):
 
@@ -75,6 +80,8 @@ from .spectral import (
 from .stringop import (
     MultiplierProfile,
     NotInDomainError,
+    _log_multiplier,
+    _multiplier_profile,
     build_multiplier,
     domain_norm_batch,
     multiply_spectrum,
@@ -305,23 +312,21 @@ def eval_source(nl: Nonlinearity, u: Signal) -> Signal:
 class _FixedPointMap:
     """G(u) = L^{-1} V(., u) for one (nl, w, c) on the coefficients of u:
     over the full dual (``layout`` None), or over ``layout``, the group's
-    half layout, with ``profile`` gathered onto it.  Callers silence numpy's
+    half layout, with ``profile`` built on it.  Callers silence numpy's
     overflow and invalid warnings: a blown-up iterate reads inf or nan, which
     the solver treats as divergence."""
 
     nl: Nonlinearity
     layout: HalfLayout | None
     profile: MultiplierProfile
-    partner: np.ndarray
+    partner: np.ndarray | None
     paired: np.ndarray | None
 
     def source_hat(self, y: np.ndarray) -> np.ndarray | None:
-        """Coefficients of the source V(., y), or None when V or its
-        transform is not finite."""
-        v = self.nl.u_func(y) - y
-        if not np.isfinite(v).all():
-            return None
-        v_hat = dft_values(self.profile.group, v, half=self.layout is not None)
+        """Coefficients of the source V(., y), or None when they are not
+        finite, as they are not where V is: the mean coefficient sums every
+        sample."""
+        v_hat = dft_values(self.profile.group, self.nl.u_func(y) - y, half=self.layout is not None)
         return v_hat if np.isfinite(v_hat).all() else None
 
     def step(self, v_hat: np.ndarray) -> np.ndarray:
@@ -330,9 +335,13 @@ class _FixedPointMap:
         the entries ``paired``, whose partners are stored too) so that the
         field they synthesize is exactly real.  That must be a rounding-level
         projection: a larger anti-Hermitian part (compared in L2) means the
-        multiplier/weight pair does not preserve real fields."""
+        multiplier/weight pair does not preserve real fields.  On a 2-group's
+        real layout (``partner`` None) each entry is real and its own
+        partner, and the projection is the identity."""
         raw = v_hat * self.profile.inverse
         np.negative(raw, out=raw)
+        if self.partner is None:
+            return raw
         own = raw if self.paired is None else raw[self.paired]
         sym = raw[self.partner]
         np.conjugate(sym, out=sym)
@@ -378,21 +387,31 @@ class _FixedPointMap:
         return idft_values(self.profile.group, a, half=self.layout is not None)
 
 
+@lru_cache(maxsize=8)  # weights hash by identity; the cached key keeps its weight alive
+def _half_weight_data(w: Weight) -> tuple[np.ndarray, np.ndarray | None]:
+    """gamma on the group's half layout and the log-multiplicities of its
+    entries (None where the half is the full dual); read-only."""
+    layout = half_layout(w.group)
+    if layout.index is None:
+        return w.values, None
+    gam, log_mult = layout.gather(w.values), np.log(layout.multiplicity)
+    for arr in (gam, log_mult):
+        arr.setflags(write=False)
+    return gam, log_mult
+
+
 @lru_cache(maxsize=1)  # a solve, its certificate and a caller's verify_solution share one
 def _fixed_point_map(nl: Nonlinearity, w: Weight, c: float, half: bool) -> _FixedPointMap:
     group = nl.group
-    profile = build_multiplier(group, w, c)
-    layout = half_layout(group) if half else None
-    if layout is None or layout.index is None:
-        return _FixedPointMap(nl, layout, profile, inverse_indices(group), None)
-    values = layout.gather(profile.values)
-    arrays = (layout.gather(profile.log_values), values, layout.gather(profile.inverse),
-              np.flatnonzero(np.isinf(values)), layout.gather(profile.finite_values),
-              layout.index, np.log(layout.multiplicity))
-    for arr in arrays:
-        arr.setflags(write=False)
-    half_profile = MultiplierProfile(group, profile.weight_name, profile.c, *arrays)
-    return _FixedPointMap(nl, layout, half_profile, layout.partner, layout.paired)
+    if not half:
+        return _FixedPointMap(nl, None, build_multiplier(group, w, c), inverse_indices(group), None)
+    if w.group != group:
+        raise ValueError("weight lives on a different group")
+    layout = half_layout(group)
+    gam, log_mult = _half_weight_data(w)
+    profile = _multiplier_profile(group, w.name, c, gam, layout.index, log_mult)
+    return _FixedPointMap(nl, layout, profile, None if layout.real else layout.partner,
+                          layout.paired)
 
 
 def picard_step(u: Signal, nl: Nonlinearity, w: Weight, c: float) -> Signal:
@@ -459,12 +478,16 @@ _DELTAS = (1.25, 1.5, 2.0, 3.0, 4.0)
 
 
 @lru_cache(maxsize=8)  # weights hash by identity; the cached key keeps its weight alive
-def _ball_weight_data(w: Weight) -> tuple[float, np.ndarray]:
-    """``size_ball``'s weight-only data: delta and log(1 + gamma^2), read-only."""
+def _ball_weight_data(w: Weight) -> tuple[float, np.ndarray, np.ndarray]:
+    """``size_ball``'s weight-only data: delta, the distinct gamma values and
+    their log(1 + gamma^2), read-only."""
     delta = next((cand for cand in _DELTAS if _inverse_power_sum(w, cand) <= 10.0), 4.0)
-    log1p_gam2 = np.log1p(w.values**2)
-    log1p_gam2.setflags(write=False)
-    return delta, log1p_gam2
+    gam = np.sort(w.values)  # np.unique would import numpy.ma, 30 ms, on first use
+    gam = gam[np.append(True, gam[1:] != gam[:-1])]
+    log1p_gam2 = np.log1p(gam**2)
+    for arr in (gam, log1p_gam2):
+        arr.setflags(write=False)
+    return delta, gam, log1p_gam2
 
 
 def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) -> dict:
@@ -480,7 +503,8 @@ def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) 
     3. E = [sup_xi (1+gamma^2)^{s/2} / m(xi)] * S(delta)^{s/(2 delta)}:
        the norm of the chain  domain -> H^s -> L^{alpha*} -> L^{2 alpha}
        (the last inclusion is norm-1 on a probability space since
-       alpha* >= 2 alpha inside the window).
+       alpha* >= 2 alpha inside the window).  The sup depends on xi only
+       through gamma(xi), so it is taken over the weight's distinct values.
     4. With D' = 2 C^2 E^2 the map G sends Y_eps into itself whenever
        D'(||h||_L2^2 + eps^{2 alpha}) <= eps^2; the smallest such eps is
        found by bisection below the minimizer eps* = (alpha D')^{-1/(2alpha-2)}.
@@ -492,11 +516,12 @@ def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) 
     overflows, where only balls narrower than sqrt(D') ||h|| < 1e-154 ||h||
     are not.
     """
-    delta, log1p_gam2 = _ball_weight_data(w)
+    if w.group != group:
+        raise ValueError("weight lives on a different group")
+    delta, gam, log1p_gam2 = _ball_weight_data(w)
     s_embed = delta - delta / (2.0 * nl.alpha)
 
-    profile = build_multiplier(group, w, c)
-    log_ratio = (s_embed / 2.0) * log1p_gam2 - profile.log_values
+    log_ratio = (s_embed / 2.0) * log1p_gam2 - _log_multiplier(gam, c, w.name)
     c_chain = float(np.exp(log_ratio.max()))
     e_const = c_chain * embedding_constant_lalpha(group, w, s_embed, delta)["constant"]
 
@@ -587,7 +612,7 @@ def solve_nonlinear(
         # to carry them, and as the real samples y = idft(a), which the
         # nonlinearity needs
         if cfg.initial is None:
-            a0 = np.zeros(layout.size, dtype=np.complex128)
+            a0 = np.zeros(layout.size, dtype=np.float64 if layout.real else np.complex128)
             y0 = np.zeros(group.order)
         else:
             d0 = dual_coefficients(cfg.initial)
@@ -621,10 +646,10 @@ def solve_nonlinear(
                     a_new *= theta
                     a_new += (1.0 - theta) * a
                 y_new = fmap.samples(a_new)
-                if not np.isfinite(y_new).all():
+                diff = _l2(group, y_new - y)  # y is finite: a non-finite y_new reads inf or nan
+                if not diff < math.inf and not np.isfinite(y_new).all():
                     status = "diverged"
                     break
-                diff = _l2(group, y_new - y)
                 grow_streak = grow_streak + 1 if history and diff > history[-1] else 0
                 history.append(diff)
                 if ball_ok and math.isfinite(eps):
@@ -687,9 +712,11 @@ def verify_solution(
     Recomputes the equation residual from scratch, checks the sup-norm
     continuity certificate sup|phi| <= C(gamma, s) * ||phi||_{s,gamma}, and
     reports whether phi has finite domain norm.  The residual synthesizes
-    L phi from phi's dual coefficients and evaluates V on its samples; the
-    Sobolev and domain norms read those coefficients directly, so a phi
-    that carries them (every solver output does) costs one transform.
+    L phi from m a, for phi's dual coefficients a, and evaluates V on its
+    samples; the domain norm is ||m a||_l2 (the log-space sum where m a is
+    not representable), and the Sobolev norm reads a directly, so a phi
+    that carries its coefficients (every solver output does) costs one
+    transform.
 
     A real phi with Hermitian coefficients (every solver output) is
     certified through the fixed-point map on the half layout, any other phi
@@ -710,23 +737,35 @@ def verify_solution(
     # a diverged field may overflow these norms; inf is the honest report
     with np.errstate(over="ignore", invalid="ignore"):
         try:
-            lphi = fmap.samples(-multiply_spectrum(fmap.profile, coeffs))
+            m_coeffs = multiply_spectrum(fmap.profile, coeffs)
+        except NotInDomainError:
+            m_coeffs = None
+        # ||phi||_dom = ||m a||_l2, read in log space where m a or its sum of
+        # squares is beyond float64
+        dom = math.inf if m_coeffs is None else fmap.norm(m_coeffs)
+        if dom == math.inf:
+            try:
+                dom = float(domain_norm_batch(fmap.profile, coeffs))
+            except NotInDomainError:
+                dom = math.inf
+        y = np.ascontiguousarray(phi.values.real)
+        try:
+            if m_coeffs is None:
+                raise ValueError("phi is not in the operator domain")
+            lphi = fmap.samples(np.negative(m_coeffs, out=m_coeffs))
             if not np.isfinite(lphi).all():
                 raise ValueError("L phi is not finite")
-            r = lphi - eval_source(nl, phi).values.real  # V of the real part: real
+            # V of the real part: real; a half phi's samples are real already
+            r = lphi - (nl.u_func(y) - y if half else eval_source(nl, phi).values.real)
             # summed over |r|, so the printed residual keeps the digits of
             # earlier releases
             residual = _l2(group, np.abs(r))
             residual_ok = residual <= residual_tol
-        except (NotInDomainError, ValueError):
+        except ValueError:
             residual = math.inf
             residual_ok = False
-        sup = lp_norm(phi, math.inf)
+        sup = float(lp_norm_batch(group, y, math.inf)) if half else lp_norm(phi, math.inf)
         sob = float(sobolev_norm_batch(w, s, coeffs, half=half))
-        try:
-            dom = float(domain_norm_batch(fmap.profile, coeffs))
-        except NotInDomainError:
-            dom = math.inf
     constant = embedding_constant_sup(group, w, s)
     continuity_ok = sup <= constant * sob + 1e-10
     return {

@@ -344,8 +344,8 @@ def embedding_constant_lalpha(
     constant (sum (1+gamma^2)^{-alpha})^{s/(2 alpha)}."""
     s = _check_s(s)
     alpha = float(alpha)
-    if alpha < 1:
-        raise ValueError(f"alpha must be >= 1, got {alpha}")
+    if not (math.isfinite(alpha) and alpha >= 1):
+        raise ValueError(f"alpha must be finite and >= 1, got {alpha}")
     if alpha <= s:
         raise ValueError(f"need alpha > s, got alpha={alpha}, s={s}")
     alpha_star = 2.0 * alpha / (alpha - s)
@@ -371,13 +371,22 @@ def algebra_constant(group: FiniteAbelianGroup, w: Weight, s: float) -> float:
 # ---------------------------------------------------------------------------
 
 def _character_column(group: FiniteAbelianGroup, h) -> np.ndarray:
-    """xi(h) for every dual character xi, in enumeration order."""
-    h = _check_tuple(group, h, "element")
+    """xi(h) for every dual character xi, in enumeration order; with ``h`` a
+    (k, rank) array of elements, one row per element."""
+    h = np.asarray(_check_tuple(group, h, "element") if np.ndim(h) == 1 else h)
     grid = residue_grid(group)
-    phase = np.zeros(group.order, dtype=np.float64)
+    phase = np.zeros((*h.shape[:-1], group.order), dtype=np.float64)
     for axis, n in enumerate(group.factors):
-        phase += grid[axis] * (h[axis] / n)
+        phase += grid[axis] * (h[..., axis, None] / n)
     return np.exp(2j * np.pi * phase)
+
+
+def _translation_moduli(group: FiniteAbelianGroup, w: Weight, s: float, shifts) -> np.ndarray:
+    """``translation_modulus`` at each row of the (k, rank) element array
+    ``shifts``, in one vectorised pass."""
+    s = _check_s(s)
+    num = np.abs(_character_column(group, shifts) - 1.0) ** 2
+    return (num / (1.0 + w.values**2) ** s).max(axis=-1)
 
 
 def translation_modulus(group: FiniteAbelianGroup, w: Weight, s: float, h) -> float:
@@ -389,10 +398,7 @@ def translation_modulus(group: FiniteAbelianGroup, w: Weight, s: float, h) -> fl
     integral |f(xh) - f(x)|^2 dmu <= C(h) ||f||_{s,gamma}^2.
     Zero at h = identity; nonincreasing in s.
     """
-    s = _check_s(s)
-    col = _character_column(group, h)
-    num = np.abs(col - 1.0) ** 2
-    return float((num / (1.0 + w.values**2) ** s).max())
+    return float(_translation_moduli(group, w, s, h))
 
 
 @dataclass(frozen=True)

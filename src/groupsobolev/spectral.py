@@ -30,9 +30,13 @@ single-factor axes go through ``fft``/``ifft`` (together what
 ``rfftn``/``irfftn`` do), and the block products run on the half grid.
 Each entry has a multiplicity, 1 where its partner xi^-1 is stored too and
 2 elsewhere, which Plancherel and every other sum over the dual weight it
-by.  A group with no such axis (every factor merged into blocks, or all
-single factors of length 2) keeps the full dual as its half, with the
-complex arithmetic and no gathers.
+by.  On an elementary abelian 2-group (every factor Z2, or Z1) each
+character is its own inverse and takes the values +-1, so a real field's
+coefficients are real: every run of factors, a lone Z2 too, is a dense
+block, and the half transforms are float64 products with the +-1 tables on
+the full dual.  Any other group with no axis to halve (every factor of
+length 3 or more merged into a block, e.g. Z2xZ4xZ2xZ4) keeps the full dual
+as its half, with the complex arithmetic and no gathers.
 """
 from __future__ import annotations
 
@@ -142,10 +146,14 @@ def _same_group(a, b) -> FiniteAbelianGroup:
 
 # Largest order of a merged block, chosen by measurement (2 vCPUs, numpy
 # 2.4.6, OpenBLAS): order 8 transforms Z2^12 in about 0.1 ms against 1.9 ms
-# for 12 pocketfft passes.  A block of order b costs one matrix product of
-# b*|G| complex multiply-adds, and OpenBLAS runs a product of 65536 or more
-# on several threads: order 16 does so on groups of order 4096 (CPU/wall
-# about 2), order 8 only from order 8192 on.
+# for 12 pocketfft passes.  A block of order b costs b*|G| multiply-adds.  On
+# an inner axis it is a batch of (b x b) @ (b x post) products; on the last
+# grid axis (post 1) it is one 2-D product, values.reshape(-1, b) @ T, with
+# the table T symmetric, instead of |G|/b matrix-vector products.  OpenBLAS
+# runs a complex product of 65536 or more multiply-adds on several threads:
+# order 16 does so on groups of order 4096 (CPU/wall about 2), order 8 only
+# from order 8192 on.  The real products of a 2-group stay on one thread up
+# to order 16384 at least.
 _BLOCK_ORDER = 8
 
 
@@ -167,8 +175,11 @@ class HalfLayout:
     When no axis can be halved the half is the full dual: ``axis``,
     ``index``, ``multiplicity``, ``paired``, ``source`` and ``conjugate`` are
     None (every entry is its own half entry, of multiplicity 1, and paired),
-    ``partner`` is the inverse map of the dual, and :meth:`gather` and
-    :meth:`expand` return their argument.
+    ``partner`` is the inverse map of the dual, and :meth:`expand` returns
+    its argument.  ``real`` is set on an elementary abelian 2-group, whose
+    characters are real: there a real field's coefficients are real, held
+    as float64, and :meth:`gather` takes the real part of Hermitian
+    coefficients; elsewhere it returns its argument.
     """
 
     axis: int | None
@@ -180,10 +191,14 @@ class HalfLayout:
     partner: np.ndarray
     source: np.ndarray | None
     conjugate: np.ndarray | None
+    real: bool = False
 
     def gather(self, full: np.ndarray) -> np.ndarray:
-        """The half entries of full-dual coefficients (last axis = dual)."""
-        return full if self.index is None else np.take(full, self.index, axis=-1)
+        """The half entries of a real field's full-dual coefficients (last
+        axis = dual)."""
+        if self.index is None:
+            return full.real if self.real else full
+        return np.take(full, self.index, axis=-1)
 
     def expand(self, half: np.ndarray) -> np.ndarray:
         """The full-dual coefficients of a real field from its half entries."""
@@ -194,13 +209,15 @@ class HalfLayout:
         return full
 
 
-def _half_layout(factors: tuple[int, ...], shape: tuple[int, ...], single: list[int]) -> HalfLayout:
-    """Halve the last of the single-factor grid axes ``single`` of length >= 3."""
+def _half_layout(factors: tuple[int, ...], shape: tuple[int, ...], single: list[int],
+                 real: bool) -> HalfLayout:
+    """Halve the last of the single-factor grid axes ``single`` of length >= 3;
+    ``real`` marks a 2-group, whose layout is the full dual, held real."""
     group = FiniteAbelianGroup(factors)
     inv = inverse_indices(group)
     halvable = [axis for axis in single if shape[axis] >= 3]
     if not halvable:
-        return HalfLayout(None, shape, group.order, None, None, None, inv, None, None)
+        return HalfLayout(None, shape, group.order, None, None, None, inv, None, None, real)
     axis = halvable[-1]
     n, post = shape[axis], math.prod(shape[axis + 1:])
     half_shape = (*shape[:axis], n // 2 + 1, *shape[axis + 1:])
@@ -240,8 +257,11 @@ def _grid_plan(factors: tuple[int, ...]) -> _GridPlan:
     it on the full grid, the same on the half grid, forward matrix
     conj(T)/b, inverse matrix T), where T is the run's character table
     T[k, x] = xi_k(x), of order b and symmetric; the :class:`HalfLayout`;
-    and the fft axes but the halved one.
+    and the fft axes but the halved one.  On a 2-group every run, a lone
+    factor too, is merged, and T is the float64 table of +-1 it holds in
+    its real part.
     """
+    real = all(n <= 2 for n in factors)
     runs: list[list[int]] = []
     for n in factors:
         if runs and math.prod(runs[-1]) * n <= _BLOCK_ORDER:
@@ -249,13 +269,15 @@ def _grid_plan(factors: tuple[int, ...]) -> _GridPlan:
         else:
             runs.append([n])
     shape = tuple(math.prod(run) for run in runs)
-    single = [axis for axis, run in enumerate(runs) if len(run) == 1]
+    single = [] if real else [axis for axis, run in enumerate(runs) if len(run) == 1]
     fft_axes = tuple(axis - len(runs) for axis in single)
-    half = _half_layout(factors, shape, single)
+    half = _half_layout(factors, shape, single, real)
     blocks = []
     for axis, run in enumerate(runs):
-        if len(run) > 1:
+        if real or len(run) > 1:
             table = character_table(FiniteAbelianGroup(tuple(run)))
+            if real:
+                table = np.ascontiguousarray(table.real)
             fwd = table.conj() / shape[axis]
             for arr in (table, fwd):
                 arr.setflags(write=False)
@@ -267,6 +289,15 @@ def _grid_plan(factors: tuple[int, ...]) -> _GridPlan:
 def half_layout(group: FiniteAbelianGroup) -> HalfLayout:
     """The half of ``group``'s dual that holds a real field's coefficients."""
     return _grid_plan(group.factors).half
+
+
+def _block_product(table: np.ndarray, grid: np.ndarray, post: int) -> np.ndarray:
+    """The symmetric ``table`` applied along the grid axis of its length that
+    has ``post`` grid points after it; on the last axis, one 2-D product."""
+    b = len(table)
+    if post == 1:
+        return grid.reshape(-1, b) @ table
+    return np.matmul(table, grid.reshape(-1, b, post))
 
 
 def _transform_grid(
@@ -286,8 +317,10 @@ def _transform_grid(
     ``fft``/``ifft`` over the other fft axes, in ``rfftn``'s and
     ``irfftn``'s order but without their per-call argument handling, and the
     same block products on the half grid (inverse blocks first, so that
-    ``irfft`` comes last).  On a layout with no halved axis this is the
-    complex transform, and the inverse returns its real part.
+    ``irfft`` comes last).  On a 2-group's real layout both sides are
+    float64, the real parts of the values taken, and the products are real.
+    On any other layout with no halved axis this is the complex transform,
+    and the inverse returns its real part.
     """
     plan = _grid_plan(group.factors)
     layout = plan.half
@@ -297,7 +330,7 @@ def _transform_grid(
             batch = vals.shape[:-1]
             grid = vals
             for _, post, _, inv in plan.blocks:
-                grid = np.matmul(inv, grid.reshape(-1, len(inv), post))
+                grid = _block_product(inv, grid, post)
             grid = grid.reshape(*batch, *layout.shape)
             for axis in plan.unhalved_axes:
                 grid = np.fft.ifft(grid, axis=axis, norm="forward")
@@ -309,16 +342,17 @@ def _transform_grid(
         for axis in reversed(plan.unhalved_axes):
             grid = np.fft.fft(grid, axis=axis, norm="forward")
         for _, post, fwd, _ in plan.blocks:
-            grid = np.matmul(fwd, grid.reshape(-1, len(fwd), post))
+            grid = _block_product(fwd, grid, post)
         return grid.reshape(*batch, layout.size)
-    vals = np.asarray(values, dtype=np.complex128)
+    vals = np.asarray(values)
+    vals = vals.real if half and layout.real else vals.astype(np.complex128, copy=False)
     batch = vals.shape[:-1]
     grid = vals.reshape(*batch, *plan.shape)
     if plan.fft_axes:
         fft = np.fft.ifftn if inverse else np.fft.fftn
         grid = fft(grid, axes=plan.fft_axes, norm="forward")
     for post, _, fwd, inv in plan.blocks:
-        grid = np.matmul(inv if inverse else fwd, grid.reshape(-1, len(fwd), post))
+        grid = _block_product(inv if inverse else fwd, grid, post)
     out = grid.reshape(*batch, group.order)
     return out.real if half and inverse else out
 
@@ -327,7 +361,7 @@ def dft_values(group: FiniteAbelianGroup, values: np.ndarray, half: bool = False
     """Array-level forward transform (batch-friendly); includes the 1/|G| factor.
 
     With ``half`` the values must be real and the result holds their
-    coefficients on :func:`half_layout`'s entries."""
+    coefficients on :func:`half_layout`'s entries, as float64 on a 2-group."""
     return _transform_grid(group, values, inverse=False, half=half)
 
 

@@ -36,9 +36,11 @@ values is used, which is the only information they carry.
 A profile lists the overflowed entries and holds m with zeros there, so the
 membership guard and the log-space products look at those entries only; a c
 for which c * gamma^2 itself overflows is refused when the profile is built.
-The fixed-point map of ``nonlinear`` gathers its profile onto the half
-layout of real fields (``spectral.HalfLayout``), whose log-multiplicities
-weight the domain norm's log-space sum.
+One private helper holds the log m formula: ``build_multiplier`` applies it
+over the dual, the fixed-point map of ``nonlinear`` over the half layout of
+real fields (``spectral.HalfLayout``), from gamma gathered there once per
+weight, and ``nonlinear.size_ball`` over a weight's distinct gamma values.
+A half profile's log-multiplicities weight the domain norm's log-space sum.
 """
 from __future__ import annotations
 
@@ -83,10 +85,10 @@ class MultiplierProfile:
     ``values`` with 0 there; ``inverse`` holds 1/m = exp(-log_values), the
     only place it is formed.
 
-    A profile gathered onto a half layout (see ``spectral.HalfLayout``)
-    holds real fields' half coefficients: its entries are the full dual
-    indices ``dual_index``, and ``log_multiplicity`` weights each entry in
-    the domain norm.  Both are None on a full-dual profile.
+    A profile on a half layout (see ``spectral.HalfLayout``) holds real
+    fields' half coefficients: its entries are the full dual indices
+    ``dual_index``, and ``log_multiplicity`` weights each entry in the
+    domain norm.  Both are None on a full-dual profile.
     """
 
     group: FiniteAbelianGroup
@@ -113,26 +115,36 @@ def _check_c(c: float) -> float:
     return c
 
 
-@lru_cache(maxsize=1)  # weights hash by identity; the cached key keeps its weight alive
-def build_multiplier(group: FiniteAbelianGroup, w: Weight, c: float) -> MultiplierProfile:
-    """Evaluate m = 1 + gamma^2 exp(c gamma^2) stably for every dual frequency."""
+def _log_multiplier(gam: np.ndarray, c: float, weight_name: str) -> np.ndarray:
+    """log m = logaddexp(0, c gamma^2 + 2 log gamma) at each gamma, always
+    finite; refuses a c for which c * gamma^2 overflows float64."""
     c = _check_c(c)
-    if w.group != group:
-        raise ValueError("weight lives on a different group")
-    gam = w.values
     # t = log(gamma^2 e^{c gamma^2}) = c*gamma^2 + 2*log gamma; -inf at gamma=0
     with np.errstate(divide="ignore", over="ignore"):
         t = np.where(gam > 0.0, c * gam**2 + 2.0 * np.log(np.where(gam > 0.0, gam, 1.0)), -np.inf)
     if np.isposinf(t).any():
         raise ValueError(
-            f"operator scale c = {c!r} is too large for weight {w.name!r}: "
+            f"operator scale c = {c!r} is too large for weight {weight_name!r}: "
             "c * gamma^2 overflows float64"
         )
     # logaddexp(0, t) = t + log1p(exp(-t)) rounds to t once t > 40, where
     # exp(-t) < 4.3e-18 is below half an ulp of t: only the rest needs it
-    log_values = t.copy()
     low = t <= 40.0
-    log_values[low] = np.logaddexp(0.0, t[low])
+    t[low] = np.logaddexp(0.0, t[low])
+    return t
+
+
+def _multiplier_profile(
+    group: FiniteAbelianGroup,
+    weight_name: str,
+    c: float,
+    gam: np.ndarray,
+    dual_index: np.ndarray | None = None,
+    log_multiplicity: np.ndarray | None = None,
+) -> MultiplierProfile:
+    """The profile of m over the entries whose weights are ``gam``: the
+    dual, or with ``dual_index`` a half layout's entries."""
+    log_values = _log_multiplier(gam, c, weight_name)
     with np.errstate(over="ignore"):
         values = np.exp(log_values)
     inverse = np.exp(-log_values)
@@ -141,7 +153,17 @@ def build_multiplier(group: FiniteAbelianGroup, w: Weight, c: float) -> Multipli
     finite_values[overflow] = 0.0
     for arr in (log_values, values, inverse, overflow, finite_values):
         arr.setflags(write=False)
-    return MultiplierProfile(group, w.name, c, log_values, values, inverse, overflow, finite_values)
+    return MultiplierProfile(group, weight_name, float(c), log_values, values, inverse, overflow,
+                             finite_values, dual_index, log_multiplicity)
+
+
+@lru_cache(maxsize=1)  # weights hash by identity; the cached key keeps its weight alive
+def build_multiplier(group: FiniteAbelianGroup, w: Weight, c: float) -> MultiplierProfile:
+    """Evaluate m = 1 + gamma^2 exp(c gamma^2) stably for every dual frequency."""
+    c = _check_c(c)
+    if w.group != group:
+        raise ValueError("weight lives on a different group")
+    return _multiplier_profile(group, w.name, c, w.values)
 
 
 def _logsumexp_last(t: np.ndarray) -> np.ndarray:
@@ -177,7 +199,7 @@ def _guard_membership(profile: MultiplierProfile, spectra: np.ndarray) -> np.nda
 
 def domain_norm_batch(profile: MultiplierProfile, spectra: np.ndarray) -> np.ndarray:
     """Domain norms from spectral coefficients (last axis = the profile's
-    entries: the dual, or the half layout it was gathered onto), log-space."""
+    entries: the dual, or the half layout it was built on), log-space."""
     abs_spec = _guard_membership(profile, spectra)
     with np.errstate(divide="ignore"):
         log_abs = np.log(abs_spec)  # -inf at exact zeros, which is what we want

@@ -94,6 +94,14 @@ def test_constants_explicit_alpha(capsys):
     assert doc["lebesgue_embeddings"][0]["alpha"] == 2.0
 
 
+@pytest.mark.parametrize("alpha", ["nan", "inf"])
+def test_constants_refuse_a_non_finite_alpha(capsys, alpha):
+    # NaN in the output is not JSON: one line and exit 2 instead
+    assert main(["constants", "--group", "Z4", "--alpha", alpha, "--json"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == f"error: alpha must be finite and >= 1, got {alpha}\n"
+
+
 def test_weight_table_flow(tmp_path, capsys):
     table = tmp_path / "gamma.csv"
     table.write_text("index,gamma\n0,0\n1,1\n2,2\n3,1\n")

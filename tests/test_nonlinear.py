@@ -20,9 +20,14 @@ from groupsobolev.nonlinear import (
     solve_nonlinear,
     verify_solution,
 )
-from groupsobolev.sobolev import lp_norm, make_weight
-from groupsobolev.spectral import Signal, dft_fast, dft_values
-from groupsobolev.stringop import solve_linear
+from groupsobolev.sobolev import (
+    embedding_constant_lalpha,
+    lp_norm,
+    make_weight,
+    weight_from_table,
+)
+from groupsobolev.spectral import Signal, dft_fast, dft_values, half_layout, idft_values
+from groupsobolev.stringop import build_multiplier, domain_norm_batch, solve_linear
 
 
 def _zero(group):
@@ -379,6 +384,94 @@ def test_solve_and_certificates_share_one_fixed_point_map():
     assert _fixed_point_map.cache_info().misses == before + 1
 
 
+def _full_dual_picard(nl, w, c, tol):
+    """The undamped Picard loop of solve_nonlinear, run through the
+    fixed-point map on the full dual with complex coefficients."""
+    from groupsobolev.nonlinear import _fixed_point_map
+
+    fmap = _fixed_point_map(nl, w, c, False)
+    a, y = np.zeros(nl.group.order, dtype=complex), np.zeros(nl.group.order)
+    v_hat = fmap.source_hat(y)
+    for k in range(1, 501):
+        a = fmap.step(v_hat)
+        y_new = fmap.samples(a).real
+        diff = math.sqrt(((y_new - y) ** 2).mean())
+        y = y_new
+        if diff < tol:
+            return a, y, k
+        v_hat = fmap.source_hat(y)
+        if fmap.residual(a, v_hat) < tol:
+            return a, y, k
+    raise AssertionError("the full-dual loop did not converge")
+
+
+@pytest.mark.parametrize("c, lam", [(0.5, 1.0), (1.0, 2.0)])
+def test_real_layout_solve_matches_the_full_dual_map(c, lam):
+    # Z2^12 hamming is solved on real float64 coefficients; the complex
+    # arithmetic on the full dual reaches the same phi in as many steps
+    from groupsobolev.nonlinear import _fixed_point_map
+
+    g = parse_group("x".join(["Z2"] * 12))
+    w = make_weight(g, "hamming")
+    nl = forced_power_nonlinearity(2, lam, lowfreq_forcing(g, 0.2))
+    cfg = SolverConfig()
+    phi, rep = solve_nonlinear(nl, w, c, cfg)
+    fmap = _fixed_point_map(nl, w, c, True)
+    assert fmap.layout.real and fmap.partner is None
+    assert fmap.samples(fmap.layout.gather(phi.exact_dual)).dtype == np.float64
+    a, y, k = _full_dual_picard(nl, w, c, cfg.tol)
+    assert rep.converged and rep.iterations == k > 3
+    assert np.linalg.norm(phi.values - y) <= 1e-14 * np.linalg.norm(y)
+    assert np.linalg.norm(phi.exact_dual - a) <= 1e-14 * np.linalg.norm(a)
+
+
+def test_half_map_builds_its_profile_on_the_half_layout():
+    # neither the solve nor its certificate builds the full-dual profile;
+    # the half one holds exactly the full one's entries on the half layout
+    from groupsobolev.nonlinear import _fixed_point_map
+
+    g = parse_group("Z64")
+    w = make_weight(g, "sym-euclid")
+    nl = forced_power_nonlinearity(2, 0.5, lowfreq_forcing(g, 0.1))
+    build_multiplier(g, make_weight(g, "zero"), 1.0)  # another weight in the cache
+    before = build_multiplier.cache_info()
+    phi, rep = solve_nonlinear(nl, w, 1.0, SolverConfig())
+    assert rep.converged
+    assert build_multiplier.cache_info() == before
+    half = _fixed_point_map(nl, w, 1.0, True).profile
+    full = build_multiplier(g, w, 1.0)
+    layout = half_layout(g)
+    assert full.overflow_count > 0 and half.overflow_count > 0
+    assert np.array_equal(half.dual_index, layout.index)
+    assert np.array_equal(half.log_multiplicity, np.log(layout.multiplicity))
+    for name in ("log_values", "values", "inverse", "finite_values"):
+        assert np.array_equal(getattr(half, name), layout.gather(getattr(full, name)))
+        assert not getattr(half, name).flags.writeable
+    assert np.array_equal(half.overflow, np.flatnonzero(np.isinf(half.values)))
+
+
+def test_certificate_domain_norm_is_the_norm_of_m_a():
+    g = parse_group("Z64")
+    w = make_weight(g, "sym-euclid")
+    nl = forced_power_nonlinearity(2, 0.5, lowfreq_forcing(g, 0.1))
+    phi, _ = solve_nonlinear(nl, w, 1.0, SolverConfig())
+    profile = build_multiplier(g, w, 1.0)
+    rec = verify_solution(phi, nl, w, 1.0, s=1.0)
+    want = float(np.linalg.norm(profile.finite_values * phi.exact_dual))
+    assert rec["domain_norm"] == pytest.approx(want, rel=1e-15)
+    log_space = float(domain_norm_batch(profile, phi.exact_dual))
+    assert rec["domain_norm"] == pytest.approx(log_space, rel=2e-15)
+    # where the squares of m a overflow, the norm is read in log space, to
+    # about |2 log(m a)| ulp
+    dual = np.zeros(64, dtype=complex)
+    dual[1] = dual[63] = 1e200
+    big = Signal(g, idft_values(g, dual).real, exact_dual=dual)
+    rec = verify_solution(big, nl, w, 1.0, s=1.0)
+    assert rec["domain_norm"] == pytest.approx(math.sqrt(2.0) * 1e200 * profile.values[1],
+                                               rel=1e-12)
+    assert rec["residual_eq"] == math.inf and not rec["all_ok"]
+
+
 def test_solver_config_validation():
     with pytest.raises(ValueError):
         SolverConfig(theta=0.0)
@@ -479,6 +572,36 @@ def test_weight_constants_computed_once_per_weight():
         size_ball(g, w, c, nl)
     after = _ball_weight_data.cache_info().misses, _inverse_power_sum.cache_info().misses
     assert after == before
+
+
+# An asymmetric table, gamma(xi) != gamma(xi^-1), small enough that the sup
+# in E sits away from gamma = 0; the radii pinned are those of the sup taken
+# over the whole dual.
+_ASYMMETRIC = [0.0, 0.05, 0.2, 0.35, 0.1, 0.5, 0.6, 0.45, 0.1, 0.3, 0.2, 0.15]
+_ASYMMETRIC_BALLS = {
+    (0.25, 2): ("0x1.b819c1493e204p-8", "0x1.2f988a599e68cp+1"),
+    (0.25, 3): ("0x1.78110c70a4410p-7", "0x1.5a3fa53e457b9p+1"),
+    (2.0, 2): ("0x1.b242832f841e3p-8", "0x1.2b951f8269122p+1"),
+    (2.0, 3): ("0x1.6749c13bb2ce0p-7", "0x1.4accf1e194b1dp+1"),
+}
+
+
+def test_size_ball_over_distinct_gammas_is_bit_identical():
+    g = parse_group("Z12")
+    w = weight_from_table(g, _ASYMMETRIC, 8.0)
+    h = lowfreq_forcing(g, 1e-3)
+    for (c, p), (eps, e_const) in _ASYMMETRIC_BALLS.items():
+        ball = size_ball(g, w, c, forced_power_nonlinearity(p, 1.0, h))
+        assert ball["epsilon"] == float.fromhex(eps)
+        assert ball["embedding_const"] == float.fromhex(e_const)
+        s_embed = ball["s_embed"]
+        over_dual = (s_embed / 2.0) * np.log1p(w.values**2) - build_multiplier(g, w, c).log_values
+        chain = embedding_constant_lalpha(g, w, s_embed, ball["delta"])["constant"]
+        assert ball["embedding_const"] == float(np.exp(over_dual.max())) * chain
+    with pytest.raises(ValueError, match="different group"):
+        size_ball(parse_group("Z6"), w, 1.0, power_nonlinearity(g, 2, 1.0))
+    with pytest.raises(ValueError, match="positive"):
+        size_ball(g, w, math.nan, power_nonlinearity(g, 2, 1.0))
 
 
 def test_certificate_half_and_full_paths_agree():

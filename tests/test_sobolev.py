@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from groupsobolev.group import parse_group
+from groupsobolev.group import element_at, parse_group
 from groupsobolev.sobolev import (
     algebra_constant,
     check_subadditivity,
@@ -194,6 +194,9 @@ def test_embedding_constant_lalpha_validation():
         embedding_constant_lalpha(g, w, 1.0, 0.5)   # alpha < 1
     with pytest.raises(ValueError):
         embedding_constant_lalpha(g, w, 2.0, 2.0)   # alpha must exceed s
+    for alpha in (math.nan, math.inf):
+        with pytest.raises(ValueError, match="finite"):
+            embedding_constant_lalpha(g, w, 1.0, alpha)
 
 
 def test_algebra_constant_zero_weight_z2():
@@ -245,6 +248,24 @@ def test_translation_modulus_controls_shift_distance(rng):
                 f = Signal(g, rng.standard_normal(12) + 1j * rng.standard_normal(12))
                 dist2 = (np.abs(translate(f, h).values - f.values) ** 2).mean()
                 assert dist2 <= ch * sobolev_norm(f, w, s) ** 2 + 1e-10
+
+
+@pytest.mark.parametrize("name, wname", [("Z2xZ3xZ5", "sym-euclid"), ("Z8xZ8", "zero"),
+                                         ("Z2xZ2xZ2xZ2xZ2xZ2", "hamming")])
+def test_translation_moduli_of_all_shifts_at_once(name, wname):
+    # one vectorised pass over every shift gives each shift's modulus bit
+    # for bit
+    from groupsobolev.group import residue_grid
+    from groupsobolev.sobolev import _translation_moduli
+
+    g = parse_group(name)
+    w = make_weight(g, wname)
+    for s in (0.0, 0.5, 2.0):
+        batch = _translation_moduli(g, w, s, residue_grid(g).T)
+        one_by_one = [translation_modulus(g, w, s, element_at(g, k)) for k in range(g.order)]
+        assert batch.tolist() == one_by_one
+    with pytest.raises(ValueError):
+        translation_modulus(g, w, 1.0, (7, 0, 0))
 
 
 def test_compactness_profile_z16_within_torus_angle():
