@@ -17,14 +17,15 @@ certified a posteriori (:func:`verify_solution`): the equation residual
 ||L phi - V(., phi)||_L2 is recomputed through an independent forward
 application of the operator.  The product m a of phi's coefficients a
 gives both L phi, by one transform, and the domain norm ||m a||; the other
-norms are read from a and from phi's samples.
+norms are read from phi's full coefficients and from its samples.
 
 The field is real, so a is held on the half layout of the dual
 (``spectral.HalfLayout``): the coefficients F(xi) for about half of the
-characters, which fix F(xi^-1) = conj F(xi) for the rest.  G then makes
-real-to-half transforms, about half the work of complex ones, on the
-multiplier it builds on that layout, and weights each entry's share of a
-norm by its multiplicity.  On an elementary abelian 2-group (Z2^n, the
+characters, which fix F(xi^-1) = conj F(xi) for the rest.  Only
+``spectral`` and G know that layout: G makes real-to-half transforms, about
+half the work of complex ones, on the multiplier it builds from gamma
+gathered onto the layout, and counts an entry twice in a norm but where its
+partner is stored too.  On an elementary abelian 2-group (Z2^n, the
 Walsh case) every character is real, and so are a real field's
 coefficients: a is float64 on the full dual, G's transforms are real
 products with the +-1 character tables, and the Hermitian projection is the
@@ -83,7 +84,6 @@ from .stringop import (
     _log_multiplier,
     _multiplier_profile,
     build_multiplier,
-    domain_norm_batch,
     multiply_spectrum,
 )
 
@@ -353,9 +353,9 @@ class _FixedPointMap:
         else:
             raw[self.paired] = sym
             step = raw
-        worst_imag = math.sqrt(_sum_squares(own))
+        worst_imag = _norm(own)
         if worst_imag > _IMAG_TOL:  # the scale below is at least 1
-            scale = max(1.0, self.norm(step))
+            scale = max(1.0, _norm(step, self.paired))
             if worst_imag > _IMAG_TOL * scale:
                 raise ValueError(
                     f"linear solve returned relative imaginary magnitude "
@@ -364,40 +364,19 @@ class _FixedPointMap:
                 )
         return step
 
-    def norm(self, coeffs: np.ndarray) -> float:
-        """l2 norm under counting measure on the dual: half-layout entries
-        count twice, but for the entries ``paired``."""
-        total = _sum_squares(coeffs)
-        if self.paired is not None and total < math.inf:
-            total += total - _sum_squares(coeffs[self.paired])
-        return math.sqrt(total)
-
     def residual(self, a: np.ndarray, v_hat: np.ndarray | None) -> float:
         """||L phi - V(., phi)||_L2 = ||m a + v_hat||_l2 for phi of
         coefficients a and source coefficients v_hat; inf out of range."""
         if v_hat is None:
             return math.inf
         try:
-            return self.norm(multiply_spectrum(self.profile, a) + v_hat)
+            return _norm(multiply_spectrum(self.profile, a) + v_hat, self.paired)
         except NotInDomainError:
             return math.inf
 
     def samples(self, a: np.ndarray) -> np.ndarray:
         """The field synthesized from coefficients a (real on a half layout)."""
         return idft_values(self.profile.group, a, half=self.layout is not None)
-
-
-@lru_cache(maxsize=8)  # weights hash by identity; the cached key keeps its weight alive
-def _half_weight_data(w: Weight) -> tuple[np.ndarray, np.ndarray | None]:
-    """gamma on the group's half layout and the log-multiplicities of its
-    entries (None where the half is the full dual); read-only."""
-    layout = half_layout(w.group)
-    if layout.index is None:
-        return w.values, None
-    gam, log_mult = layout.gather(w.values), np.log(layout.multiplicity)
-    for arr in (gam, log_mult):
-        arr.setflags(write=False)
-    return gam, log_mult
 
 
 @lru_cache(maxsize=1)  # a solve, its certificate and a caller's verify_solution share one
@@ -408,8 +387,7 @@ def _fixed_point_map(nl: Nonlinearity, w: Weight, c: float, half: bool) -> _Fixe
     if w.group != group:
         raise ValueError("weight lives on a different group")
     layout = half_layout(group)
-    gam, log_mult = _half_weight_data(w)
-    profile = _multiplier_profile(group, w.name, c, gam, layout.index, log_mult)
+    profile = _multiplier_profile(group, w.name, c, layout.gather(w.values))
     return _FixedPointMap(nl, layout, profile, None if layout.real else layout.partner,
                           layout.paired)
 
@@ -570,6 +548,19 @@ def _sum_squares(values: np.ndarray) -> float:
     return float((flat * flat).sum())
 
 
+def _norm(values: np.ndarray, paired: np.ndarray | None = None) -> float:
+    """l2 norm under counting measure on the dual; with ``paired``, of a real
+    field's half-layout entries, each counted twice but those ``paired``.  A
+    sum beyond float64 is taken again scaled by the largest |v|, as
+    ``lp_norm_batch`` does, so it reads inf only where the norm does."""
+    total = _sum_squares(values)
+    if paired is not None and total < math.inf:
+        total += total - _sum_squares(values[paired])
+    if total == math.inf and (peak := float(np.abs(values).max())) < math.inf:
+        return peak * _norm(values / peak, paired)
+    return math.sqrt(total)
+
+
 def _l2(group: FiniteAbelianGroup, values: np.ndarray) -> float:
     """L2 norm under normalized Haar measure."""
     return math.sqrt(_sum_squares(values) / group.order)
@@ -713,9 +704,10 @@ def verify_solution(
     continuity certificate sup|phi| <= C(gamma, s) * ||phi||_{s,gamma}, and
     reports whether phi has finite domain norm.  The residual synthesizes
     L phi from m a, for phi's dual coefficients a, and evaluates V on its
-    samples; the domain norm is ||m a||_l2 (the log-space sum where m a is
-    not representable), and the Sobolev norm reads a directly, so a phi
-    that carries its coefficients (every solver output does) costs one
+    samples; the domain norm is ||m a||_l2, inf where m a is not
+    representable, and the Sobolev norm reads phi's full coefficients
+    (``phi.exact_dual``, else the expansion of the transformed half), so a
+    phi that carries its coefficients (every solver output does) costs one
     transform.
 
     A real phi with Hermitian coefficients (every solver output) is
@@ -732,6 +724,7 @@ def verify_solution(
     fmap = _fixed_point_map(nl, w, c, half)
     if dual is None:
         coeffs = dft_values(group, phi.values.real if half else phi.values, half=half)
+        dual = fmap.layout.expand(coeffs) if half else coeffs
     else:
         coeffs = fmap.layout.gather(dual) if half else dual
     # a diverged field may overflow these norms; inf is the honest report
@@ -740,14 +733,7 @@ def verify_solution(
             m_coeffs = multiply_spectrum(fmap.profile, coeffs)
         except NotInDomainError:
             m_coeffs = None
-        # ||phi||_dom = ||m a||_l2, read in log space where m a or its sum of
-        # squares is beyond float64
-        dom = math.inf if m_coeffs is None else fmap.norm(m_coeffs)
-        if dom == math.inf:
-            try:
-                dom = float(domain_norm_batch(fmap.profile, coeffs))
-            except NotInDomainError:
-                dom = math.inf
+        dom = math.inf if m_coeffs is None else _norm(m_coeffs, fmap.paired)  # ||phi||_dom
         y = np.ascontiguousarray(phi.values.real)
         try:
             if m_coeffs is None:
@@ -765,7 +751,7 @@ def verify_solution(
             residual = math.inf
             residual_ok = False
         sup = float(lp_norm_batch(group, y, math.inf)) if half else lp_norm(phi, math.inf)
-        sob = float(sobolev_norm_batch(w, s, coeffs, half=half))
+        sob = float(sobolev_norm_batch(w, s, dual))
     constant = embedding_constant_sup(group, w, s)
     continuity_ok = sup <= constant * sob + 1e-10
     return {

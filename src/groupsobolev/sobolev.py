@@ -11,6 +11,7 @@ for all pairs of characters.  The Sobolev norm of smoothness s >= 0 is
 
 with the transform conventions of :mod:`.spectral` (normalized Haar on the
 group, counting measure on the dual).  At s = 0 this is exactly the L^2 norm.
+Every norm here reads coefficients on the full dual, in enumeration order.
 
 The module also exposes the explicit constants that make the classical
 embeddings quantitative on these spaces:
@@ -38,7 +39,7 @@ from .group import (
     element_at,
     residue_grid,
 )
-from .spectral import Signal, dft_values, half_layout
+from .spectral import Signal, dft_values
 
 __all__ = [
     "Weight",
@@ -232,14 +233,10 @@ def _check_s(s: float) -> float:
 # an id cannot be reused while it is cached.
 
 @lru_cache(maxsize=8)
-def _sobolev_weights(w: Weight, s: float, half: bool) -> np.ndarray:
-    """(1 + gamma^2)^s over the dual, or with ``half`` over the group's half
-    layout, times each entry's multiplicity; read-only; inf past float64."""
-    layout = half_layout(w.group)
+def _sobolev_weights(w: Weight, s: float) -> np.ndarray:
+    """(1 + gamma^2)^s over the dual; read-only; inf past float64."""
     with np.errstate(over="ignore"):
         weights = (1.0 + w.values**2) ** s
-        if half and layout.index is not None:
-            weights = layout.gather(weights) * layout.multiplicity
     weights.setflags(write=False)
     return weights
 
@@ -250,23 +247,25 @@ def _inverse_power_sum(w: Weight, exponent: float) -> float:
     return ((1.0 + w.values**2) ** (-exponent)).sum()
 
 
-def sobolev_norm_batch(w: Weight, s: float, spectra: np.ndarray, half: bool = False) -> np.ndarray:
+def sobolev_norm_batch(w: Weight, s: float, spectra: np.ndarray) -> np.ndarray:
     """Sobolev norms from already-transformed coefficients (last axis = dual).
 
-    With ``half`` the coefficients are a real field's on the group's half
-    layout (``spectral.half_layout``), each weighted by its multiplicity.
-    An exactly zero coefficient adds 0, also where its weight is inf."""
-    weights = _sobolev_weights(w, _check_s(s), half)
+    An exactly zero coefficient adds 0, also where its weight is inf; a row
+    with a coefficient that is not finite reads inf."""
+    weights = _sobolev_weights(w, _check_s(s))
     sq = np.abs(spectra) ** 2
-    return np.sqrt((np.where(sq > 0.0, weights, 0.0) * sq).sum(axis=-1))
+    norms = np.sqrt((np.where(sq > 0.0, weights, 0.0) * sq).sum(axis=-1))
+    nan = np.isnan(norms)  # only a NaN coefficient leaves one: every weight is >= 1
+    return np.where(nan, math.inf, norms) if nan.any() else norms
 
 
 def sobolev_norm(f: Signal, w: Weight, s: float) -> float:
-    """||f||_{s,gamma}; at s = 0 equal to the L^2 norm (Plancherel)."""
+    """||f||_{s,gamma}; at s = 0 equal to the L^2 norm (Plancherel).  A
+    transform of the values that overflows reads inf."""
     if f.group != w.group:
         raise ValueError("signal and weight live on different groups")
-    spec = dft_values(f.group, f.values)
-    return float(sobolev_norm_batch(w, s, spec))
+    with np.errstate(over="ignore", invalid="ignore"):
+        return float(sobolev_norm_batch(w, s, dft_values(f.group, f.values)))
 
 
 _TINY = float(np.finfo(np.float64).tiny)  # the smallest normal float64

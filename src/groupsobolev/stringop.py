@@ -37,10 +37,12 @@ A profile lists the overflowed entries and holds m with zeros there, so the
 membership guard and the log-space products look at those entries only; a c
 for which c * gamma^2 itself overflows is refused when the profile is built.
 One private helper holds the log m formula: ``build_multiplier`` applies it
-over the dual, the fixed-point map of ``nonlinear`` over the half layout of
-real fields (``spectral.HalfLayout``), from gamma gathered there once per
-weight, and ``nonlinear.size_ball`` over a weight's distinct gamma values.
-A half profile's log-multiplicities weight the domain norm's log-space sum.
+over the dual, the fixed-point map of ``nonlinear`` over the entries it holds
+a real field's coefficients on, and ``nonlinear.size_ball`` over a weight's
+distinct gamma values.  ``multiply_spectrum`` works entrywise on any such
+profile, and the certificate of ``nonlinear`` reads phi's domain norm as the
+l2 norm of its product m a, inf where the product is refused; the rest of
+this module reads the full dual.
 """
 from __future__ import annotations
 
@@ -84,11 +86,6 @@ class MultiplierProfile:
     where m is not representable in float64; ``finite_values`` are
     ``values`` with 0 there; ``inverse`` holds 1/m = exp(-log_values), the
     only place it is formed.
-
-    A profile on a half layout (see ``spectral.HalfLayout``) holds real
-    fields' half coefficients: its entries are the full dual indices
-    ``dual_index``, and ``log_multiplicity`` weights each entry in the
-    domain norm.  Both are None on a full-dual profile.
     """
 
     group: FiniteAbelianGroup
@@ -99,8 +96,6 @@ class MultiplierProfile:
     inverse: np.ndarray
     overflow: np.ndarray
     finite_values: np.ndarray
-    dual_index: np.ndarray | None = None
-    log_multiplicity: np.ndarray | None = None
 
     @property
     def overflow_count(self) -> int:
@@ -135,15 +130,9 @@ def _log_multiplier(gam: np.ndarray, c: float, weight_name: str) -> np.ndarray:
 
 
 def _multiplier_profile(
-    group: FiniteAbelianGroup,
-    weight_name: str,
-    c: float,
-    gam: np.ndarray,
-    dual_index: np.ndarray | None = None,
-    log_multiplicity: np.ndarray | None = None,
+    group: FiniteAbelianGroup, weight_name: str, c: float, gam: np.ndarray
 ) -> MultiplierProfile:
-    """The profile of m over the entries whose weights are ``gam``: the
-    dual, or with ``dual_index`` a half layout's entries."""
+    """The profile of m over the entries whose weights are ``gam``."""
     log_values = _log_multiplier(gam, c, weight_name)
     with np.errstate(over="ignore"):
         values = np.exp(log_values)
@@ -154,7 +143,7 @@ def _multiplier_profile(
     for arr in (log_values, values, inverse, overflow, finite_values):
         arr.setflags(write=False)
     return MultiplierProfile(group, weight_name, float(c), log_values, values, inverse, overflow,
-                             finite_values, dual_index, log_multiplicity)
+                             finite_values)
 
 
 @lru_cache(maxsize=1)  # weights hash by identity; the cached key keeps its weight alive
@@ -187,10 +176,9 @@ def _guard_membership(profile: MultiplierProfile, spectra: np.ndarray) -> np.nda
         mags = np.where(active, at_over, 0.0)
         worst = np.unravel_index(int(np.argmax(mags)), mags.shape)
         pos = int(profile.overflow[worst[-1]])
-        dual = pos if profile.dual_index is None else int(profile.dual_index[pos])
         raise NotInDomainError(
             "signal is not in the operator domain: dual index "
-            f"{dual} has log-multiplier {profile.log_values[pos]:.6g} "
+            f"{pos} has log-multiplier {profile.log_values[pos]:.6g} "
             f"(beyond float64 range) with spectral magnitude "
             f"{float(mags[worst]):.3g} > {ACTIVE_COEFF_TOL:g}"
         )
@@ -198,20 +186,18 @@ def _guard_membership(profile: MultiplierProfile, spectra: np.ndarray) -> np.nda
 
 
 def domain_norm_batch(profile: MultiplierProfile, spectra: np.ndarray) -> np.ndarray:
-    """Domain norms from spectral coefficients (last axis = the profile's
-    entries: the dual, or the half layout it was built on), log-space."""
+    """Domain norms from spectral coefficients (last axis = dual), log-space.
+
+    A row whose norm is beyond float64, or NaN (a coefficient that is not a
+    number, as an overflowed transform leaves), raises NotInDomainError."""
     abs_spec = _guard_membership(profile, spectra)
     with np.errstate(divide="ignore"):
         log_abs = np.log(abs_spec)  # -inf at exact zeros, which is what we want
     with np.errstate(over="ignore"):  # a sum beyond float64 is refused below
-        terms = 2.0 * (profile.log_values + log_abs)
-        if profile.log_multiplicity is not None:
-            terms += profile.log_multiplicity
-        lse = _logsumexp_last(terms)
-    finite = np.isfinite(lse)
-    if (lse > 2.0 * LOG_MAX_DOUBLE).any():
-        raise NotInDomainError("domain norm exceeds float64 range")
-    return np.where(finite, np.exp(0.5 * np.where(finite, lse, 0.0)), 0.0)
+        lse = _logsumexp_last(2.0 * (profile.log_values + log_abs))
+    if not (lse <= 2.0 * LOG_MAX_DOUBLE).all():  # NaN compares False
+        raise NotInDomainError("domain norm exceeds float64 range or is not a number")
+    return np.exp(0.5 * lse)  # 0 at -inf, a row of zeros
 
 
 def domain_norm(f: Signal, w: Weight, c: float) -> float:
@@ -219,10 +205,13 @@ def domain_norm(f: Signal, w: Weight, c: float) -> float:
 
     Raises NotInDomainError when f has spectral mass above 1e-300 at a
     frequency whose multiplier is not representable.  Uses the exact dual
-    representation when f carries one.
+    representation when f carries one; a transform of the values that
+    overflows leaves NaN coefficients, which raise NotInDomainError too.
     """
     profile = build_multiplier(f.group, w, c)
-    return float(domain_norm_batch(profile, dual_coefficients(f)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = dual_coefficients(f)
+    return float(domain_norm_batch(profile, spectrum))
 
 
 def multiply_spectrum(profile: MultiplierProfile, spectrum: np.ndarray) -> np.ndarray:

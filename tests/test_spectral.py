@@ -144,9 +144,10 @@ def test_groups_without_small_runs_take_one_fftn_call(name, rng):
 # the half layout of real fields
 # ---------------------------------------------------------------------------
 
+# Z5xZ2xZ2xZ7 lays out an unhalved fft axis, a dense block and a halved axis
 HALF_GROUPS = ["Z4096", "Z64xZ64", "Z16xZ16xZ16", "Z257", "x".join(["Z2"] * 12),
                "Z2xZ2xZ1024", "Z3xZ5xZ7", "Z6xZ10", "Z2xZ4xZ2xZ4", "Z2", "Z2xZ2xZ2xZ2",
-               "x".join(["Z2"] * 13)]
+               "x".join(["Z2"] * 13), "Z5xZ2xZ2xZ7"]
 
 
 def _oracle(group, rows):

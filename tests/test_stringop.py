@@ -219,6 +219,22 @@ def test_domain_norm_overflow_raises():
         domain_norm(f, w, 0.5)
 
 
+def test_domain_norm_of_a_field_whose_transform_overflows_is_refused():
+    # every sample is finite, but the transform's sums overflow and leave
+    # NaN coefficients, whose row is refused rather than read as 0, with no
+    # numpy warning (an error in this suite)
+    g = parse_group("Z8")
+    w = make_weight(g, "sym-euclid")
+    f = Signal(g, [1.7e308] * 8)
+    assert lp_norm(f, 2) == 1.7e308
+    with pytest.raises(NotInDomainError, match="not a number"):
+        domain_norm(f, w, 0.5)
+    rows = np.zeros((2, 8), dtype=complex)
+    rows[0, 2] = np.nan
+    with pytest.raises(NotInDomainError, match="not a number"):
+        domain_norm_batch(build_multiplier(g, w, 0.5), rows)
+
+
 def test_domain_norm_dominates_sobolev(rng):
     g = parse_group("Z16")
     w = make_weight(g, "sym-euclid")
