@@ -5,9 +5,11 @@ solution is a fixed point of the solve-then-substitute map
 
     G(u) = solve_linear(V(., u)).
 
-G is one object on dual coefficients, ``_FixedPointMap``, which
-:func:`picard_step`, the solver and its certificate all apply.  The solver
-runs the damped Picard iteration
+G is one object, ``_FixedPointMap``, on the coefficients of a real field
+held on the half layout of the dual (``spectral.HalfLayout``): the
+coefficients F(xi) for about half of the characters, which fix F(xi^-1) =
+conj F(xi) for the rest.  :func:`picard_step`, the solver and its
+certificate all apply it.  The solver runs the damped Picard iteration
 
     phi_{k+1} = (1 - theta) phi_k + theta * G(phi_k)
 
@@ -17,22 +19,20 @@ certified a posteriori (:func:`verify_solution`): the equation residual
 ||L phi - V(., phi)||_L2 is recomputed through an independent forward
 application of the operator.  The product m a of phi's coefficients a
 gives both L phi, by one transform, and the domain norm ||m a||; the other
-norms are read from phi's full coefficients and from its samples.
+norms are read from phi's full coefficients and from its samples.  A phi
+that is not real is certified as p + i q, both real fields on the layout.
 
-The field is real, so a is held on the half layout of the dual
-(``spectral.HalfLayout``): the coefficients F(xi) for about half of the
-characters, which fix F(xi^-1) = conj F(xi) for the rest.  Only
-``spectral`` and G know that layout: G makes real-to-half transforms, about
-half the work of complex ones, on the multiplier it builds from gamma
-gathered onto the layout, and counts an entry twice in a norm but where its
-partner is stored too.  On an elementary abelian 2-group (Z2^n, the
-Walsh case) every character is real, and so are a real field's
-coefficients: a is float64 on the full dual, G's transforms are real
-products with the +-1 character tables, and the Hermitian projection is the
-identity.  A group with no axis to halve that is not a 2-group (every
-factor of length 3 or more merged into a dense block, e.g. Z2xZ4xZ2xZ4)
-keeps the full dual and the complex arithmetic.  The returned phi carries
-its full coefficients, expanded once.
+Only ``spectral`` and G know the half layout: G makes real-to-half
+transforms, about half the work of complex ones, on the multiplier it
+builds from gamma gathered onto the layout, and counts an entry twice in a
+norm but where its partner is stored too.  On an elementary abelian
+2-group (Z2^n, the Walsh case) every character is real, and so are a real
+field's coefficients: a is float64 on the full dual, G's transforms are
+real products with the +-1 character tables, and the Hermitian projection
+is the identity.  A group with no axis to halve that is not a 2-group
+(every factor of length 3 or more merged into a dense block, e.g.
+Z2xZ4xZ2xZ4) keeps the full dual and the complex arithmetic.  The returned
+phi carries its full coefficients, expanded once.
 
 Nonlinearities are described by the growth data (alpha, beta, C, h, f):
 
@@ -68,22 +68,12 @@ from .sobolev import (
     make_weight,
     sobolev_norm_batch,
 )
-from .spectral import (
-    HalfLayout,
-    Signal,
-    Spectrum,
-    dft_values,
-    dual_coefficients,
-    half_layout,
-    idft,
-    idft_values,
-)
+from .spectral import HalfLayout, Signal, dft_values, dual_coefficients, half_layout, idft_values
 from .stringop import (
     MultiplierProfile,
     NotInDomainError,
     _log_multiplier,
     _multiplier_profile,
-    build_multiplier,
     multiply_spectrum,
 )
 
@@ -310,52 +300,50 @@ def eval_source(nl: Nonlinearity, u: Signal) -> Signal:
 
 @dataclass(frozen=True, eq=False)
 class _FixedPointMap:
-    """G(u) = L^{-1} V(., u) for one (nl, w, c) on the coefficients of u:
-    over the full dual (``layout`` None), or over ``layout``, the group's
-    half layout, with ``profile`` built on it.  Callers silence numpy's
-    overflow and invalid warnings: a blown-up iterate reads inf or nan, which
-    the solver treats as divergence."""
+    """G(u) = L^{-1} V(., u) for one (nl, w, c) on the coefficients of u on
+    ``layout``, the group's half layout, with ``profile`` built on it.
+    Callers silence numpy's overflow and invalid warnings: a blown-up iterate
+    reads inf or nan, which the solver treats as divergence."""
 
     nl: Nonlinearity
-    layout: HalfLayout | None
+    layout: HalfLayout
     profile: MultiplierProfile
-    partner: np.ndarray | None
-    paired: np.ndarray | None
 
     def source_hat(self, y: np.ndarray) -> np.ndarray | None:
         """Coefficients of the source V(., y), or None when they are not
         finite, as they are not where V is: the mean coefficient sums every
         sample."""
-        v_hat = dft_values(self.profile.group, self.nl.u_func(y) - y, half=self.layout is not None)
+        v_hat = dft_values(self.profile.group, self.nl.u_func(y) - y, half=True)
         return v_hat if np.isfinite(v_hat).all() else None
 
     def step(self, v_hat: np.ndarray) -> np.ndarray:
-        """Coefficients of G's output, -v_hat / m, each entry averaged with
-        the conjugate of its partner at ``partner`` (on a half layout, only
-        the entries ``paired``, whose partners are stored too) so that the
-        field they synthesize is exactly real.  That must be a rounding-level
-        projection: a larger anti-Hermitian part (compared in L2) means the
-        multiplier/weight pair does not preserve real fields.  On a 2-group's
-        real layout (``partner`` None) each entry is real and its own
-        partner, and the projection is the identity."""
+        """Coefficients of G's output, -v_hat / m, each entry ``paired`` (all
+        of them where no axis is halved) averaged with the conjugate of its
+        partner, stored at ``partner``, so that the field they synthesize is
+        exactly real.  That must be a rounding-level projection: a larger
+        anti-Hermitian part (compared in L2) means the multiplier/weight pair
+        does not preserve real fields.  On a 2-group's ``real`` layout each
+        entry is real and its own partner, and the projection is the
+        identity."""
         raw = v_hat * self.profile.inverse
         np.negative(raw, out=raw)
-        if self.partner is None:
+        layout = self.layout
+        if layout.real:
             return raw
-        own = raw if self.paired is None else raw[self.paired]
-        sym = raw[self.partner]
+        own = raw if layout.paired is None else raw[layout.paired]
+        sym = raw[layout.partner]
         np.conjugate(sym, out=sym)
         sym += own
         sym *= 0.5
         own -= sym  # the anti-Hermitian part
-        if self.paired is None:
+        if layout.paired is None:
             step = sym
         else:
-            raw[self.paired] = sym
+            raw[layout.paired] = sym
             step = raw
         worst_imag = _norm(own)
         if worst_imag > _IMAG_TOL:  # the scale below is at least 1
-            scale = max(1.0, _norm(step, self.paired))
+            scale = max(1.0, _norm(step, layout.paired))
             if worst_imag > _IMAG_TOL * scale:
                 raise ValueError(
                     f"linear solve returned relative imaginary magnitude "
@@ -370,40 +358,42 @@ class _FixedPointMap:
         if v_hat is None:
             return math.inf
         try:
-            return _norm(multiply_spectrum(self.profile, a) + v_hat, self.paired)
+            return _norm(multiply_spectrum(self.profile, a) + v_hat, self.layout.paired)
         except NotInDomainError:
             return math.inf
 
     def samples(self, a: np.ndarray) -> np.ndarray:
-        """The field synthesized from coefficients a (real on a half layout)."""
-        return idft_values(self.profile.group, a, half=self.layout is not None)
+        """The real field synthesized from coefficients a."""
+        return idft_values(self.profile.group, a, half=True)
 
 
 @lru_cache(maxsize=1)  # a solve, its certificate and a caller's verify_solution share one
-def _fixed_point_map(nl: Nonlinearity, w: Weight, c: float, half: bool) -> _FixedPointMap:
+def _fixed_point_map(nl: Nonlinearity, w: Weight, c: float) -> _FixedPointMap:
     group = nl.group
-    if not half:
-        return _FixedPointMap(nl, None, build_multiplier(group, w, c), inverse_indices(group), None)
     if w.group != group:
-        raise ValueError("weight lives on a different group")
+        raise ValueError("weight lives on a different group than the nonlinearity")
+    if not np.array_equal(w.values, w.values[inverse_indices(group)]):
+        raise ValueError(
+            f"weight {w.name!r} is not symmetric under xi -> xi^-1: the solver needs "
+            "gamma(xi) = gamma(xi^-1) so that real fields stay real"
+        )
     layout = half_layout(group)
-    profile = _multiplier_profile(group, w.name, c, layout.gather(w.values))
-    return _FixedPointMap(nl, layout, profile, None if layout.real else layout.partner,
-                          layout.paired)
+    return _FixedPointMap(nl, layout, _multiplier_profile(group, w.name, c, layout.gather(w.values)))
 
 
 def picard_step(u: Signal, nl: Nonlinearity, w: Weight, c: float) -> Signal:
     """One application of the map G: solve the linear problem with source
-    V(., u).  The result is projected to its real part, which must be a
-    rounding-level projection only, and carries its dual coefficients."""
+    V(., u), by one forward and one inverse transform on the half layout.
+    The result is real, its coefficients projected onto Hermitian ones, which
+    must be a rounding-level projection only, and carries them."""
     y = _real_values(u)
-    fmap = _fixed_point_map(nl, w, c, False)
+    fmap = _fixed_point_map(nl, w, c)
     with np.errstate(over="ignore", invalid="ignore"):
         v_hat = fmap.source_hat(y)
         if v_hat is None:
             raise ValueError("source values are not finite (field overflow)")
         step = fmap.step(v_hat)
-    return idft(Spectrum(u.group, step), real=True)
+    return Signal(u.group, fmap.samples(step), exact_dual=fmap.layout.expand(step))
 
 
 # ---------------------------------------------------------------------------
@@ -582,19 +572,11 @@ def solve_nonlinear(
     sup norms and continuity constant are the report's.
     """
     group = nl.group
-    if w.group != group:
-        raise ValueError("weight lives on a different group than the nonlinearity")
-    inv = inverse_indices(group)
-    if not np.array_equal(w.values, w.values[inv]):
-        raise ValueError(
-            f"weight {w.name!r} is not symmetric under xi -> xi^-1: the solver needs "
-            "gamma(xi) = gamma(xi^-1) so that real fields stay real"
-        )
+    fmap = _fixed_point_map(nl, w, c)
+    layout = fmap.layout
     ball = size_ball(group, w, c, nl)
     eps = cfg.epsilon_ball if cfg.epsilon_ball is not None else ball["epsilon"]
     two_alpha = 2.0 * nl.alpha
-    fmap = _fixed_point_map(nl, w, c, True)
-    layout = fmap.layout
     # blown-up iterates read as inf or nan, which the loop below turns into
     # status "diverged"; numpy's warnings about them are silenced throughout
     with np.errstate(over="ignore", invalid="ignore"):
@@ -607,7 +589,7 @@ def solve_nonlinear(
             y0 = np.zeros(group.order)
         else:
             d0 = dual_coefficients(cfg.initial)
-            a0 = layout.gather(0.5 * (d0 + np.conj(d0[inv])))
+            a0 = layout.gather(0.5 * (d0 + np.conj(d0[inverse_indices(group)])))
             y0 = cfg.initial.values.real
         v_hat0 = fmap.source_hat(y0)
         if cfg.initial is not None and v_hat0 is not None:
@@ -702,55 +684,56 @@ def verify_solution(
 
     Recomputes the equation residual from scratch, checks the sup-norm
     continuity certificate sup|phi| <= C(gamma, s) * ||phi||_{s,gamma}, and
-    reports whether phi has finite domain norm.  The residual synthesizes
-    L phi from m a, for phi's dual coefficients a, and evaluates V on its
-    samples; the domain norm is ||m a||_l2, inf where m a is not
-    representable, and the Sobolev norm reads phi's full coefficients
-    (``phi.exact_dual``, else the expansion of the transformed half), so a
-    phi that carries its coefficients (every solver output does) costs one
-    transform.
-
-    A real phi with Hermitian coefficients (every solver output) is
-    certified through the fixed-point map on the half layout, any other phi
-    through the map on the full dual.
+    reports whether phi has finite domain norm.  phi = p + i q is certified
+    through the fixed-point map, with the real fields p and q held on the
+    half layout: their coefficients are the Hermitian and the anti-Hermitian
+    part of ``phi.exact_dual`` (times -i), or else the transforms of Re phi
+    and Im phi.  The residual synthesizes L p from m a, for p's coefficients
+    a, and evaluates V on Re phi; the domain norm is ||m a||_l2, inf where
+    m a is not representable.  V is not defined on q, but L keeps real fields
+    real, so ||L q|| = ||m F(q)|| adds to both in quadrature.  The Sobolev
+    norm reads phi's full coefficients.  A phi with Hermitian
+    ``exact_dual`` (every solver output) has no q and costs one transform,
+    the synthesis of L phi.
     """
     group = phi.group
     if w.group != group:
         raise ValueError("signal and weight live on different groups")
+    fmap = _fixed_point_map(nl, w, c)
+    layout = fmap.layout
     dual = phi.exact_dual
-    half = not phi.values.imag.any() and (
-        dual is None or np.array_equal(dual[inverse_indices(group)], dual.conj())
-    )
-    fmap = _fixed_point_map(nl, w, c, half)
-    if dual is None:
-        coeffs = dft_values(group, phi.values.real if half else phi.values, half=half)
-        dual = fmap.layout.expand(coeffs) if half else coeffs
-    else:
-        coeffs = fmap.layout.gather(dual) if half else dual
     # a diverged field may overflow these norms; inf is the honest report
     with np.errstate(over="ignore", invalid="ignore"):
+        if dual is None:
+            p = dft_values(group, phi.values.real, half=True)
+            q = dft_values(group, phi.values.imag, half=True) if phi.values.imag.any() else None
+            dual = layout.expand(p) if q is None else layout.expand(p) + 1j * layout.expand(q)
+        elif np.array_equal(partners := dual[inverse_indices(group)].conj(), dual):
+            p, q = layout.gather(dual), None
+        else:
+            p, q = layout.gather(0.5 * (dual + partners)), layout.gather(-0.5j * (dual - partners))
         try:
-            m_coeffs = multiply_spectrum(fmap.profile, coeffs)
+            m_p = multiply_spectrum(fmap.profile, p)
+            # ||L q||, which adds in quadrature to ||L p|| and to the residual
+            lq = 0.0 if q is None else _norm(multiply_spectrum(fmap.profile, q), layout.paired)
+            dom = math.hypot(_norm(m_p, layout.paired), lq)  # hypot(x, 0.0) is x
         except NotInDomainError:
-            m_coeffs = None
-        dom = math.inf if m_coeffs is None else _norm(m_coeffs, fmap.paired)  # ||phi||_dom
-        y = np.ascontiguousarray(phi.values.real)
+            m_p, dom = None, math.inf
         try:
-            if m_coeffs is None:
+            if m_p is None:
                 raise ValueError("phi is not in the operator domain")
-            lphi = fmap.samples(np.negative(m_coeffs, out=m_coeffs))
-            if not np.isfinite(lphi).all():
+            lp = fmap.samples(np.negative(m_p, out=m_p))
+            if not np.isfinite(lp).all():
                 raise ValueError("L phi is not finite")
-            # V of the real part: real; a half phi's samples are real already
-            r = lphi - (nl.u_func(y) - y if half else eval_source(nl, phi).values.real)
+            y = np.ascontiguousarray(_real_values(phi))
             # summed over |r|, so the printed residual keeps the digits of
             # earlier releases
-            residual = _l2(group, np.abs(r))
+            residual = math.hypot(_l2(group, np.abs(lp - (nl.u_func(y) - y))), lq)
             residual_ok = residual <= residual_tol
         except ValueError:
             residual = math.inf
             residual_ok = False
-        sup = float(lp_norm_batch(group, y, math.inf)) if half else lp_norm(phi, math.inf)
+        sup = float(lp_norm_batch(group, phi.values, math.inf))
         sob = float(sobolev_norm_batch(w, s, dual))
     constant = embedding_constant_sup(group, w, s)
     continuity_ok = sup <= constant * sob + 1e-10

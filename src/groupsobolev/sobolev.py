@@ -251,10 +251,20 @@ def sobolev_norm_batch(w: Weight, s: float, spectra: np.ndarray) -> np.ndarray:
     """Sobolev norms from already-transformed coefficients (last axis = dual).
 
     An exactly zero coefficient adds 0, also where its weight is inf; a row
-    with a coefficient that is not finite reads inf."""
-    weights = _sobolev_weights(w, _check_s(s))
-    sq = np.abs(spectra) ** 2
-    norms = np.sqrt((np.where(sq > 0.0, weights, 0.0) * sq).sum(axis=-1))
+    with a coefficient that is not finite reads inf.  A row whose plain sum
+    overflows is summed again scaled by its largest weighted term, as
+    ``lp_norm_batch`` does, so it reads inf only where a term does."""
+    mag = np.abs(spectra)
+    with np.errstate(over="ignore"):
+        sq = mag**2
+        weights = np.where(sq > 0.0, _sobolev_weights(w, _check_s(s)), 0.0)
+        norms = np.sqrt((weights * sq).sum(axis=-1))
+        redo = np.isinf(norms)
+        if redo.any():  # the terms are (1 + gamma^2)^(s/2) |F|, squared
+            mag *= np.sqrt(weights)
+            peak = mag.max(axis=-1)
+            redo &= peak < math.inf  # a NaN peak compares False
+            norms = np.where(redo, _scaled_root(mag, np.where(redo, peak, 1.0), 2.0, 1.0), norms)
     nan = np.isnan(norms)  # only a NaN coefficient leaves one: every weight is >= 1
     return np.where(nan, math.inf, norms) if nan.any() else norms
 
@@ -281,6 +291,13 @@ def _power_sum(mag: np.ndarray, p: float) -> np.ndarray:
     return (np.abs(mag) ** p).sum(axis=-1)
 
 
+def _scaled_root(mag: np.ndarray, scale: np.ndarray, p: float, count: float) -> np.ndarray:
+    """(sum |v|^p / count)^(1/p) along the last axis of real values, each row
+    summed divided by its ``scale``, its largest |v|, so that no term
+    overflows or underflows."""
+    return scale * (_power_sum(mag / scale[..., None], p) / count) ** (1.0 / p)
+
+
 def lp_norm_batch(group: FiniteAbelianGroup, values: np.ndarray, p) -> np.ndarray:
     """L^p norms along the last axis under normalized Haar measure.
 
@@ -304,8 +321,7 @@ def lp_norm_batch(group: FiniteAbelianGroup, values: np.ndarray, p) -> np.ndarra
             redo = ~normal & (peak > 0.0) & (peak < math.inf)
             if redo.any():
                 scale = np.where(redo, peak, 1.0)
-                scaled = _power_sum(mag / scale[..., None], p) / group.order
-                return np.where(redo, scale * scaled ** (1.0 / p), mean ** (1.0 / p))
+                return np.where(redo, _scaled_root(mag, scale, p, group.order), mean ** (1.0 / p))
     return mean ** (1.0 / p)
 
 

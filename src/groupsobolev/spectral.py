@@ -27,11 +27,11 @@ of them determine the rest.  ``dft_values``/``idft_values`` with
 :class:`HalfLayout` of :func:`half_layout`: the last single-factor axis of
 length >= 3 is halved to n//2 + 1 by ``rfft``/``irfft``, the other
 single-factor axes go through ``fft``/``ifft``, and the block products run
-on the half grid, in the one pass sequence of every transform.  Each entry
-has a multiplicity, 1 where its partner xi^-1 is stored too and 2
-elsewhere, by which a sum over the dual weights it.  Only the fixed-point
-map of ``nonlinear`` holds coefficients on this layout; every other module
-reads the full dual.  On an elementary abelian 2-group (every factor Z2, or
+on the half grid, in the one pass sequence of every transform.  A sum over
+the dual counts an entry twice but where its partner xi^-1 is stored too.
+Only the fixed-point map of ``nonlinear``, which steps and certifies every
+field, holds coefficients on this layout; every other module reads the
+full dual.  On an elementary abelian 2-group (every factor Z2, or
 Z1) each character is its own inverse and takes the values +-1, so a real
 field's coefficients are real: every run of factors, a lone Z2 too, is a
 dense block, and the half transforms are float64 products with the +-1
@@ -165,18 +165,17 @@ class HalfLayout:
     A real field's coefficients satisfy F(xi^-1) = conj F(xi), so the entries
     with coordinate 0..n/2 on one grid axis of length n >= 3 (the halved
     axis, counted from the end) determine the rest.  ``index`` holds the
-    full dual index of each half entry; ``multiplicity`` is 1 where the
-    entry's partner xi^-1 is stored too (coordinate 0 or n/2 on the halved
-    axis) and 2 elsewhere, so that sum |F|^2 over the dual is the
-    multiplicity-weighted sum over the half; ``paired`` lists the entries of
-    multiplicity 1 and ``partner`` the positions of their partners.  Full
-    index i reads half entry ``source[i]``, conjugated where ``conjugate``
-    is set.
+    full dual index of each half entry; ``paired`` lists the entries whose
+    partner xi^-1 is stored too (coordinate 0 or n/2 on the halved axis) and
+    ``partner`` the positions of those partners.  Every other entry stands
+    for its partner as well, so a sum of |F|^2 over the dual counts it
+    twice.  Full index i reads half entry ``source[i]``, conjugated where
+    ``conjugate`` is set.
 
     When no axis can be halved the half is the full dual: ``axis``,
-    ``index``, ``multiplicity``, ``paired``, ``source`` and ``conjugate`` are
-    None (every entry is its own half entry, of multiplicity 1, and paired),
-    ``partner`` is the inverse map of the dual, and :meth:`expand` returns
+    ``index``, ``paired``, ``source`` and ``conjugate`` are None (every
+    entry is its own half entry, counted once, and paired), ``partner`` is
+    the inverse map of the dual, and :meth:`expand` returns
     its argument.  ``real`` is set on an elementary abelian 2-group, whose
     characters are real: there a real field's coefficients are real, held
     as float64, and :meth:`gather` takes the real part of Hermitian
@@ -187,7 +186,6 @@ class HalfLayout:
     shape: tuple[int, ...]
     size: int
     index: np.ndarray | None
-    multiplicity: np.ndarray | None
     paired: np.ndarray | None
     partner: np.ndarray
     source: np.ndarray | None
@@ -218,7 +216,7 @@ def _half_layout(factors: tuple[int, ...], shape: tuple[int, ...], single: list[
     inv = inverse_indices(group)
     halvable = [axis for axis in single if shape[axis] >= 3]
     if not halvable:
-        return HalfLayout(None, shape, group.order, None, None, None, inv, None, None, real)
+        return HalfLayout(None, shape, group.order, None, None, inv, None, None, real)
     axis = halvable[-1]
     n, post = shape[axis], math.prod(shape[axis + 1:])
     half_shape = (*shape[:axis], n // 2 + 1, *shape[axis + 1:])
@@ -226,17 +224,15 @@ def _half_layout(factors: tuple[int, ...], shape: tuple[int, ...], single: list[
     index = grid[(slice(None),) * axis + (slice(0, n // 2 + 1),)].reshape(-1)
     k = index // post % n
     paired = np.flatnonzero((k == 0) | (2 * k == n))
-    multiplicity = np.full(index.size, 2.0)
-    multiplicity[paired] = 1.0
     pos = np.full(group.order, -1)
     pos[index] = np.arange(index.size)
     partner = pos[inv[index[paired]]]
     conjugate = pos < 0
     source = np.where(conjugate, pos[inv], pos)
-    for arr in (index, multiplicity, paired, partner, source, conjugate):
+    for arr in (index, paired, partner, source, conjugate):
         arr.setflags(write=False)
-    return HalfLayout(axis - len(shape), half_shape, index.size, index, multiplicity,
-                      paired, partner, source, conjugate)
+    return HalfLayout(axis - len(shape), half_shape, index.size, index, paired, partner, source,
+                      conjugate)
 
 
 class _GridPlan(NamedTuple):

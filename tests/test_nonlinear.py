@@ -4,8 +4,9 @@ import math
 import numpy as np
 import pytest
 
-from groupsobolev.group import parse_group
+from groupsobolev.group import inverse_indices, parse_group
 from groupsobolev.nonlinear import (
+    _IMAG_TOL,
     Nonlinearity,
     SolverConfig,
     affine_nonlinearity,
@@ -373,6 +374,42 @@ def test_certificate_makes_one_transform(transform_count):
     assert transform_count == [True]  # L phi's synthesis, from phi's own coefficients
 
 
+def test_picard_step_makes_one_half_transform_each_way(transform_count, monkeypatch):
+    from groupsobolev import spectral
+
+    nl, w = _small_quadratic_problem()
+    phi, _ = solve_nonlinear(nl, w, 1.0, SolverConfig())
+    halves = []
+    counting = spectral._transform_grid
+    monkeypatch.setattr(spectral, "_transform_grid", lambda group, values, inverse, half=False:
+                        halves.append(half) or counting(group, values, inverse, half=half))
+    before = build_multiplier.cache_info()
+    transform_count.clear()
+    picard_step(phi, nl, w, 1.0)
+    assert transform_count == [False, True] and halves == [True, True]
+    assert build_multiplier.cache_info() == before  # no full-dual profile
+
+
+@pytest.mark.parametrize("name, weight", [
+    ("Z64", "sym-euclid"), ("Z6xZ10", "sym-euclid"), ("Z2xZ4xZ2xZ4", "sym-euclid"),
+    ("Z2xZ2xZ2xZ2xZ2xZ2", "hamming"),
+])
+def test_picard_step_is_the_solvers_step(name, weight):
+    # Z2xZ4xZ2xZ4 has no axis to halve; Z2^6 holds real coefficients
+    g = parse_group(name)
+    w = make_weight(g, weight)
+    nl = forced_power_nonlinearity(2, 0.5, lowfreq_forcing(g, 0.1))
+    u, _ = solve_nonlinear(nl, w, 0.5, SolverConfig(max_iter=2))
+    step = picard_step(u, nl, w, 0.5)
+    dual = step.exact_dual
+    assert np.array_equal(dual[inverse_indices(g)], dual.conj())
+    assert np.array_equal(step.values.imag, np.zeros(g.order))
+    # one undamped iteration of the solver from u
+    ref, rep = solve_nonlinear(nl, w, 0.5, SolverConfig(initial=u, max_iter=1))
+    assert rep.iterations == 1
+    assert np.array_equal(step.values, ref.values) and np.array_equal(dual, ref.exact_dual)
+
+
 def test_solve_and_certificates_share_one_fixed_point_map():
     from groupsobolev.nonlinear import _fixed_point_map
 
@@ -385,22 +422,24 @@ def test_solve_and_certificates_share_one_fixed_point_map():
 
 
 def _full_dual_picard(nl, w, c, tol):
-    """The undamped Picard loop of solve_nonlinear, run through the
-    fixed-point map on the full dual with complex coefficients."""
-    from groupsobolev.nonlinear import _fixed_point_map
-
-    fmap = _fixed_point_map(nl, w, c, False)
-    a, y = np.zeros(nl.group.order, dtype=complex), np.zeros(nl.group.order)
-    v_hat = fmap.source_hat(y)
+    """The undamped Picard loop of solve_nonlinear, built from public pieces
+    on the full dual with complex coefficients: a = -F(V(y)) / m, projected
+    onto Hermitian coefficients, and y its real synthesis."""
+    g = nl.group
+    profile = build_multiplier(g, w, c)
+    inv = inverse_indices(g)
+    a, y = np.zeros(g.order, dtype=complex), np.zeros(g.order)
+    v_hat = dft_values(g, nl.u_func(y) - y)
     for k in range(1, 501):
-        a = fmap.step(v_hat)
-        y_new = fmap.samples(a).real
+        raw = -v_hat * profile.inverse
+        a = 0.5 * (raw + raw[inv].conj())
+        y_new = idft_values(g, a).real
         diff = math.sqrt(((y_new - y) ** 2).mean())
         y = y_new
         if diff < tol:
             return a, y, k
-        v_hat = fmap.source_hat(y)
-        if fmap.residual(a, v_hat) < tol:
+        v_hat = dft_values(g, nl.u_func(y) - y)
+        if np.linalg.norm(profile.values * a + v_hat) < tol:
             return a, y, k
     raise AssertionError("the full-dual loop did not converge")
 
@@ -416,8 +455,8 @@ def test_real_layout_solve_matches_the_full_dual_map(c, lam):
     nl = forced_power_nonlinearity(2, lam, lowfreq_forcing(g, 0.2))
     cfg = SolverConfig()
     phi, rep = solve_nonlinear(nl, w, c, cfg)
-    fmap = _fixed_point_map(nl, w, c, True)
-    assert fmap.layout.real and fmap.partner is None
+    fmap = _fixed_point_map(nl, w, c)
+    assert fmap.layout.real
     assert fmap.samples(fmap.layout.gather(phi.exact_dual)).dtype == np.float64
     a, y, k = _full_dual_picard(nl, w, c, cfg.tol)
     assert rep.converged and rep.iterations == k > 3
@@ -438,7 +477,7 @@ def test_half_map_builds_its_profile_on_the_half_layout():
     phi, rep = solve_nonlinear(nl, w, 1.0, SolverConfig())
     assert rep.converged
     assert build_multiplier.cache_info() == before
-    half = _fixed_point_map(nl, w, 1.0, True).profile
+    half = _fixed_point_map(nl, w, 1.0).profile
     full = build_multiplier(g, w, 1.0)
     layout = half_layout(g)
     assert full.overflow_count > 0 and half.overflow_count > 0
@@ -490,6 +529,18 @@ def test_weight_group_mismatch_rejected():
     nl = power_nonlinearity(g, 2, 0.5)
     with pytest.raises(ValueError):
         solve_nonlinear(nl, w, 0.5, SolverConfig())
+
+
+def test_every_application_of_the_map_refuses_an_asymmetric_weight():
+    # the half layout holds gamma on one entry of each pair xi, xi^-1 only
+    g = parse_group("Z12")
+    w = weight_from_table(g, _ASYMMETRIC, 8.0)
+    nl = forced_power_nonlinearity(2, 0.1, lowfreq_forcing(g, 0.01))
+    for apply in (lambda: solve_nonlinear(nl, w, 0.5, SolverConfig()),
+                  lambda: picard_step(_zero(g), nl, w, 0.5),
+                  lambda: verify_solution(_zero(g), nl, w, 0.5, s=1.0)):
+        with pytest.raises(ValueError, match="symmetric under xi -> xi"):
+            apply()
 
 
 # ---------------------------------------------------------------------------
@@ -604,8 +655,8 @@ def test_size_ball_over_distinct_gammas_is_bit_identical():
 
 
 def test_certificate_half_and_full_paths_agree():
-    # a real phi is certified on the half layout, a complex one on the full
-    # dual; for the same field the figures agree to rounding.  c is small
+    # a solver output, the same field nudged by an imaginary part of 1e-30,
+    # and its samples alone are certified alike to rounding.  c is small
     # enough for every multiplier to be finite, so that the samples alone
     # carry the field too
     for name, weight in (("Z64", "sym-euclid"), ("Z6xZ10", "sym-euclid"),
@@ -626,6 +677,55 @@ def test_certificate_half_and_full_paths_agree():
             for key in ("sobolev_norm", "domain_norm", "sup_norm", "continuity_constant"):
                 assert rec[key] == pytest.approx(half[key], rel=1e-13)
             assert abs(rec["residual_eq"] - half["residual_eq"]) <= resid_tol
+
+
+def _full_dual_certificate(phi, nl, w, c, s):
+    """verify_solution's figures for phi = p + i q from the complex full
+    dual: ||-F^-1(m d) - V(Re phi)||, ||m d||, the Sobolev norm of d and
+    max |phi|, for d phi's coefficients; every m must be finite."""
+    g = phi.group
+    m = build_multiplier(g, w, c).values
+    d = dft_values(g, phi.values) if phi.exact_dual is None else phi.exact_dual
+    y = phi.values.real
+    r = -idft_values(g, m * d) - (nl.u_func(y) - y)
+    return {"residual_eq": math.sqrt((np.abs(r) ** 2).mean()),
+            "domain_norm": float(np.linalg.norm(m * d)),
+            "sobolev_norm": float(np.sqrt(((1.0 + w.values**2) ** s * np.abs(d) ** 2).sum())),
+            "sup_norm": float(np.abs(phi.values).max())}
+
+
+@pytest.mark.parametrize("name, weight", [
+    ("Z64", "sym-euclid"), ("Z6xZ10", "sym-euclid"), ("Z2xZ4xZ2xZ4", "sym-euclid"),
+    ("Z2xZ2xZ2xZ2xZ2xZ2", "hamming"),
+])
+def test_certificate_of_a_complex_field_is_the_full_dual_one(name, weight, rng):
+    # phi = p + i q: p goes through the map, and ||L q|| adds in quadrature
+    # to the residual and the domain norm.  An imaginary part within the
+    # tolerance is certified; a larger one reads residual inf
+    g = parse_group(name)
+    w = make_weight(g, weight)
+    nl = forced_power_nonlinearity(2, 0.5, lowfreq_forcing(g, 0.1))
+    phi, rep = solve_nonlinear(nl, w, 0.01, SolverConfig())
+    assert rep.converged
+    psi = rng.standard_normal(g.order)
+    for eps in (1e-10, 1e-3):
+        values = phi.values + 1j * eps * psi
+        above = np.abs(values.imag).max() > _IMAG_TOL
+        assert above == (eps > 1e-9)
+        dual = phi.exact_dual + 1j * eps * dft_values(g, psi)
+        # the samples fix the coefficients to their rounding only, which the
+        # multiplier amplifies; the residual is compared in units of ||m d||
+        for u, tol, resid_tol in ((Signal(g, values, exact_dual=dual), 1e-14, 1e-15),
+                                  (Signal(g, values), 1e-11, 1e-9)):
+            got = verify_solution(u, nl, w, 0.01, s=1.0)
+            want = _full_dual_certificate(u, nl, w, 0.01, 1.0)
+            for key in ("domain_norm", "sobolev_norm", "sup_norm"):
+                assert got[key] == pytest.approx(want[key], rel=tol), key
+            if above:
+                assert got["residual_eq"] == math.inf and not got["all_ok"]
+            else:
+                assert want["residual_eq"] > 1e-2 * eps  # ||L q|| is in it
+                assert abs(got["residual_eq"] - want["residual_eq"]) <= resid_tol * want["domain_norm"]
 
 
 def test_certificate_reads_a_non_hermitian_dual_in_full():

@@ -140,6 +140,23 @@ def test_sobolev_norm_of_a_field_whose_transform_overflows():
     assert sobolev_norm_batch(w, 1.0, rows).tolist() == [math.inf, math.inf, 1.0]
 
 
+def test_sobolev_norm_beyond_the_plain_sum_of_squares():
+    # finite norms whose plain sum overflows, through |F|^2 (row 0) or
+    # through a weighted term (row 1), are summed again scaled by the
+    # largest weighted term; a row that does not overflow is summed plainly
+    g = parse_group("Z8")
+    w = make_weight(g, "sym-euclid")
+    rows = np.zeros((3, 8), dtype=complex)
+    rows[0, [1, 7]] = 1e200  # weight (1 + 1)^s
+    rows[1, 4] = 1e150  # weight (1 + 16)^s
+    rows[2, [1, 2]] = 0.5, 0.25j
+    norms = sobolev_norm_batch(w, 10.0, rows)
+    assert norms[0] == pytest.approx(math.sqrt(2.0) * 2.0**5 * 1e200, rel=1e-15)
+    assert norms[1] == pytest.approx(17.0**5 * 1e150, rel=1e-15)
+    weights = (1.0 + w.values**2) ** 10.0
+    assert norms[2] == np.sqrt((weights * np.abs(rows[2]) ** 2).sum())
+
+
 def test_sobolev_norm_at_zero_is_l2(rng):
     g = parse_group("Z12")
     w = make_weight(g, "sym-euclid")
