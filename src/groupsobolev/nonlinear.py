@@ -61,6 +61,7 @@ from .sobolev import (
     Weight,
     _float_pow,
     _inverse_power_sum,
+    _root_sum,
     embedding_constant_lalpha,
     embedding_constant_sup,
     lp_norm,
@@ -272,8 +273,7 @@ def lowfreq_forcing(group: FiniteAbelianGroup, scale: float) -> Signal:
         raise ValueError(
             f"group {group.descriptor} has no nonzero frequencies for the built-in forcing"
         )
-    norm = float(np.sqrt((np.abs(coeffs) ** 2).sum()))  # Plancherel: l2 of coeffs
-    coeffs *= scale / norm
+    coeffs *= scale / float(_root_sum(coeffs))  # Plancherel: the l2 norm of the coefficients
     values = idft_values(group, coeffs)
     return Signal(group, values.real)
 
@@ -341,9 +341,9 @@ class _FixedPointMap:
         else:
             raw[layout.paired] = sym
             step = raw
-        worst_imag = _norm(own)
+        worst_imag = float(_root_sum(own))
         if worst_imag > _IMAG_TOL:  # the scale below is at least 1
-            scale = max(1.0, _norm(step, layout.paired))
+            scale = max(1.0, self.norm(step))
             if worst_imag > _IMAG_TOL * scale:
                 raise ValueError(
                     f"linear solve returned relative imaginary magnitude "
@@ -358,9 +358,19 @@ class _FixedPointMap:
         if v_hat is None:
             return math.inf
         try:
-            return _norm(multiply_spectrum(self.profile, a) + v_hat, self.layout.paired)
+            return self.norm(multiply_spectrum(self.profile, a) + v_hat)
         except NotInDomainError:
             return math.inf
+
+    def norm(self, coeffs: np.ndarray) -> float:
+        """The l2 norm over the dual of the real field whose coefficients on
+        the layout are ``coeffs``: each entry counts twice but those
+        ``paired``, whose partners are stored too."""
+        whole = float(_root_sum(coeffs))
+        if self.layout.paired is None or not 0.0 < whole < math.inf:
+            return whole
+        ratio = float(_root_sum(coeffs[self.layout.paired])) / whole
+        return whole * math.sqrt(2.0 - ratio * ratio)
 
     def samples(self, a: np.ndarray) -> np.ndarray:
         """The real field synthesized from coefficients a."""
@@ -528,34 +538,6 @@ def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) 
     return {"epsilon": hi, "ok": True, **base}
 
 
-def _sum_squares(values: np.ndarray) -> float:
-    """sum |v|^2 without np.abs's hypot: real entries are squared directly,
-    complex ones through their float64 view.  Summed in numpy, not by a BLAS
-    dot product, which starts its own threads on long vectors: one call then
-    costs about twice its wall time in CPU.  Callers silence overflow, so a
-    blown-up field reads inf."""
-    flat = values.view(np.float64) if np.iscomplexobj(values) else values
-    return float((flat * flat).sum())
-
-
-def _norm(values: np.ndarray, paired: np.ndarray | None = None) -> float:
-    """l2 norm under counting measure on the dual; with ``paired``, of a real
-    field's half-layout entries, each counted twice but those ``paired``.  A
-    sum beyond float64 is taken again scaled by the largest |v|, as
-    ``lp_norm_batch`` does, so it reads inf only where the norm does."""
-    total = _sum_squares(values)
-    if paired is not None and total < math.inf:
-        total += total - _sum_squares(values[paired])
-    if total == math.inf and (peak := float(np.abs(values).max())) < math.inf:
-        return peak * _norm(values / peak, paired)
-    return math.sqrt(total)
-
-
-def _l2(group: FiniteAbelianGroup, values: np.ndarray) -> float:
-    """L2 norm under normalized Haar measure."""
-    return math.sqrt(_sum_squares(values) / group.order)
-
-
 def solve_nonlinear(
     nl: Nonlinearity, w: Weight, c: float, cfg: SolverConfig
 ) -> tuple[Signal, SolveReport]:
@@ -599,7 +581,7 @@ def solve_nonlinear(
             # difference, and m times it, which overflows at high frequencies,
             # would swamp the residual and the domain norm.
             eq = fmap.step(v_hat0)
-            rounding = 4.0 * np.finfo(np.float64).eps * _l2(group, y0)
+            rounding = 4.0 * np.finfo(np.float64).eps * float(_root_sum(y0, count=group.order))
             a0 = np.where(np.abs(a0 - eq) <= rounding, eq, a0)
 
         for theta in (cfg.theta, cfg.theta / 2.0, cfg.theta / 4.0):
@@ -619,7 +601,8 @@ def solve_nonlinear(
                     a_new *= theta
                     a_new += (1.0 - theta) * a
                 y_new = fmap.samples(a_new)
-                diff = _l2(group, y_new - y)  # y is finite: a non-finite y_new reads inf or nan
+                # the L2 norm; y is finite: a non-finite y_new reads inf or nan
+                diff = float(_root_sum(y_new - y, count=group.order))
                 if not diff < math.inf and not np.isfinite(y_new).all():
                     status = "diverged"
                     break
@@ -715,8 +698,8 @@ def verify_solution(
         try:
             m_p = multiply_spectrum(fmap.profile, p)
             # ||L q||, which adds in quadrature to ||L p|| and to the residual
-            lq = 0.0 if q is None else _norm(multiply_spectrum(fmap.profile, q), layout.paired)
-            dom = math.hypot(_norm(m_p, layout.paired), lq)  # hypot(x, 0.0) is x
+            lq = 0.0 if q is None else fmap.norm(multiply_spectrum(fmap.profile, q))
+            dom = math.hypot(fmap.norm(m_p), lq)  # hypot(x, 0.0) is x
         except NotInDomainError:
             m_p, dom = None, math.inf
         try:
@@ -726,9 +709,7 @@ def verify_solution(
             if not np.isfinite(lp).all():
                 raise ValueError("L phi is not finite")
             y = np.ascontiguousarray(_real_values(phi))
-            # summed over |r|, so the printed residual keeps the digits of
-            # earlier releases
-            residual = math.hypot(_l2(group, np.abs(lp - (nl.u_func(y) - y))), lq)
+            residual = math.hypot(float(_root_sum(lp - (nl.u_func(y) - y), count=group.order)), lq)
             residual_ok = residual <= residual_tol
         except ValueError:
             residual = math.inf

@@ -14,9 +14,11 @@ u = -F^{-1}( F(g) / m ), which satisfies the isometry  ||u||_dom = ||g||_L2.
 
 Numerics: exp(c * gamma^2) overflows float64 once c * gamma^2 exceeds about
 709.78, while the inverse problem stays perfectly conditioned (1/m just
-underflows to zero).  All multiplier arithmetic therefore happens in log
-space:  log m = logaddexp(0, c*gamma^2 + 2*log gamma)  is always finite, the
-norm sums use per-term log products, and division by m is exp(-log m).
+underflows to zero).  The multiplier is therefore held in log space:
+log m = logaddexp(0, c*gamma^2 + 2*log gamma)  is always finite, division by
+m is exp(-log m), and a product m F where m overflows is exp(log m + log|F|)
+times the phase of F.  The domain norm is the l2 norm of the product m F,
+summed again scaled where its sum of squares leaves the normal range.
 Applying the *forward* operator to a signal whose active coefficients sit at
 unrepresentable multipliers is refused (NotInDomainError) rather than
 silently saturated -- such a signal is simply not in the operator's domain.
@@ -40,9 +42,8 @@ One private helper holds the log m formula: ``build_multiplier`` applies it
 over the dual, the fixed-point map of ``nonlinear`` over the entries it holds
 a real field's coefficients on, and ``nonlinear.size_ball`` over a weight's
 distinct gamma values.  ``multiply_spectrum`` works entrywise on any such
-profile, and the certificate of ``nonlinear`` reads phi's domain norm as the
-l2 norm of its product m a, inf where the product is refused; the rest of
-this module reads the full dual.
+profile.  ``domain_norm`` reads the full dual, and the certificate of
+``nonlinear`` the map's entries, both as the l2 norm of the product m F.
 """
 from __future__ import annotations
 
@@ -53,7 +54,7 @@ from functools import lru_cache
 import numpy as np
 
 from .group import FiniteAbelianGroup
-from .sobolev import Weight
+from .sobolev import Weight, _root_sum
 from .spectral import Signal, Spectrum, dual_coefficients, idft
 
 __all__ = [
@@ -155,25 +156,13 @@ def build_multiplier(group: FiniteAbelianGroup, w: Weight, c: float) -> Multipli
     return _multiplier_profile(group, w.name, c, w.values)
 
 
-def _logsumexp_last(t: np.ndarray) -> np.ndarray:
-    """logsumexp along the last axis; rows of all -inf give -inf."""
-    peak = t.max(axis=-1)
-    safe_peak = np.where(np.isfinite(peak), peak, 0.0)
-    acc = np.exp(t - safe_peak[..., None]).sum(axis=-1)
-    with np.errstate(divide="ignore"):
-        out = np.where(np.isfinite(peak), safe_peak + np.log(np.where(acc > 0, acc, 1.0)), peak)
-    return out
-
-
-def _guard_membership(profile: MultiplierProfile, spectra: np.ndarray) -> np.ndarray:
+def _guard_membership(profile: MultiplierProfile, abs_over: np.ndarray) -> None:
     """Raise NotInDomainError if an active coefficient meets an overflowed
-    multiplier; return the |coefficient| array."""
-    abs_spec = np.abs(spectra)
-    at_over = np.take(abs_spec, profile.overflow, axis=-1)
-    active = at_over > ACTIVE_COEFF_TOL
+    multiplier, given the |coefficients| ``abs_over`` at those entries."""
+    active = abs_over > ACTIVE_COEFF_TOL
     if active.any():
         # report the worst offender, not merely the first one in scan order
-        mags = np.where(active, at_over, 0.0)
+        mags = np.where(active, abs_over, 0.0)
         worst = np.unravel_index(int(np.argmax(mags)), mags.shape)
         pos = int(profile.overflow[worst[-1]])
         raise NotInDomainError(
@@ -182,22 +171,21 @@ def _guard_membership(profile: MultiplierProfile, spectra: np.ndarray) -> np.nda
             f"(beyond float64 range) with spectral magnitude "
             f"{float(mags[worst]):.3g} > {ACTIVE_COEFF_TOL:g}"
         )
-    return abs_spec
 
 
 def domain_norm_batch(profile: MultiplierProfile, spectra: np.ndarray) -> np.ndarray:
-    """Domain norms from spectral coefficients (last axis = dual), log-space.
+    """Domain norms ||m F|| from spectral coefficients (last axis = dual):
+    the l2 norm of ``multiply_spectrum``'s product, rescaled as every norm
+    of the package is (``sobolev._root_sum``).
 
-    A row whose norm is beyond float64, or NaN (a coefficient that is not a
-    number, as an overflowed transform leaves), raises NotInDomainError."""
-    abs_spec = _guard_membership(profile, spectra)
-    with np.errstate(divide="ignore"):
-        log_abs = np.log(abs_spec)  # -inf at exact zeros, which is what we want
-    with np.errstate(over="ignore"):  # a sum beyond float64 is refused below
-        lse = _logsumexp_last(2.0 * (profile.log_values + log_abs))
-    if not (lse <= 2.0 * LOG_MAX_DOUBLE).all():  # NaN compares False
+    Raises NotInDomainError where the product is refused, and where a row's
+    norm is beyond float64 or NaN (a coefficient that is not a number, as an
+    overflowed transform leaves)."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = _root_sum(multiply_spectrum(profile, spectra))
+    if not (norms < math.inf).all():  # NaN compares False
         raise NotInDomainError("domain norm exceeds float64 range or is not a number")
-    return np.exp(0.5 * lse)  # 0 at -inf, a row of zeros
+    return norms
 
 
 def domain_norm(f: Signal, w: Weight, c: float) -> float:
@@ -229,13 +217,12 @@ def multiply_spectrum(profile: MultiplierProfile, spectrum: np.ndarray) -> np.nd
     nonzero = spec_over.any()  # a solve leaves exact zeros where 1/m underflows
     if nonzero:
         abs_over = np.abs(spec_over)
-        if (abs_over > ACTIVE_COEFF_TOL).any():
-            _guard_membership(profile, spectrum)  # raises, naming the worst offender
+        _guard_membership(profile, abs_over)
     out = profile.finite_values * spectrum
     if not np.isfinite(out).all():
         raise NotInDomainError(
-            "operator output exceeds float64 range: m(xi) * F(xi) overflows "
-            "even at a representable multiplier"
+            "operator output exceeds float64 range or is not a number: m(xi) * F(xi) "
+            "is not finite even at a representable multiplier"
         )
     if nonzero:
         *rows, cols = np.nonzero(abs_over)
@@ -246,7 +233,7 @@ def multiply_spectrum(profile: MultiplierProfile, spectrum: np.ndarray) -> np.nd
             raise NotInDomainError(
                 "operator output is not representable: a sub-tolerance "
                 "coefficient meets a multiplier so large that even their "
-                "product overflows float64"
+                "product exceeds float64 range"
             )
         # hot coefficients are guarded <= 1e-300, possibly subnormal; scale
         # by an exact power of two before taking the phase so the division

@@ -487,6 +487,22 @@ def test_half_map_builds_its_profile_on_the_half_layout():
     assert np.array_equal(half.overflow, np.flatnonzero(np.isinf(half.values)))
 
 
+@pytest.mark.parametrize("coeff", [1e-170, 1e-200])
+def test_certificate_domain_norm_of_a_tiny_field(coeff):
+    # the squares of m a are below the smallest float64: the certificate
+    # must sum them again scaled rather than read 0
+    g = parse_group("Z64")
+    w = make_weight(g, "sym-euclid")
+    nl = forced_power_nonlinearity(2, 0.5, lowfreq_forcing(g, 0.1))
+    dual = np.zeros(64, dtype=complex)
+    dual[[1, 63]] = coeff
+    phi = Signal(g, idft_values(g, dual).real, exact_dual=dual)
+    rec = verify_solution(phi, nl, w, 0.5, s=1.0)
+    want = math.sqrt(2.0) * coeff * (1.0 + math.exp(0.5))
+    assert rec["domain_norm"] == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert rec["sobolev_norm"] == pytest.approx(2.0 * coeff, rel=1e-14, abs=0.0)
+
+
 def test_certificate_domain_norm_is_the_norm_of_m_a():
     g = parse_group("Z64")
     w = make_weight(g, "sym-euclid")

@@ -126,6 +126,20 @@ def test_sobolev_norm_skips_exact_zeros_where_the_weight_overflows():
     assert norm == pytest.approx(math.sqrt(0.5) * (1.0 + w.values[1] ** 2) ** 30.0, rel=1e-14)
 
 
+def test_sobolev_norm_at_large_s_reads_tiny_and_huge_coefficients():
+    # gamma = 2048 at s = 60: (1 + gamma^2)^60 is beyond float64 but its
+    # square root is not, so neither coefficient may read 0 or inf
+    g = parse_group("Z4096")
+    w = make_weight(g, "sym-euclid")
+    assert w.values[2048] == 2048.0
+    for coeff, want in ((1e-300, 4.784e-102), (1e-150, 4.784e48)):
+        spec = np.zeros(g.order, dtype=complex)
+        spec[2048] = coeff
+        norm = float(sobolev_norm_batch(w, 60.0, spec))
+        assert norm == pytest.approx(coeff * (1.0 + 2048.0**2) ** 30.0, rel=1e-12, abs=0.0)
+        assert norm == pytest.approx(want, rel=1e-3, abs=0.0)
+
+
 def test_sobolev_norm_of_a_field_whose_transform_overflows():
     # every sample is finite, but the transform's sums overflow and leave
     # inf and NaN coefficients: the norm reads inf, with no numpy warning

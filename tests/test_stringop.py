@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from groupsobolev.group import character_table, parse_group
 from groupsobolev.sobolev import lp_norm, make_weight, sobolev_norm, weight_from_table
@@ -233,6 +235,70 @@ def test_domain_norm_of_a_field_whose_transform_overflows_is_refused():
     rows[0, 2] = np.nan
     with pytest.raises(NotInDomainError, match="not a number"):
         domain_norm_batch(build_multiplier(g, w, 0.5), rows)
+
+
+@pytest.mark.parametrize("coeff", [1e-170, 1e-200])
+def test_tiny_fields_do_not_read_zero(coeff):
+    # every square is below the smallest float64, so each norm must be
+    # summed again scaled by its largest term
+    g = parse_group("Z64")
+    w = make_weight(g, "sym-euclid")
+    dual = np.zeros(64, dtype=complex)
+    dual[[1, 63]] = coeff
+    f = idft(Spectrum(g, dual))
+    m1 = 1.0 + math.exp(0.5)  # gamma = 1 at indices 1 and 63
+    assert domain_norm(f, w, 0.5) == pytest.approx(math.sqrt(2.0) * coeff * m1, rel=1e-14, abs=0.0)
+    assert sobolev_norm(f, w, 1.0) == pytest.approx(2.0 * coeff, rel=1e-14, abs=0.0)
+    assert lp_norm(f, 2) == pytest.approx(math.sqrt(2.0) * coeff, rel=1e-14, abs=0.0)
+
+
+def test_domain_norm_reads_subnormal_coefficients_as_their_products():
+    # on white noise at c = 0.5 some coefficients of the solution are
+    # subnormal, where |F| rounds to the subnormal grid; the domain norm is
+    # the l2 norm of the products m F, which keep F's phase and size
+    wide = np.finfo(np.longdouble)
+    if wide.eps == np.finfo(np.float64).eps:
+        pytest.skip(f"long double is float64 here (eps {wide.eps}): no wider reference")
+    g = parse_group("Z64xZ64")
+    w = make_weight(g, "sym-euclid")
+    data = Signal(g, np.random.default_rng(1).standard_normal(g.order))
+    u = solve_linear(data, w, 0.5)
+    dual = u.exact_dual
+    tiny = np.finfo(np.float64).tiny
+    assert ((np.abs(dual) < tiny) & (dual != 0)).sum() > 0
+    m = np.exp(build_multiplier(g, w, 0.5).log_values.astype(np.longdouble))
+    ref = np.sqrt(((m * dual.real.astype(np.longdouble)) ** 2
+                   + (m * dual.imag.astype(np.longdouble)) ** 2).sum())
+    assert domain_norm(u, w, 0.5) == pytest.approx(float(ref), rel=1e-14, abs=0.0)
+
+
+_SMALL_GROUPS = ("Z1", "Z2", "Z3", "Z7", "Z12", "Z64", "Z8xZ8", "Z2xZ3xZ4", "Z4xZ16",
+                 "Z2xZ2xZ2xZ2xZ2xZ2", "Z5xZ5")
+
+
+@settings(max_examples=25, deadline=None)
+@given(name=st.sampled_from(_SMALL_GROUPS), c=st.floats(0.1, 2.0), s=st.floats(0.0, 4.0),
+       k=st.integers(-1000, 1000), seed=st.integers(0, 2**32 - 1))
+def test_norms_scale_exactly_by_powers_of_two(name, c, s, k, seed):
+    # a power of two scales every norm exactly, so only a missing rescale of
+    # an overflowing or underflowing sum of squares can break this; the
+    # coefficients sit where m < 4e5, so every product stays representable
+    g = parse_group(name)
+    w = make_weight(g, "sym-euclid")
+    profile = build_multiplier(g, w, c)
+    rng = np.random.default_rng(seed)
+    dual = rng.uniform(0.5, 2.0, g.order) * np.exp(2j * np.pi * rng.random(g.order))
+    dual[profile.log_values > 13.0] = 0.0
+    f = idft(Spectrum(g, dual))
+    scaled = idft(Spectrum(g, 2.0**k * dual))
+    for norm in (lambda h: domain_norm(h, w, c), lambda h: sobolev_norm(h, w, s),
+                 lambda h: lp_norm(h, 2)):
+        assert norm(scaled) == pytest.approx(2.0**k * norm(f), rel=1e-14, abs=0.0)
+    # L inverts its own solve, and keeps the L2 norm, where m is in range
+    assume(profile.log_values.max() < 700.0)
+    data = Signal(g, rng.standard_normal(g.order))
+    back = apply_operator(solve_linear(data, w, c), w, c)
+    assert lp_norm(back, 2) == pytest.approx(lp_norm(data, 2), rel=1e-13, abs=0.0)
 
 
 def test_domain_norm_dominates_sobolev(rng):
