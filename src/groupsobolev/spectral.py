@@ -84,14 +84,23 @@ __all__ = [
 ]
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """Whether every entry is finite.  A contiguous complex array is tested
+    through its float64 view, at about two thirds of the cost of numpy's
+    complex ``isfinite``."""
+    if values.dtype.kind == "c" and values.flags.c_contiguous:
+        values = values.view(np.float64)
+    return bool(np.isfinite(values).all())
+
+
 def _as_frozen_values(group: FiniteAbelianGroup, values, what: str) -> np.ndarray:
-    vals = np.asarray(values, dtype=np.complex128).reshape(-1).copy()
+    vals = np.array(values, dtype=np.complex128, order="C").reshape(-1)  # one copy, a view reshaped
     if vals.size != group.order:
         raise ValueError(
             f"{what} has {vals.size} values but group {group.descriptor} "
             f"has order {group.order}"
         )
-    if not np.all(np.isfinite(vals)):
+    if not _all_finite(vals):
         raise ValueError(f"{what} values must all be finite")
     vals.setflags(write=False)
     return vals

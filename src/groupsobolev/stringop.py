@@ -55,7 +55,7 @@ import numpy as np
 
 from .group import FiniteAbelianGroup
 from .sobolev import Weight, _root_sum
-from .spectral import Signal, Spectrum, dual_coefficients, idft
+from .spectral import Signal, Spectrum, _all_finite, dual_coefficients, idft
 
 __all__ = [
     "LOG_MAX_DOUBLE",
@@ -219,7 +219,7 @@ def multiply_spectrum(profile: MultiplierProfile, spectrum: np.ndarray) -> np.nd
         abs_over = np.abs(spec_over)
         _guard_membership(profile, abs_over)
     out = profile.finite_values * spectrum
-    if not np.isfinite(out).all():
+    if not _all_finite(out):
         raise NotInDomainError(
             "operator output exceeds float64 range or is not a number: m(xi) * F(xi) "
             "is not finite even at a representable multiplier"

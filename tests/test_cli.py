@@ -320,18 +320,17 @@ def test_solve_nonlinear_failed_verification_exits_1(argv, capsys):
 
 
 def test_solve_nonlinear_verifies_once(monkeypatch, capsys):
-    import groupsobolev.cli as cli
     import groupsobolev.nonlinear as nonlinear
 
+    # every certificate, the solver's own and any verify_solution, is this method
     calls = []
-    real = nonlinear.verify_solution
+    real = nonlinear._FixedPointMap.certificate
 
-    def counting(*args, **kwargs):
+    def counting(self, *args, **kwargs):
         calls.append(kwargs.get("residual_tol"))
-        return real(*args, **kwargs)
+        return real(self, *args, **kwargs)
 
-    monkeypatch.setattr(nonlinear, "verify_solution", counting)
-    monkeypatch.setattr(cli, "verify_solution", counting, raising=False)  # a CLI-side call
+    monkeypatch.setattr(nonlinear._FixedPointMap, "certificate", counting)
     code = main(["solve-nonlinear", "--group", "Z12", "--c", "0.5", "--tol", "1e-11",
                  "--nonlinearity", "forced-power:2,0.1", "--forcing-scale", "0.01"])
     assert code == 0
@@ -381,6 +380,15 @@ def test_solve_nonlinear_huge_forcing_reports_its_norm(capsys):
     doc = json.loads(out)
     assert doc["config"]["forcing_l2"] == pytest.approx(1e300, rel=1e-15)
     assert doc["result"]["status"] == "diverged"
+
+
+def test_solve_nonlinear_reports_a_real_forcing_norm_from_its_real_parts(capsys):
+    # the forcing is held as complex samples with zero imaginary parts,
+    # which must not enter the sum of its squares
+    code = main(["solve-nonlinear", "--group", "Z64", "--c", "1",
+                 "--nonlinearity", "forced-power:2,1", "--forcing-scale", "0.3"])
+    assert code == 0
+    assert json.loads(capsys.readouterr().out)["config"]["forcing_l2"] == 0.3
 
 
 def test_solve_nonlinear_diverged_prints_no_warnings(tmp_path):

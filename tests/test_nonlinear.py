@@ -411,14 +411,85 @@ def test_picard_step_is_the_solvers_step(name, weight):
 
 
 def test_solve_and_certificates_share_one_fixed_point_map():
-    from groupsobolev.nonlinear import _fixed_point_map
+    from groupsobolev.nonlinear import _plan
 
     nl, w = _small_quadratic_problem()
-    before = _fixed_point_map.cache_info().misses
+    before = _plan.cache_info().misses
     phi, rep = solve_nonlinear(nl, w, 1.0, SolverConfig())
     assert verify_solution(phi, nl, w, 1.0, s=1.0, residual_tol=1e-9) == rep.verification
-    # the loop's map serves its own certificate and the caller's
-    assert _fixed_point_map.cache_info().misses == before + 1
+    # the loop's plan serves the ball sizing, its own certificate and the caller's
+    assert _plan.cache_info().misses == before + 1
+
+
+def test_plan_is_built_once_per_weight_and_c():
+    from groupsobolev.nonlinear import _fixed_point_map, _plan
+
+    g = parse_group("Z64")
+    w = make_weight(g, "sym-euclid")
+    before = _plan.cache_info().misses
+    maps = []
+    for scale in (0.01, 0.02):  # two forcings on one (weight, c)
+        nl = forced_power_nonlinearity(2, 0.1, lowfreq_forcing(g, scale))
+        phi, rep = solve_nonlinear(nl, w, 1.0, SolverConfig())
+        assert verify_solution(phi, nl, w, 1.0, s=1.0, residual_tol=1e-9) == rep.verification
+        maps.append(_fixed_point_map(nl, w, 1.0))
+    assert _plan.cache_info().misses == before + 1
+    assert maps[0].plan is maps[1].plan and maps[0].nl is not maps[1].nl
+    solve_nonlinear(nl, w, 0.5, SolverConfig())  # a new c
+    assert _plan.cache_info().misses == before + 2
+    solve_nonlinear(nl, make_weight(g, "sym-euclid"), 0.5, SolverConfig())  # a new weight
+    assert _plan.cache_info().misses == before + 3
+
+
+@pytest.mark.parametrize("name, weight", [
+    ("Z4096", "sym-euclid"), ("Z4096", "pruefer:2"), ("Z64xZ64", "sym-euclid"),
+    ("Z16xZ16xZ16", "sym-euclid"), ("x".join(["Z2"] * 12), "hamming"), ("Z257", "sym-euclid"),
+])
+def test_solver_certificate_is_verify_solution_on_the_benchmark_groups(name, weight):
+    # the solver certifies its own coefficients and samples; a caller's
+    # verify_solution takes them from the returned Signal: one record
+    g = parse_group(name)
+    w = make_weight(g, weight)
+    for p in (2, 3):
+        nl = forced_power_nonlinearity(p, 1.0, lowfreq_forcing(g, 0.1))
+        phi, rep = solve_nonlinear(nl, w, 1.0, SolverConfig())
+        assert rep.converged
+        assert verify_solution(phi, nl, w, 1.0, s=1.0, residual_tol=1e-9) == rep.verification
+
+
+@pytest.mark.parametrize("name, weight", [
+    ("Z64", "sym-euclid"), ("Z257", "sym-euclid"), ("Z6xZ10", "sym-euclid"),
+    ("Z5xZ2xZ2xZ7", "sym-euclid"), ("Z2xZ4xZ2xZ4", "sym-euclid"),
+    ("Z2xZ2xZ2xZ2xZ2xZ2", "hamming"),
+])
+def test_certificate_sobolev_norm_on_the_half_layout_is_the_full_dual_one(name, weight, rng):
+    # the certificate sums (1 + gamma^2)^(s/2) a over the half layout, each
+    # entry counted twice but those whose partners are stored too
+    from groupsobolev.sobolev import sobolev_norm_batch
+
+    g = parse_group(name)
+    w = make_weight(g, weight)
+    nl = power_nonlinearity(g, 2, 0.5)
+    for _ in range(5):
+        y = rng.standard_normal(g.order) * 10.0 ** rng.uniform(-5, 5)
+        dual = half_layout(g).expand(dft_values(g, y, half=True))  # exactly Hermitian
+        for s in (0.0, 1.0, 2.5):
+            got = verify_solution(Signal(g, y, exact_dual=dual), nl, w, 1.0, s=s)["sobolev_norm"]
+            assert got == pytest.approx(float(sobolev_norm_batch(w, s, dual)), rel=1e-15, abs=0.0)
+
+
+def test_certificate_of_a_real_phi_reads_its_sup_from_the_real_parts(rng):
+    # |x + 0j| is |x|: the real parts' sup is the complex sup, bit for bit
+    g = parse_group("Z64")
+    w = make_weight(g, "sym-euclid")
+    nl = forced_power_nonlinearity(2, 0.5, lowfreq_forcing(g, 0.1))
+    phi, rep = solve_nonlinear(nl, w, 1.0, SolverConfig())
+    fields = [phi, Signal(g, rng.standard_normal(64) * 1e300), Signal(g, -rng.random(64) * 1e-300),
+              Signal(g, np.full(64, -0.0))]
+    for u in fields:
+        assert not u.values.imag.any()
+        assert verify_solution(u, nl, w, 1.0, s=1.0)["sup_norm"] == float(np.abs(u.values).max())
+    assert rep.verification["sup_norm"] == float(np.abs(phi.values).max())
 
 
 def _full_dual_picard(nl, w, c, tol):

@@ -209,6 +209,48 @@ def test_lp_norm_of_extreme_finite_fields(scale):
                        rtol=1e-15, atol=0.0)
 
 
+@pytest.mark.parametrize("p", [4, 6])
+def test_power_sums_match_long_double(p, rng):
+    # the solver's ball check at alpha = 2 and 3 takes these powers as
+    # products of squares: each power alone (one entry per row, signed
+    # bases from subnormal to 1e300) and sums over a solver-sized field stay
+    # within 2 ulps of a long double reference
+    from groupsobolev.sobolev import _power_sum
+
+    if np.finfo(np.longdouble).nmant <= np.finfo(np.float64).nmant:
+        pytest.skip("long double is no wider than double here")
+    mags = [0.0, 5e-324, 1e-310, 1e-200, 1e-60, 1e-3, 0.3, 0.99999, 1.00002, 1.7, 3.25, 1e5,
+            1e40, 1e51, 1e77, 1e100, 1e300]
+    single = np.array(mags + [-m for m in mags])[:, None]
+    for values in (single, rng.standard_normal((8, 4096))):
+        with np.errstate(over="ignore", under="ignore"):
+            got = _power_sum(values, p)
+            ref = (np.abs(values.astype(np.longdouble)) ** p).sum(axis=-1)
+            wide = ref.astype(np.float64)
+        assert np.array_equal(np.isinf(got), np.isinf(wide))
+        finite = np.isfinite(wide)
+        ulps = np.abs(got[finite] - ref[finite]) / np.spacing(wide[finite])
+        assert ulps.max() <= 2.0
+
+
+def test_lp_norm_of_real_valued_signal_reads_the_real_array(rng):
+    # a real field is held as complex samples with zero imaginary parts,
+    # which must not enter its sums: the solver's built-in forcings of L2
+    # norm 0.3 and 0.2 read 0.30000000000000004 and 0.20000000000000007 so
+    from groupsobolev.nonlinear import lowfreq_forcing
+
+    fields = [lowfreq_forcing(parse_group("Z64"), 0.3),
+              lowfreq_forcing(parse_group("x".join(["Z2"] * 12)), 0.2),
+              Signal(parse_group("Z4096"), rng.standard_normal(4096))]
+    for f in fields:
+        values = np.ascontiguousarray(f.values.real)
+        for p in (1, 2, 3, 4, 6, math.inf):
+            assert lp_norm(f, p) == float(lp_norm_batch(f.group, values, p))
+    assert lp_norm(fields[0], 2) == 0.3 and lp_norm(fields[1], 2) == 0.2
+    g = fields[2].group
+    assert lp_norm(Signal(g, values + 1e-3j), 2) == float(lp_norm_batch(g, values + 1e-3j, 2))
+
+
 def test_lp_norm_of_infinite_field_is_infinite():
     g = parse_group("Z4")
     assert lp_norm_batch(g, np.array([1.0, -np.inf, 0.0, 2.0]), 2) == math.inf
