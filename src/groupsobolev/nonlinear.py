@@ -15,10 +15,11 @@ certificate all apply it.  The solver runs the damped Picard iteration
 
 on the iterate's coefficients a: one inverse transform synthesizes its
 samples y, and one forward transform brings V(., y) back.  What G reads
-besides the nonlinearity depends on (weight, c) alone and is cached per
-pair as a plan (``_plan``): the weight-symmetry check, the layout, the
-multiplier on it and -1/m, and ``size_ball``'s constants per growth
-exponent, so that a new forcing builds only the map.  Convergence is
+besides the nonlinearity depends on (weight, c) alone, so the map is
+cached per pair (``_plan``) and takes the nonlinearity as an argument: it
+holds the weight-symmetry check, the layout, the multiplier on it and
+-1/m, and ``size_ball``'s constants per growth exponent, whose sup reads
+the map's own log m.  A new forcing reuses the map.  Convergence is
 certified a posteriori by the map's certificate, on half coefficients:
 the equation residual ||L phi - V(., phi)||_L2 is recomputed through an
 independent forward application of the operator.  The product m a of
@@ -303,8 +304,11 @@ def lowfreq_forcing(group: FiniteAbelianGroup, scale: float) -> Signal:
 # the fixed-point map
 # ---------------------------------------------------------------------------
 
-def _real_values(u: Signal) -> np.ndarray:
-    """u's samples as a real array; u must be real-valued to within _IMAG_TOL."""
+def _real_values(nl: Nonlinearity, u: Signal) -> np.ndarray:
+    """u's samples as a real array; u must live on nl's group and be
+    real-valued to within _IMAG_TOL."""
+    if u.group != nl.group:
+        raise ValueError("field lives on a different group than the nonlinearity")
     worst_imag = float(np.abs(u.values.imag).max(initial=0.0))
     if worst_imag > _IMAG_TOL:
         raise ValueError(
@@ -315,17 +319,22 @@ def _real_values(u: Signal) -> np.ndarray:
 
 def eval_source(nl: Nonlinearity, u: Signal) -> Signal:
     """V(., u) = U(., u) - u, evaluated pointwise on a real-valued field."""
-    y = _real_values(u)
+    y = _real_values(nl, u)
     return Signal(u.group, nl.u_func(y) - y)
 
 
+_DELTAS = (1.25, 1.5, 2.0, 3.0, 4.0)
+
+
 @dataclass(frozen=True, eq=False)
-class _Plan:
-    """What the fixed-point map reads for one (weight, c), whatever the
-    nonlinearity: whether the weight is symmetric, gamma(xi) = gamma(xi^-1);
-    the group's half layout; the multiplier profile on it and -1/m; and,
-    filled on first use per growth exponent alpha, ``size_ball``'s
-    (delta, s_embed, E)."""
+class _FixedPointMap:
+    """G(u) = L^{-1} V(., u) for one (weight, c) on the coefficients of u on
+    the group's half layout; the methods that read V take the nonlinearity.
+    The map holds whether the weight is symmetric, gamma(xi) = gamma(xi^-1);
+    the layout; the multiplier profile on it and -1/m; and, filled on first
+    use per growth exponent alpha, ``size_ball``'s (delta, s_embed, E).
+    Callers silence numpy's overflow and invalid warnings: a blown-up
+    iterate reads inf or nan, which the solver treats as divergence."""
 
     weight: Weight
     symmetric: bool
@@ -335,55 +344,28 @@ class _Plan:
     balls: dict = field(default_factory=dict)
 
     def ball_constants(self, alpha: float) -> tuple[float, float, float]:
-        """``size_ball``'s steps 1-3 at growth exponent alpha."""
+        """``size_ball``'s steps 1-3 at growth exponent alpha.  The sup in E
+        runs over the layout, which holds every gamma of a symmetric weight,
+        or else over the whole dual."""
         if alpha not in self.balls:
             w = self.weight
-            delta, gam, log1p_gam2 = _ball_weight_data(w)
+            delta = next((cand for cand in _DELTAS if _inverse_power_sum(w, cand) <= 10.0), 4.0)
             s_embed = delta - delta / (2.0 * alpha)
-            log_ratio = (s_embed / 2.0) * log1p_gam2 - _log_multiplier(gam, self.profile.c, w.name)
+            if self.symmetric:
+                gam, log_m = self.layout.gather(w.values), self.profile.log_values
+            else:
+                gam, log_m = w.values, _log_multiplier(w.values, self.profile.c, w.name)
+            log_ratio = (s_embed / 2.0) * np.log1p(gam**2) - log_m
             e_const = (float(np.exp(log_ratio.max()))
                        * embedding_constant_lalpha(w.group, w, s_embed, delta)["constant"])
             self.balls[alpha] = (delta, s_embed, e_const)
         return self.balls[alpha]
 
-
-# The benchmark's solve workload cycles 12 (weight, c) cells, which 16 entries
-# hold; a sweep over c uses each plan once.  Weights hash by identity, and a
-# cached key keeps its weight alive.
-@lru_cache(maxsize=16)
-def _plan(w: Weight, c: float) -> _Plan:
-    group = w.group
-    layout = half_layout(group)
-    profile = _multiplier_profile(group, w.name, c, layout.gather(w.values))
-    neg_inverse = np.negative(profile.inverse)
-    neg_inverse.setflags(write=False)
-    symmetric = np.array_equal(w.values, w.values[inverse_indices(group)])
-    return _Plan(w, symmetric, layout, profile, neg_inverse)
-
-
-@dataclass(frozen=True, eq=False)
-class _FixedPointMap:
-    """G(u) = L^{-1} V(., u) for one nonlinearity on the coefficients of u
-    on the plan's half layout.  Callers silence numpy's overflow and invalid
-    warnings: a blown-up iterate reads inf or nan, which the solver treats
-    as divergence."""
-
-    nl: Nonlinearity
-    plan: _Plan
-
-    @property
-    def layout(self) -> HalfLayout:
-        return self.plan.layout
-
-    @property
-    def profile(self) -> MultiplierProfile:
-        return self.plan.profile
-
-    def source_hat(self, y: np.ndarray) -> np.ndarray | None:
+    def source_hat(self, nl: Nonlinearity, y: np.ndarray) -> np.ndarray | None:
         """Coefficients of the source V(., y), or None when they are not
         finite, as they are not where V is: the mean coefficient sums every
         sample."""
-        v_hat = dft_values(self.plan.weight.group, self.nl.u_func(y) - y, half=True)
+        v_hat = dft_values(self.weight.group, nl.u_func(y) - y, half=True)
         return v_hat if _all_finite(v_hat) else None
 
     def step(self, v_hat: np.ndarray) -> np.ndarray:
@@ -395,8 +377,8 @@ class _FixedPointMap:
         does not preserve real fields.  On a 2-group's ``real`` layout each
         entry is real and its own partner, and the projection is the
         identity."""
-        raw = v_hat * self.plan.neg_inverse
-        layout = self.plan.layout
+        raw = v_hat * self.neg_inverse
+        layout = self.layout
         if layout.real:
             return raw
         own = raw if layout.paired is None else raw[layout.paired]
@@ -427,7 +409,7 @@ class _FixedPointMap:
         if v_hat is None:
             return math.inf
         try:
-            m_a = multiply_spectrum(self.plan.profile, a)
+            m_a = multiply_spectrum(self.profile, a)
         except NotInDomainError:
             return math.inf
         m_a += v_hat
@@ -438,7 +420,7 @@ class _FixedPointMap:
         the layout are ``coeffs``: each entry counts twice but those
         ``paired``, whose partners are stored too."""
         whole = float(_root_sum(coeffs))
-        paired = self.plan.layout.paired
+        paired = self.layout.paired
         if paired is None or not 0.0 < whole < math.inf:
             return whole
         ratio = float(_root_sum(coeffs[paired])) / whole
@@ -446,11 +428,11 @@ class _FixedPointMap:
 
     def samples(self, a: np.ndarray) -> np.ndarray:
         """The real field synthesized from coefficients a."""
-        return idft_values(self.plan.weight.group, a, half=True)
+        return idft_values(self.weight.group, a, half=True)
 
-    def certificate(self, p: np.ndarray, q: np.ndarray | None, y: np.ndarray | None,
-                    sup: float, s: float, residual_tol: float) -> dict:
-        """:func:`verify_solution`'s record for phi = p + i q, from the
+    def certificate(self, nl: Nonlinearity, p: np.ndarray, q: np.ndarray | None,
+                    y: np.ndarray | None, sup: float, s: float, residual_tol: float) -> dict:
+        """:func:`verify_solution`'s record for phi = p + i q under nl, from the
         coefficients p and q (None: 0) of two real fields on the layout, the
         samples y of Re phi (None: not real to within _IMAG_TOL, residual
         inf) and sup |phi|.  The residual synthesizes L p from m p, one
@@ -460,15 +442,14 @@ class _FixedPointMap:
         Sobolev norm is ``norm`` of (1 + gamma^2)^(s/2) p and of the same
         times q, in quadrature: the weight is symmetric, so their cross
         terms cancel over the dual."""
-        plan = self.plan
-        w = plan.weight
+        w = self.weight
         group = w.group
         # a diverged field may overflow these norms; inf is the honest report
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                m_p = multiply_spectrum(plan.profile, p)
+                m_p = multiply_spectrum(self.profile, p)
                 # ||L q||, which adds in quadrature to ||L p|| and to the residual
-                lq = 0.0 if q is None else self.norm(multiply_spectrum(plan.profile, q))
+                lq = 0.0 if q is None else self.norm(multiply_spectrum(self.profile, q))
                 dom = math.hypot(self.norm(m_p), lq)  # hypot(x, 0.0) is x
             except NotInDomainError:
                 m_p, dom = None, math.inf
@@ -476,9 +457,9 @@ class _FixedPointMap:
             if m_p is not None and y is not None:
                 lp = self.samples(np.negative(m_p, out=m_p))
                 if np.isfinite(lp).all():
-                    lp -= self.nl.u_func(y) - y
+                    lp -= nl.u_func(y) - y
                     residual = math.hypot(float(_root_sum(lp, count=group.order)), lq)
-            weights = plan.layout.gather(_sobolev_weights(w, _check_s(s)))
+            weights = self.layout.gather(_sobolev_weights(w, _check_s(s)))
             sob = float(_weighted_norm(weights, p, self.norm))
             if q is not None:
                 sob = math.hypot(sob, float(_weighted_norm(weights, q, self.norm)))
@@ -498,17 +479,32 @@ class _FixedPointMap:
         }
 
 
+# The benchmark's solve workload cycles 12 (weight, c) cells, which 16 entries
+# hold; a sweep over c uses each map once.  Weights hash by identity, and a
+# cached key keeps its weight alive.
+@lru_cache(maxsize=16)
+def _plan(w: Weight, c: float) -> _FixedPointMap:
+    group = w.group
+    layout = half_layout(group)
+    profile = _multiplier_profile(group, w.name, c, layout.gather(w.values))
+    neg_inverse = np.negative(profile.inverse)
+    neg_inverse.setflags(write=False)
+    symmetric = np.array_equal(w.values, w.values[inverse_indices(group)])
+    return _FixedPointMap(w, symmetric, layout, profile, neg_inverse)
+
+
 def _fixed_point_map(nl: Nonlinearity, w: Weight, c: float) -> _FixedPointMap:
-    """G for (nl, w, c) on the cached plan of (w, c)."""
+    """The cached G of (w, c), checked against nl: the weight must live on
+    nl's group and be symmetric."""
     if w.group != nl.group:
         raise ValueError("weight lives on a different group than the nonlinearity")
-    plan = _plan(w, c)
-    if not plan.symmetric:
+    fmap = _plan(w, c)
+    if not fmap.symmetric:
         raise ValueError(
             f"weight {w.name!r} is not symmetric under xi -> xi^-1: the solver needs "
             "gamma(xi) = gamma(xi^-1) so that real fields stay real"
         )
-    return _FixedPointMap(nl, plan)
+    return fmap
 
 
 def picard_step(u: Signal, nl: Nonlinearity, w: Weight, c: float) -> Signal:
@@ -516,10 +512,10 @@ def picard_step(u: Signal, nl: Nonlinearity, w: Weight, c: float) -> Signal:
     V(., u), by one forward and one inverse transform on the half layout.
     The result is real, its coefficients projected onto Hermitian ones, which
     must be a rounding-level projection only, and carries them."""
-    y = _real_values(u)
+    y = _real_values(nl, u)
     fmap = _fixed_point_map(nl, w, c)
     with np.errstate(over="ignore", invalid="ignore"):
-        v_hat = fmap.source_hat(y)
+        v_hat = fmap.source_hat(nl, y)
         if v_hat is None:
             raise ValueError("source values are not finite (field overflow)")
         step = fmap.step(v_hat)
@@ -544,10 +540,11 @@ class SolverConfig:
             raise ValueError(f"damping must be in (0, 1], got {self.theta}")
         if not self.tol > 0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
-        if self.max_iter < 1:
-            raise ValueError(f"max_iter must be >= 1, got {self.max_iter}")
+        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
+            raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
         if self.epsilon_ball is not None and not self.epsilon_ball > 0:
             raise ValueError(f"ball radius must be positive, got {self.epsilon_ball}")
+        _check_s(self.s)
 
 
 @dataclass(frozen=True)
@@ -572,22 +569,6 @@ class SolveReport:
         return {**doc, "residual_history": list(self.residual_history), "norms": dict(self.norms)}
 
 
-_DELTAS = (1.25, 1.5, 2.0, 3.0, 4.0)
-
-
-@lru_cache(maxsize=8)  # weights hash by identity; the cached key keeps its weight alive
-def _ball_weight_data(w: Weight) -> tuple[float, np.ndarray, np.ndarray]:
-    """``size_ball``'s weight-only data: delta, the distinct gamma values and
-    their log(1 + gamma^2), read-only."""
-    delta = next((cand for cand in _DELTAS if _inverse_power_sum(w, cand) <= 10.0), 4.0)
-    gam = np.sort(w.values)  # np.unique would import numpy.ma, 30 ms, on first use
-    gam = gam[np.append(True, gam[1:] != gam[:-1])]
-    log1p_gam2 = np.log1p(gam**2)
-    for arr in (gam, log1p_gam2):
-        arr.setflags(write=False)
-    return delta, gam, log1p_gam2
-
-
 def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) -> dict:
     """Executable sizing of the invariant ball Y_eps in L^{2 alpha}.
 
@@ -602,7 +583,8 @@ def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) 
        the norm of the chain  domain -> H^s -> L^{alpha*} -> L^{2 alpha}
        (the last inclusion is norm-1 on a probability space since
        alpha* >= 2 alpha inside the window).  The sup depends on xi only
-       through gamma(xi), so it is taken over the weight's distinct values.
+       through gamma(xi), so for a symmetric weight it is taken over the
+       half layout, which holds every gamma value.
     4. With D' = 2 C^2 E^2 the map G sends Y_eps into itself whenever
        D'(||h||_L2^2 + eps^{2 alpha}) <= eps^2; the smallest such eps is
        found by bisection below the minimizer eps* = (alpha D')^{-1/(2alpha-2)}.
@@ -616,6 +598,8 @@ def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) 
     """
     if w.group != group:
         raise ValueError("weight lives on a different group")
+    if nl.group != group:
+        raise ValueError("nonlinearity lives on a different group")
     delta, s_embed, e_const = _plan(w, c).ball_constants(nl.alpha)
     h_norm = lp_norm(nl.h, 2)
     # squares by multiplication read inf past float64, where ** would raise
@@ -686,10 +670,10 @@ def solve_nonlinear(
             a0 = np.zeros(layout.size, dtype=np.float64 if layout.real else np.complex128)
             y0 = np.zeros(group.order)
         else:
+            y0 = _real_values(nl, cfg.initial)
             d0 = dual_coefficients(cfg.initial)
             a0 = layout.gather(0.5 * (d0 + np.conj(d0[inverse_indices(group)])))
-            y0 = cfg.initial.values.real
-        v_hat0 = fmap.source_hat(y0)
+        v_hat0 = fmap.source_hat(nl, y0)
         if cfg.initial is not None and v_hat0 is not None:
             # samples fix their dual coefficients only to within their rounding,
             # about eps * ||y0||; where the equation's own coefficient -V_hat/m
@@ -734,7 +718,7 @@ def solve_nonlinear(
                 # the monitored residual's V_hat is the next step's source, so
                 # it costs no extra transform.  Catches one-step exact cases
                 # (affine).
-                v_hat = fmap.source_hat(y)
+                v_hat = fmap.source_hat(nl, y)
                 if fmap.residual(a, v_hat) < cfg.tol:
                     status = "converged"
                     break
@@ -747,7 +731,7 @@ def solve_nonlinear(
 
         # the a posteriori certificate goes through the forward operator
         sup = float(lp_norm_batch(group, y, math.inf))
-        record = fmap.certificate(a, None, y, sup, cfg.s, residual_tol=10 * cfg.tol)
+        record = fmap.certificate(nl, a, None, y, sup, cfg.s, residual_tol=10 * cfg.tol)
         norms = {
             "l2": float(lp_norm_batch(group, y, 2)),
             "l2alpha": float(lp_norm_batch(group, y, two_alpha)),
@@ -814,7 +798,7 @@ def verify_solution(
     # |x + 0j| is |x|: a real phi's sup reads its real parts, bit for bit
     sup = float(np.abs(values.real if worst_imag == 0.0 else values).max())
     y = np.ascontiguousarray(values.real) if worst_imag <= _IMAG_TOL else None
-    return fmap.certificate(p, q, y, sup, s, residual_tol=residual_tol)
+    return fmap.certificate(nl, p, q, y, sup, s, residual_tol=residual_tol)
 
 
 def check_growth_conditions(nl: Nonlinearity, y_samples) -> dict:

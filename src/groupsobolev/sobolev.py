@@ -341,7 +341,7 @@ def lp_norm_batch(group: FiniteAbelianGroup, values: np.ndarray, p) -> np.ndarra
     if p == math.inf or p == np.inf:
         return np.abs(values).max(axis=-1)
     p = float(p)
-    if p < 1:
+    if not p >= 1:  # NaN too
         raise ValueError(f"lp_norm needs p >= 1 (or inf), got {p}")
     with np.errstate(over="ignore", under="ignore"):
         return _root_sum(values, p, group.order)

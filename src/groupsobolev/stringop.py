@@ -39,10 +39,11 @@ A profile lists the overflowed entries and holds m with zeros there, so the
 membership guard and the log-space products look at those entries only; a c
 for which c * gamma^2 itself overflows is refused when the profile is built.
 One private helper holds the log m formula: ``build_multiplier`` applies it
-over the dual, the fixed-point map of ``nonlinear`` over the entries it holds
-a real field's coefficients on, and ``nonlinear.size_ball`` over a weight's
-distinct gamma values.  ``multiply_spectrum`` works entrywise on any such
-profile.  ``domain_norm`` reads the full dual, and the certificate of
+over the dual, and the fixed-point map of ``nonlinear`` over the entries it
+holds a real field's coefficients on, whose log m ``nonlinear.size_ball``
+reads too; it applies the helper over the dual for an asymmetric weight.
+``multiply_spectrum`` works entrywise on any such profile.  ``domain_norm``
+reads the full dual, and the certificate of
 ``nonlinear`` the map's entries, both as the l2 norm of the product m F.
 """
 from __future__ import annotations

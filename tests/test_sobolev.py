@@ -197,6 +197,15 @@ def test_lp_norm_values():
         lp_norm(f, 0.5)
 
 
+def test_lp_norm_refuses_nan_p():
+    g = parse_group("Z4")
+    f = Signal(g, [1.0, -1.0, 1.0, -1.0])
+    with pytest.raises(ValueError, match="needs p >= 1"):
+        lp_norm(f, math.nan)
+    with pytest.raises(ValueError, match="needs p >= 1"):
+        lp_norm_batch(g, f.values.real, math.nan)
+
+
 @pytest.mark.parametrize("scale", [1e300, 1e-200, 1e-160])
 def test_lp_norm_of_extreme_finite_fields(scale):
     # the plain sum of squares overflows, underflows to 0, or goes subnormal
