@@ -17,12 +17,13 @@ on the iterate's coefficients a: one inverse transform synthesizes its
 samples y, and one forward transform brings V(., y) back.  What G reads
 besides the nonlinearity depends on (weight, c) alone, so the map is
 cached per pair (``_plan``) and takes the nonlinearity as an argument: it
-holds the weight-symmetry check, the layout, the multiplier on it and
--1/m, and ``size_ball``'s constants per growth exponent, whose sup reads
-the map's own log m.  A new forcing reuses the map.  Convergence is
-certified a posteriori by the map's certificate, on half coefficients:
-the equation residual ||L phi - V(., phi)||_L2 is recomputed through an
-independent forward application of the operator.  The product m a of
+holds the layout, the multiplier on it and -1/m, and ``size_ball``'s
+constants per growth exponent, whose sup reads the map's own log m.  The
+weight must be symmetric, which is checked once per weight.  A new forcing
+reuses the map.  Convergence is certified a posteriori by the map's
+certificate, on half coefficients: the equation residual
+||L phi - V(., phi)||_L2 is recomputed through an independent forward
+application of the operator.  The product m a of
 phi's coefficients a gives both L phi, by one transform, and the domain
 norm ||m a||; the Sobolev norm reads a on the layout, by the count-twice
 rule of the map's norms, and the sup norm phi's samples.  The solver
@@ -295,8 +296,11 @@ def lowfreq_forcing(group: FiniteAbelianGroup, scale: float) -> Signal:
         raise ValueError(
             f"group {group.descriptor} has no nonzero frequencies for the built-in forcing"
         )
-    coeffs *= scale / float(_root_sum(coeffs))  # Plancherel: the l2 norm of the coefficients
-    values = idft_values(group, coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs *= scale / float(_root_sum(coeffs))  # Plancherel: the l2 norm of the coefficients
+        values = idft_values(group, coeffs)
+    if not _all_finite(values):
+        raise ValueError(f"forcing scale {scale!r} is too large: its samples overflow float64")
     return Signal(group, values.real)
 
 
@@ -326,39 +330,50 @@ def eval_source(nl: Nonlinearity, u: Signal) -> Signal:
 _DELTAS = (1.25, 1.5, 2.0, 3.0, 4.0)
 
 
+def _ball_constants(w: Weight, alpha: float, gam: np.ndarray,
+                    log_m: np.ndarray) -> tuple[float, float, float]:
+    """``size_ball``'s steps 1-3, (delta, s_embed, E), at growth exponent
+    alpha; the sup in E runs over the entries whose weights are ``gam`` and
+    log-multipliers ``log_m``."""
+    delta = next((cand for cand in _DELTAS if _inverse_power_sum(w, cand) <= 10.0), 4.0)
+    s_embed = delta - delta / (2.0 * alpha)
+    log_ratio = (s_embed / 2.0) * np.log1p(gam**2) - log_m
+    e_const = (float(np.exp(log_ratio.max()))
+               * embedding_constant_lalpha(w.group, w, s_embed, delta)["constant"])
+    return delta, s_embed, e_const
+
+
+@lru_cache(maxsize=16)  # every solve asks; weights hash by identity, as in _plan
+def _symmetric(w: Weight) -> bool:
+    """Whether gamma(xi) = gamma(xi^-1) at every xi, as the solver needs:
+    the half layout holds gamma on one entry of each pair only."""
+    return np.array_equal(w.values, w.values[inverse_indices(w.group)])
+
+
 @dataclass(frozen=True, eq=False)
 class _FixedPointMap:
     """G(u) = L^{-1} V(., u) for one (weight, c) on the coefficients of u on
-    the group's half layout; the methods that read V take the nonlinearity.
-    The map holds whether the weight is symmetric, gamma(xi) = gamma(xi^-1);
-    the layout; the multiplier profile on it and -1/m; and, filled on first
-    use per growth exponent alpha, ``size_ball``'s (delta, s_embed, E).
+    the group's half layout, for a symmetric weight; the methods that read V
+    take the nonlinearity.  The map holds the layout, the multiplier
+    profile on it and -1/m, and, filled on first use per growth exponent
+    alpha, ``size_ball``'s (delta, s_embed, E).
     Callers silence numpy's overflow and invalid warnings: a blown-up
     iterate reads inf or nan, which the solver treats as divergence."""
 
     weight: Weight
-    symmetric: bool
     layout: HalfLayout
     profile: MultiplierProfile
     neg_inverse: np.ndarray
     balls: dict = field(default_factory=dict)
 
     def ball_constants(self, alpha: float) -> tuple[float, float, float]:
-        """``size_ball``'s steps 1-3 at growth exponent alpha.  The sup in E
-        runs over the layout, which holds every gamma of a symmetric weight,
-        or else over the whole dual."""
+        """:func:`_ball_constants` at growth exponent alpha, the sup in E
+        taken over the layout, which holds every gamma of a symmetric
+        weight."""
         if alpha not in self.balls:
             w = self.weight
-            delta = next((cand for cand in _DELTAS if _inverse_power_sum(w, cand) <= 10.0), 4.0)
-            s_embed = delta - delta / (2.0 * alpha)
-            if self.symmetric:
-                gam, log_m = self.layout.gather(w.values), self.profile.log_values
-            else:
-                gam, log_m = w.values, _log_multiplier(w.values, self.profile.c, w.name)
-            log_ratio = (s_embed / 2.0) * np.log1p(gam**2) - log_m
-            e_const = (float(np.exp(log_ratio.max()))
-                       * embedding_constant_lalpha(w.group, w, s_embed, delta)["constant"])
-            self.balls[alpha] = (delta, s_embed, e_const)
+            self.balls[alpha] = _ball_constants(w, alpha, self.layout.gather(w.values),
+                                                self.profile.log_values)
         return self.balls[alpha]
 
     def source_hat(self, nl: Nonlinearity, y: np.ndarray) -> np.ndarray | None:
@@ -489,8 +504,7 @@ def _plan(w: Weight, c: float) -> _FixedPointMap:
     profile = _multiplier_profile(group, w.name, c, layout.gather(w.values))
     neg_inverse = np.negative(profile.inverse)
     neg_inverse.setflags(write=False)
-    symmetric = np.array_equal(w.values, w.values[inverse_indices(group)])
-    return _FixedPointMap(w, symmetric, layout, profile, neg_inverse)
+    return _FixedPointMap(w, layout, profile, neg_inverse)
 
 
 def _fixed_point_map(nl: Nonlinearity, w: Weight, c: float) -> _FixedPointMap:
@@ -498,13 +512,12 @@ def _fixed_point_map(nl: Nonlinearity, w: Weight, c: float) -> _FixedPointMap:
     nl's group and be symmetric."""
     if w.group != nl.group:
         raise ValueError("weight lives on a different group than the nonlinearity")
-    fmap = _plan(w, c)
-    if not fmap.symmetric:
+    if not _symmetric(w):
         raise ValueError(
             f"weight {w.name!r} is not symmetric under xi -> xi^-1: the solver needs "
             "gamma(xi) = gamma(xi^-1) so that real fields stay real"
         )
-    return fmap
+    return _plan(w, c)
 
 
 def picard_step(u: Signal, nl: Nonlinearity, w: Weight, c: float) -> Signal:
@@ -584,7 +597,9 @@ def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) 
        (the last inclusion is norm-1 on a probability space since
        alpha* >= 2 alpha inside the window).  The sup depends on xi only
        through gamma(xi), so for a symmetric weight it is taken over the
-       half layout, which holds every gamma value.
+       half layout, which holds every gamma value, from the solver's cached
+       map; for an asymmetric weight, which the solver refuses, over the
+       whole dual, without building that map.
     4. With D' = 2 C^2 E^2 the map G sends Y_eps into itself whenever
        D'(||h||_L2^2 + eps^{2 alpha}) <= eps^2; the smallest such eps is
        found by bisection below the minimizer eps* = (alpha D')^{-1/(2alpha-2)}.
@@ -600,7 +615,11 @@ def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) 
         raise ValueError("weight lives on a different group")
     if nl.group != group:
         raise ValueError("nonlinearity lives on a different group")
-    delta, s_embed, e_const = _plan(w, c).ball_constants(nl.alpha)
+    if _symmetric(w):
+        delta, s_embed, e_const = _plan(w, c).ball_constants(nl.alpha)
+    else:
+        log_m = _log_multiplier(w.values, c, w.name)
+        delta, s_embed, e_const = _ball_constants(w, nl.alpha, w.values, log_m)
     h_norm = lp_norm(nl.h, 2)
     # squares by multiplication read inf past float64, where ** would raise
     d_prime = 2.0 * (nl.c_growth * nl.c_growth) * (e_const * e_const)

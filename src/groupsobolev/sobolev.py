@@ -275,9 +275,10 @@ def _power_sum(mag: np.ndarray, p: float) -> np.ndarray:
     squares them first, which keeps pow off signed bases, and p = 4 and 6
     (the solver's ball check at alpha = 2 and 3) are products of the
     squares, off numpy's pow loop, which costs 20-30 us per 4096 values.
-    Summed in numpy, not by a BLAS dot product, which starts its own
-    threads on long vectors: one call then costs about twice its wall time
-    in CPU."""
+    Summed in numpy, not by a BLAS dot product, which in a process that
+    loaded numpy before the package (see __init__) runs on several threads
+    on long vectors: one call then costs about twice its wall time in
+    CPU."""
     # np.add.reduce is ndarray.sum's reduction, without its wrapper
     if p % 2:
         return np.add.reduce(np.abs(mag) ** p, axis=-1)

@@ -159,11 +159,12 @@ def _same_group(a, b) -> FiniteAbelianGroup:
 # for 12 pocketfft passes.  A block of order b costs b*|G| multiply-adds.  On
 # an inner axis it is a batch of (b x b) @ (b x post) products; on the last
 # grid axis (post 1) it is one 2-D product, values.reshape(-1, b) @ T, with
-# the table T symmetric, instead of |G|/b matrix-vector products.  OpenBLAS
-# runs a complex product of 65536 or more multiply-adds on several threads:
-# order 16 does so on groups of order 4096 (CPU/wall about 2), order 8 only
-# from order 8192 on.  The real products of a 2-group stay on one thread up
-# to order 16384 at least.
+# the table T symmetric, instead of |G|/b matrix-vector products.  Importing
+# the package first pins OpenBLAS to one thread (see __init__); in a process
+# that loaded numpy before, OpenBLAS runs a complex product of 65536 or more
+# multiply-adds on several threads: order 16 does so on groups of order 4096
+# (CPU/wall about 2), order 8 only from order 8192 on, as do the real
+# products of Z2^13 and Z2^14, at no gain in wall time.
 _BLOCK_ORDER = 8
 
 

@@ -359,6 +359,18 @@ def test_solve_nonlinear_refuses_non_finite_data(capsys, flags, text):
     assert err.startswith("error: ") and text in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [
+    ["solve-nonlinear", "--forcing-scale", "1e308"],
+    ["sweep", "--param", "forcing-scale", "--grid", "1e308"],
+])
+def test_overflowing_forcing_scale_exits_2_with_one_line(capsys, argv):
+    # the forcing's samples overflow float64 however its norm is taken
+    code = main([*argv, "--group", "Z8", "--c", "1", "--nonlinearity", "forced-power:2,1"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: forcing scale 1e+308") and err.count("\n") == 1
+
+
 def test_solve_nonlinear_converged_at_large_s_exits_0(tmp_path):
     # (1 + gamma^2)^60 overflows where 1/m has left exact zeros in phi
     report = tmp_path / "rep.json"
@@ -538,6 +550,35 @@ def test_forcing_json_values_not_pairs_exits_2(tmp_path, capsys):
     assert code == 2
     err = capsys.readouterr().err
     assert "flat.json" in err and "Traceback" not in err
+
+
+# ---------------------------------------------------------------------------
+# process set-up
+# ---------------------------------------------------------------------------
+
+def test_importing_the_package_first_pins_one_blas_thread():
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import groupsobolev
+
+    env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(groupsobolev.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    read = "import os; print(os.environ.get('OPENBLAS_NUM_THREADS'))"
+    cases = [  # (OPENBLAS_NUM_THREADS preset, imports, the variable after them)
+        (None, "import groupsobolev", "1"),
+        ("2", "import groupsobolev", "2"),  # the user's setting stands
+        (None, "import numpy; import groupsobolev", "None"),  # too late to act: left unset
+    ]
+    probes = [subprocess.Popen([sys.executable, "-c", f"{imports}; {read}"], text=True,
+                               env=env if preset is None else {**env, "OPENBLAS_NUM_THREADS": preset},
+                               stdout=subprocess.PIPE)
+              for preset, imports, _ in cases]
+    assert [p.communicate(timeout=60)[0].strip() for p in probes] == [c[2] for c in cases]
+    assert all(p.returncode == 0 for p in probes)
 
 
 # ---------------------------------------------------------------------------

@@ -690,14 +690,18 @@ def test_weight_group_mismatch_rejected():
 
 def test_every_application_of_the_map_refuses_an_asymmetric_weight():
     # the half layout holds gamma on one entry of each pair xi, xi^-1 only
+    from groupsobolev.nonlinear import _plan
+
     g = parse_group("Z12")
     w = weight_from_table(g, _ASYMMETRIC, 8.0)
     nl = forced_power_nonlinearity(2, 0.1, lowfreq_forcing(g, 0.01))
+    before = _plan.cache_info()
     for apply in (lambda: solve_nonlinear(nl, w, 0.5, SolverConfig()),
                   lambda: picard_step(_zero(g), nl, w, 0.5),
                   lambda: verify_solution(_zero(g), nl, w, 0.5, s=1.0)):
         with pytest.raises(ValueError, match="symmetric under xi -> xi"):
             apply()
+    assert _plan.cache_info() == before  # refused before a map is built
 
 
 # ---------------------------------------------------------------------------
@@ -807,6 +811,17 @@ def test_size_ball_over_distinct_gammas_is_bit_identical():
         size_ball(parse_group("Z6"), w, 1.0, power_nonlinearity(g, 2, 1.0))
     with pytest.raises(ValueError, match="positive"):
         size_ball(g, w, math.nan, power_nonlinearity(g, 2, 1.0))
+
+
+def test_size_ball_on_an_asymmetric_weight_builds_no_map():
+    # the solver refuses the weight, so its map would only be cached waste
+    from groupsobolev.nonlinear import _plan
+
+    g = parse_group("Z12")
+    w = weight_from_table(g, _ASYMMETRIC, 8.0)
+    before = _plan.cache_info()
+    size_ball(g, w, 0.25, forced_power_nonlinearity(2, 1.0, lowfreq_forcing(g, 1e-3)))
+    assert _plan.cache_info() == before
 
 
 def test_certificate_half_and_full_paths_agree():

@@ -22,6 +22,11 @@ is one JSON object with the same figures.  ``perfbench/`` is only read.
 A tree compared against itself reads 0.98-0.99 overall, not 1 (0.992,
 0.979 and 0.994 in three runs at 5 rounds): the side loaded second gains
 about 1 %.  A change that claims no gain is judged against that band.
+
+The script loads numpy once, before either tree, so it cannot see what a
+tree changes about the process itself, such as the package's one-thread
+OpenBLAS setting, which acts only before numpy loads.  Time such a change
+on fresh processes.
 """
 from __future__ import annotations
 
