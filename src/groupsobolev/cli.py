@@ -147,21 +147,18 @@ def _cmd_transform(args) -> int:
         out = idft(spec)
     else:
         sig = _read_field(args.input, group, spectral=False)
-        fast = dft_fast(sig)
-        if args.oracle or args.naive:
-            naive = dft_naive(sig)
-            if args.oracle:
-                dev = float(
-                    np.linalg.norm(fast.values - naive.values)
-                    / max(np.linalg.norm(naive.values), 1e-30)
-                )
-                print(f"oracle deviation (relative l2): {_fmt17(dev)}")
-                if dev > 1e-10:
-                    print("FAIL: fast transform disagrees with the naive oracle", file=sys.stderr)
-                    return 1
-            out = naive if args.naive else fast
-        else:
-            out = fast
+        fast = dft_fast(sig) if args.oracle or not args.naive else None
+        naive = dft_naive(sig) if args.oracle or args.naive else None
+        if args.oracle:
+            dev = float(
+                np.linalg.norm(fast.values - naive.values)
+                / max(np.linalg.norm(naive.values), 1e-30)
+            )
+            print(f"oracle deviation (relative l2): {_fmt17(dev)}")
+            if dev > 1e-10:
+                print("FAIL: fast transform disagrees with the naive oracle", file=sys.stderr)
+                return 1
+        out = naive if args.naive else fast
     if args.output:
         _write_field(args.output, out)
     else:
@@ -550,7 +547,8 @@ def _config_value(action: argparse.Action, val, where: str):
 
 def _apply_config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
     """Make each key of the JSON object at ``path`` the default of every
-    subcommand flag it names; a key that names no flag is an error."""
+    subcommand flag it names, which then is no longer required; a key that
+    names no flag is an error."""
     with open(path, "r", encoding="ascii") as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
@@ -572,6 +570,7 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
             raise ValueError(f"{where} matches no flag of any subcommand")
         for sp, action in flags:
             sp.set_defaults(**{dest: _config_value(action, val, where)})
+            action.required = False
 
 
 def main(argv=None) -> int:

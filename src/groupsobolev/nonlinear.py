@@ -17,10 +17,11 @@ on the iterate's coefficients a: one inverse transform synthesizes its
 samples y, and one forward transform brings V(., y) back.  What G reads
 besides the nonlinearity depends on (weight, c) alone, so the map is
 cached per pair (``_plan``) and takes the nonlinearity as an argument: it
-holds the layout, the multiplier on it and -1/m, and ``size_ball``'s
-constants per growth exponent, whose sup reads the map's own log m.  The
+holds the layout, the multiplier on it and -1/m, and nothing else.  The
 weight must be symmetric, which is checked once per weight.  A new forcing
-reuses the map.  Convergence is certified a posteriori by the map's
+reuses the map.  ``size_ball``'s constants are cached apart, per (weight,
+c, growth exponent), and take their sup over the whole dual for every
+weight.  Convergence is certified a posteriori by the map's
 certificate, on half coefficients: the equation residual
 ||L phi - V(., phi)||_L2 is recomputed through an independent forward
 application of the operator.  The product m a of
@@ -54,12 +55,13 @@ rule (the underlying theory only asserts "eps exists") is spelled out at
 :func:`size_ball`.  The string field is real-valued throughout; transforms
 leave only a rounding-level anti-Hermitian part in its coefficients (on the
 half layout, only where an entry's partner is stored too), which is
-projected away and asserted tiny.
+projected away.  It cannot be more than rounding: m is a function of gamma,
+and the solver's weights are symmetric.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import Callable
 
@@ -252,7 +254,12 @@ def parse_nonlinearity(
             parts = body.split(",")
             if len(parts) != 2:
                 raise ValueError(f"bad nonlinearity spec {spec!r}: expected {prefix}p,lam")
-            p, lam = int(parts[0]), float(parts[1])
+            try:
+                p, lam = int(parts[0]), float(parts[1])
+            except ValueError:
+                raise ValueError(
+                    f"bad nonlinearity spec {spec!r}: p must be an integer and lam a number"
+                ) from None
             if forced:
                 if forcing is None:
                     raise ValueError("forced-power nonlinearity needs a forcing signal")
@@ -330,14 +337,15 @@ def eval_source(nl: Nonlinearity, u: Signal) -> Signal:
 _DELTAS = (1.25, 1.5, 2.0, 3.0, 4.0)
 
 
-def _ball_constants(w: Weight, alpha: float, gam: np.ndarray,
-                    log_m: np.ndarray) -> tuple[float, float, float]:
+# Keyed by (weight, c, alpha): the benchmark's solve workload asks for 12
+# (weight, c) cells at two exponents, 24 entries; weights hash by identity.
+@lru_cache(maxsize=32)
+def _ball_constants(w: Weight, c: float, alpha: float) -> tuple[float, float, float]:
     """``size_ball``'s steps 1-3, (delta, s_embed, E), at growth exponent
-    alpha; the sup in E runs over the entries whose weights are ``gam`` and
-    log-multipliers ``log_m``."""
+    alpha; the sup in E runs over the whole dual."""
     delta = next((cand for cand in _DELTAS if _inverse_power_sum(w, cand) <= 10.0), 4.0)
     s_embed = delta - delta / (2.0 * alpha)
-    log_ratio = (s_embed / 2.0) * np.log1p(gam**2) - log_m
+    log_ratio = (s_embed / 2.0) * np.log1p(w.values**2) - _log_multiplier(w.values, c, w.name)
     e_const = (float(np.exp(log_ratio.max()))
                * embedding_constant_lalpha(w.group, w, s_embed, delta)["constant"])
     return delta, s_embed, e_const
@@ -355,8 +363,7 @@ class _FixedPointMap:
     """G(u) = L^{-1} V(., u) for one (weight, c) on the coefficients of u on
     the group's half layout, for a symmetric weight; the methods that read V
     take the nonlinearity.  The map holds the layout, the multiplier
-    profile on it and -1/m, and, filled on first use per growth exponent
-    alpha, ``size_ball``'s (delta, s_embed, E).
+    profile on it and -1/m, all fixed per (weight, c).
     Callers silence numpy's overflow and invalid warnings: a blown-up
     iterate reads inf or nan, which the solver treats as divergence."""
 
@@ -364,17 +371,6 @@ class _FixedPointMap:
     layout: HalfLayout
     profile: MultiplierProfile
     neg_inverse: np.ndarray
-    balls: dict = field(default_factory=dict)
-
-    def ball_constants(self, alpha: float) -> tuple[float, float, float]:
-        """:func:`_ball_constants` at growth exponent alpha, the sup in E
-        taken over the layout, which holds every gamma of a symmetric
-        weight."""
-        if alpha not in self.balls:
-            w = self.weight
-            self.balls[alpha] = _ball_constants(w, alpha, self.layout.gather(w.values),
-                                                self.profile.log_values)
-        return self.balls[alpha]
 
     def source_hat(self, nl: Nonlinearity, y: np.ndarray) -> np.ndarray | None:
         """Coefficients of the source V(., y), or None when they are not
@@ -387,36 +383,22 @@ class _FixedPointMap:
         """Coefficients of G's output, -v_hat / m, each entry ``paired`` (all
         of them where no axis is halved) averaged with the conjugate of its
         partner, stored at ``partner``, so that the field they synthesize is
-        exactly real.  That must be a rounding-level projection: a larger
-        anti-Hermitian part (compared in L2) means the multiplier/weight pair
-        does not preserve real fields.  On a 2-group's ``real`` layout each
-        entry is real and its own partner, and the projection is the
-        identity."""
+        exactly real.  m and -1/m are functions of gamma, which the weight
+        holds alike at xi and xi^-1, so the projection removes rounding only.
+        On a 2-group's ``real`` layout each entry is real and its own
+        partner, and the projection is the identity."""
         raw = v_hat * self.neg_inverse
         layout = self.layout
         if layout.real:
             return raw
-        own = raw if layout.paired is None else raw[layout.paired]
         sym = raw[layout.partner]
         np.conjugate(sym, out=sym)
-        sym += own
+        sym += raw if layout.paired is None else raw[layout.paired]
         sym *= 0.5
-        own -= sym  # the anti-Hermitian part
         if layout.paired is None:
-            step = sym
-        else:
-            raw[layout.paired] = sym
-            step = raw
-        worst_imag = float(_root_sum(own))
-        if worst_imag > _IMAG_TOL:  # the scale below is at least 1
-            scale = max(1.0, self.norm(step))
-            if worst_imag > _IMAG_TOL * scale:
-                raise ValueError(
-                    f"linear solve returned relative imaginary magnitude "
-                    f"{worst_imag / scale:.3g}; the multiplier/weight pair does not "
-                    "preserve real fields"
-                )
-        return step
+            return sym
+        raw[layout.paired] = sym
+        return raw
 
     def residual(self, a: np.ndarray, v_hat: np.ndarray | None) -> float:
         """||L phi - V(., phi)||_L2 = ||m a + v_hat||_l2 for phi of
@@ -596,10 +578,9 @@ def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) 
        the norm of the chain  domain -> H^s -> L^{alpha*} -> L^{2 alpha}
        (the last inclusion is norm-1 on a probability space since
        alpha* >= 2 alpha inside the window).  The sup depends on xi only
-       through gamma(xi), so for a symmetric weight it is taken over the
-       half layout, which holds every gamma value, from the solver's cached
-       map; for an asymmetric weight, which the solver refuses, over the
-       whole dual, without building that map.
+       through gamma(xi); it is taken over the whole dual for every weight,
+       symmetric or not, and cached per (weight, c, alpha), apart from the
+       solver's fixed-point map.
     4. With D' = 2 C^2 E^2 the map G sends Y_eps into itself whenever
        D'(||h||_L2^2 + eps^{2 alpha}) <= eps^2; the smallest such eps is
        found by bisection below the minimizer eps* = (alpha D')^{-1/(2alpha-2)}.
@@ -615,11 +596,7 @@ def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) 
         raise ValueError("weight lives on a different group")
     if nl.group != group:
         raise ValueError("nonlinearity lives on a different group")
-    if _symmetric(w):
-        delta, s_embed, e_const = _plan(w, c).ball_constants(nl.alpha)
-    else:
-        log_m = _log_multiplier(w.values, c, w.name)
-        delta, s_embed, e_const = _ball_constants(w, nl.alpha, w.values, log_m)
+    delta, s_embed, e_const = _ball_constants(w, c, nl.alpha)
     h_norm = lp_norm(nl.h, 2)
     # squares by multiplication read inf past float64, where ** would raise
     d_prime = 2.0 * (nl.c_growth * nl.c_growth) * (e_const * e_const)
@@ -670,7 +647,9 @@ def solve_nonlinear(
     certificate of the solver's own coefficients and samples, at cfg.s and
     ``residual_tol = 10 * cfg.tol``: the record :func:`verify_solution`
     gives for the returned phi.  Its residual, domain and sup norms and
-    continuity constant are the report's.
+    continuity constant are the report's.  An initial field whose
+    coefficients overflow float64 is refused with a ValueError before the
+    first iteration.
     """
     group = nl.group
     fmap = _fixed_point_map(nl, w, c)
@@ -692,6 +671,8 @@ def solve_nonlinear(
             y0 = _real_values(nl, cfg.initial)
             d0 = dual_coefficients(cfg.initial)
             a0 = layout.gather(0.5 * (d0 + np.conj(d0[inverse_indices(group)])))
+            if not _all_finite(a0):
+                raise ValueError("initial field is too large: its coefficients overflow float64")
         v_hat0 = fmap.source_hat(nl, y0)
         if cfg.initial is not None and v_hat0 is not None:
             # samples fix their dual coefficients only to within their rounding,

@@ -141,7 +141,10 @@ def make_weight(group: FiniteAbelianGroup, name: str) -> Weight:
     if name == "hamming":
         return Weight(group, _hamming_values(group), 1.0, "hamming")
     if name.startswith("pruefer:"):
-        p = int(name.split(":", 1)[1])
+        try:
+            p = int(name.split(":", 1)[1])
+        except ValueError:
+            raise ValueError(f"bad weight {name!r}: p in pruefer:p must be an integer") from None
         return Weight(group, _pruefer_values(group, p), 1.0, f"pruefer:{p}")
     raise ValueError(f"unknown weight {name!r}")
 

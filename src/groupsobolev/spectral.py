@@ -378,21 +378,32 @@ def idft_values(group: FiniteAbelianGroup, values: np.ndarray, half: bool = Fals
 # public operations
 # ---------------------------------------------------------------------------
 
+def _finite_output(values: np.ndarray, what: str, direction: str) -> np.ndarray:
+    """A transform's output from finite input, computed with numpy's overflow
+    warnings silenced; one ValueError where it overflowed float64."""
+    if not _all_finite(values):
+        raise ValueError(f"{what} is too large: its {direction} transform overflows float64")
+    return values
+
+
 def dft_naive(f: Signal) -> Spectrum:
     """The transform straight from the definition; O(|G|^2) oracle path.
 
     F(f)(xi) = haar_weight * sum_x conj(xi(x)) f(x).
     """
     table = character_table(f.group)
-    coeffs = table.conj() @ f.values * haar_weight(f.group)
-    return Spectrum(f.group, coeffs)
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = table.conj() @ f.values * haar_weight(f.group)
+    return Spectrum(f.group, _finite_output(coeffs, "signal", "forward"))
 
 
 def dft_fast(f: Signal) -> Spectrum:
     """Fast transform: ``fftn`` over the large cyclic factors and dense
     character-table blocks over runs of small ones (see the module
     docstring); agrees with dft_naive to ~1e-15 relative."""
-    return Spectrum(f.group, dft_values(f.group, f.values))
+    with np.errstate(over="ignore", invalid="ignore"):
+        coeffs = dft_values(f.group, f.values)
+    return Spectrum(f.group, _finite_output(coeffs, "signal", "forward"))
 
 
 def idft(F: Spectrum, real: bool = False) -> Signal:
@@ -402,7 +413,9 @@ def idft(F: Spectrum, real: bool = False) -> Signal:
     the values are projected onto their real part, which for a Hermitian F
     (F(xi^-1) = conj F(xi)) drops only rounding-level imaginary parts.
     """
-    values = idft_values(F.group, F.values)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = idft_values(F.group, F.values)
+    values = _finite_output(values, "spectrum", "inverse")
     return Signal(F.group, values.real if real else values, exact_dual=F.values)
 
 

@@ -38,10 +38,9 @@ values is used, which is the only information they carry.
 A profile lists the overflowed entries and holds m with zeros there, so the
 membership guard and the log-space products look at those entries only; a c
 for which c * gamma^2 itself overflows is refused when the profile is built.
-One private helper holds the log m formula: ``build_multiplier`` applies it
-over the dual, and the fixed-point map of ``nonlinear`` over the entries it
-holds a real field's coefficients on, whose log m ``nonlinear.size_ball``
-reads too; it applies the helper over the dual for an asymmetric weight.
+One private helper holds the log m formula: ``build_multiplier`` and
+``nonlinear.size_ball`` apply it over the dual, and the fixed-point map of
+``nonlinear`` over the entries it holds a real field's coefficients on.
 ``multiply_spectrum`` works entrywise on any such profile.  ``domain_norm``
 reads the full dual, and the certificate of
 ``nonlinear`` the map's entries, both as the l2 norm of the product m F.
@@ -56,7 +55,7 @@ import numpy as np
 
 from .group import FiniteAbelianGroup
 from .sobolev import Weight, _root_sum
-from .spectral import Signal, Spectrum, _all_finite, dual_coefficients, idft
+from .spectral import Signal, Spectrum, _all_finite, _finite_output, dual_coefficients, idft
 
 __all__ = [
     "LOG_MAX_DOUBLE",
@@ -263,9 +262,11 @@ def solve_linear(g: Signal, w: Weight, c: float) -> Signal:
     ultraviolet frequencies underflow cleanly to zero; the isometry
     domain_norm(u) == ||g||_L2 holds to rounding whenever no active
     coefficient of g sits beyond the representable multiplier range.  The
-    returned signal carries its dual coefficients exactly.
+    returned signal carries its dual coefficients exactly.  A transform of
+    g or of u that overflows float64 raises one ValueError saying so.
     """
     profile = build_multiplier(g.group, w, c)
-    spec = dual_coefficients(g)
-    sol_spec = -spec * profile.inverse
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = dual_coefficients(g)
+    sol_spec = -_finite_output(spec, "signal", "forward") * profile.inverse
     return idft(Spectrum(g.group, sol_spec))

@@ -13,8 +13,15 @@ from groupsobolev.checks import suite_names
 from groupsobolev.cli import main
 from groupsobolev.group import parse_group
 from groupsobolev.sobolev import algebra_constant, embedding_constant_sup, make_weight
-from groupsobolev.spectral import Signal, read_signal_csv, write_signal_csv
+from groupsobolev.spectral import Signal, read_signal_csv, write_signal_csv, write_signal_json
 from groupsobolev.stringop import solve_linear
+
+
+def _write_huge_signal(path):
+    """Four finite samples of 1e308 on Z4: their mean coefficient sums past
+    float64, and so does the inverse transform of them read as a spectrum."""
+    write_signal_json(str(path), Signal(parse_group("Z4"), np.full(4, 1e308)))
+    return str(path)
 
 
 def _write_random_signal(rng, path, group):
@@ -235,6 +242,32 @@ def test_transform_naive_refuses_huge_table(tmp_path, capsys):
     assert "4096" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, text", [
+    (["transform"], "signal is too large: its forward transform"),
+    (["transform", "--naive"], "signal is too large: its forward transform"),
+    (["transform", "--inverse"], "spectrum is too large: its inverse transform"),
+    (["solve-linear", "--c", "1"], "signal is too large: its forward transform"),
+])
+def test_overflowing_transform_exits_2_with_one_line(tmp_path, capsys, argv, text):
+    code = main([*argv, "--group", "Z4", "--input", _write_huge_signal(tmp_path / "big.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {text} overflows float64\n"
+
+
+def test_transform_naive_computes_no_fast_transform(tmp_path, rng, monkeypatch, capsys):
+    import groupsobolev.cli as cli
+
+    def refuse(sig):
+        raise AssertionError("the fast transform ran")
+
+    g = parse_group("Z8")
+    _write_random_signal(rng, tmp_path / "sig.csv", g)
+    monkeypatch.setattr(cli, "dft_fast", refuse)
+    assert main(["transform", "--group", "Z8", "--naive", "--input", str(tmp_path / "sig.csv")]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 8
+
+
 def test_transform_unknown_extension(tmp_path, rng):
     g = parse_group("Z4")
     _write_random_signal(rng, tmp_path / "sig.csv", g)
@@ -369,6 +402,25 @@ def test_overflowing_forcing_scale_exits_2_with_one_line(capsys, argv):
     err = capsys.readouterr().err
     assert code == 2
     assert err.startswith("error: forcing scale 1e+308") and err.count("\n") == 1
+
+
+def test_overflowing_initial_field_exits_2_with_one_line(tmp_path, capsys):
+    code = main(["solve-nonlinear", "--group", "Z4", "--c", "1", "--nonlinearity", "power:2,1",
+                 "--initial", _write_huge_signal(tmp_path / "big.json")])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == "error: initial field is too large: its coefficients overflow float64\n"
+
+
+@pytest.mark.parametrize("flags, spec", [
+    (["--nonlinearity", "power:2.5,1"], "'power:2.5,1'"),
+    (["--nonlinearity", "power:2,1", "--weight", "pruefer:x"], "'pruefer:x'"),
+])
+def test_spec_with_a_non_integer_p_is_named_in_one_line(capsys, flags, spec):
+    code = main(["solve-nonlinear", "--group", "Z8", "--c", "1", *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert spec in err and "must be an integer" in err and err.count("\n") == 1
 
 
 def test_solve_nonlinear_converged_at_large_s_exits_0(tmp_path):
@@ -643,6 +695,18 @@ def test_config_file_defaults(tmp_path, capsys):
         cfg.write_text(json.dumps(doc))
         assert main(["--config", str(cfg), "info", "--group", "Z4", "--json"]) == 0
         assert json.loads(capsys.readouterr().out)["s"] == 2.0
+
+
+def test_config_file_supplies_required_flags(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"group": "Z4", "c": 1}))
+    argv = ["--config", str(cfg), "solve-nonlinear", "--nonlinearity", "power:2,1"]
+    assert main(argv) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["config"]["group"] == "Z4" and doc["config"]["c"] == 1.0
+    # a value on the command line overrides the config's
+    assert main([*argv, "--group", "Z8"]) == 0
+    assert json.loads(capsys.readouterr().out)["config"]["group"] == "Z8"
 
 
 @pytest.mark.parametrize("form", [["--config=CFG"], ["--conf", "CFG"]])

@@ -427,6 +427,15 @@ def test_picard_step_is_the_solvers_step(name, weight):
     assert np.array_equal(step.values, ref.values) and np.array_equal(dual, ref.exact_dual)
 
 
+def test_an_initial_field_whose_coefficients_overflow_is_refused():
+    # four finite samples of 1e308: their mean coefficient sums past float64
+    g = parse_group("Z4")
+    initial = Signal(g, np.full(g.order, 1e308))
+    with pytest.raises(ValueError, match="^initial field is too large"):
+        solve_nonlinear(power_nonlinearity(g, 2, 1.0), make_weight(g, "sym-euclid"), 1.0,
+                        SolverConfig(initial=initial))
+
+
 def test_solve_and_certificates_share_one_fixed_point_map():
     from groupsobolev.nonlinear import _plan
 
@@ -434,7 +443,7 @@ def test_solve_and_certificates_share_one_fixed_point_map():
     before = _plan.cache_info().misses
     phi, rep = solve_nonlinear(nl, w, 1.0, SolverConfig())
     assert verify_solution(phi, nl, w, 1.0, s=1.0, residual_tol=1e-9) == rep.verification
-    # the loop's plan serves the ball sizing, its own certificate and the caller's
+    # the loop's plan serves its own certificate and the caller's
     assert _plan.cache_info().misses == before + 1
 
 
@@ -822,6 +831,75 @@ def test_size_ball_on_an_asymmetric_weight_builds_no_map():
     before = _plan.cache_info()
     size_ball(g, w, 0.25, forced_power_nonlinearity(2, 1.0, lowfreq_forcing(g, 1e-3)))
     assert _plan.cache_info() == before
+
+
+_Z2_12 = "x".join(["Z2"] * 12)
+_SYMMETRIC_BALLS = {
+    ("Z4096", "sym-euclid", 0.5, 2): ("0x1.01fcf3c2ffd89p-8", "0x1.64419d81cbe97p+0"),
+    ("Z4096", "sym-euclid", 0.5, 3): ("0x1.9168621738e11p-8", "0x1.7194b5f3bcf63p+0"),
+    ("Z4096", "sym-euclid", 1.0, 2): ("0x1.01fcf3c2ffd89p-8", "0x1.64419d81cbe97p+0"),
+    ("Z4096", "sym-euclid", 1.0, 3): ("0x1.9168621738e11p-8", "0x1.7194b5f3bcf63p+0"),
+    ("Z4096", "pruefer:2", 0.5, 2): ("0x1.901be55047b00p-9", "0x1.1446deda61076p+0"),
+    ("Z4096", "pruefer:2", 0.5, 3): ("0x1.2e9ef5eb09e2ap-8", "0x1.16a07071af81fp+0"),
+    ("Z4096", "pruefer:2", 1.0, 2): ("0x1.901be55047b00p-9", "0x1.1446deda61076p+0"),
+    ("Z4096", "pruefer:2", 1.0, 3): ("0x1.2e9ef5eb09e2ap-8", "0x1.16a07071af81fp+0"),
+    (_Z2_12, "hamming", 0.5, 2): ("0x1.2609e18f46d25p-8", "0x1.9601494f38bfcp+0"),
+    (_Z2_12, "hamming", 0.5, 3): ("0x1.d02777d58e0b4p-8", "0x1.ab5a2e409bb37p+0"),
+    (_Z2_12, "hamming", 1.0, 2): ("0x1.2609e18f46d25p-8", "0x1.9601494f38bfcp+0"),
+    (_Z2_12, "hamming", 1.0, 3): ("0x1.d02777d58e0b4p-8", "0x1.ab5a2e409bb37p+0"),
+    # at this c the sup in E sits away from gamma = 0
+    (_Z2_12, "hamming", 0.01, 2): ("0x1.69905adffafc4p-8", "0x1.f31cf6dd71bb0p+0"),
+    (_Z2_12, "hamming", 0.01, 3): ("0x1.9ba2d6b859b9fp-7", "0x1.7aff5dafa0b0fp+1"),
+    ("Z64xZ64", "sym-euclid", 0.5, 2): ("0x1.6ea627b48b7bep-8", "0x1.fa1e8fb41ca3ep+0"),
+    ("Z64xZ64", "sym-euclid", 0.5, 3): ("0x1.2879df9ab1869p-7", "0x1.10f80f6cef809p+1"),
+    ("Z64xZ64", "sym-euclid", 1.0, 2): ("0x1.6ea627b48b7bep-8", "0x1.fa1e8fb41ca3ep+0"),
+    ("Z64xZ64", "sym-euclid", 1.0, 3): ("0x1.2879df9ab1869p-7", "0x1.10f80f6cef809p+1"),
+}
+
+
+def test_size_ball_on_symmetric_weights_is_bit_identical():
+    # the sup in E over the whole dual equals the sup over the half layout,
+    # which holds every gamma value of a symmetric weight
+    prepared = {}
+    for (descriptor, name, c, p), (eps, e_const) in _SYMMETRIC_BALLS.items():
+        if (descriptor, name) not in prepared:
+            g = parse_group(descriptor)
+            prepared[descriptor, name] = g, make_weight(g, name), lowfreq_forcing(g, 1e-3)
+        g, w, h = prepared[descriptor, name]
+        ball = size_ball(g, w, c, forced_power_nonlinearity(p, 1.0, h))
+        assert ball["epsilon"] == float.fromhex(eps)
+        assert ball["embedding_const"] == float.fromhex(e_const)
+        layout = half_layout(g)
+        s_embed = ball["s_embed"]
+        over_layout = ((s_embed / 2.0) * np.log1p(layout.gather(w.values) ** 2)
+                       - layout.gather(build_multiplier(g, w, c).log_values))
+        chain = embedding_constant_lalpha(g, w, s_embed, ball["delta"])["constant"]
+        assert ball["embedding_const"] == float(np.exp(over_layout.max())) * chain
+
+
+def test_ball_constants_are_computed_once_per_weight_c_and_alpha():
+    from groupsobolev.nonlinear import _ball_constants
+
+    g = parse_group("Z64")
+    w = make_weight(g, "sym-euclid")
+    size_ball(g, w, 1.0, forced_power_nonlinearity(2, 1.0, lowfreq_forcing(g, 0.01)))
+    misses = _ball_constants.cache_info().misses
+    ball = size_ball(g, w, 1.0, forced_power_nonlinearity(2, 1.0, lowfreq_forcing(g, 0.02)))
+    assert _ball_constants.cache_info().misses == misses  # a second forcing
+    assert (ball["delta"], ball["s_embed"], ball["embedding_const"]) == _ball_constants(w, 1.0, 2.0)
+
+
+def test_symmetric_and_asymmetric_weights_share_one_sizing_path():
+    from groupsobolev.nonlinear import _ball_constants
+
+    g = parse_group("Z12")
+    nl = forced_power_nonlinearity(2, 1.0, lowfreq_forcing(g, 1e-3))
+    for w in (make_weight(g, "sym-euclid"), weight_from_table(g, _ASYMMETRIC, 8.0)):
+        before = _ball_constants.cache_info()
+        ball = size_ball(g, w, 0.25, nl)
+        after = _ball_constants.cache_info()
+        assert after.misses == before.misses + 1 and after.hits == before.hits
+        assert ball["embedding_const"] == _ball_constants(w, 0.25, 2.0)[2]
 
 
 def test_certificate_half_and_full_paths_agree():

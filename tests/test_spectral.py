@@ -371,6 +371,18 @@ def test_values_must_be_finite():
         Spectrum(g, [np.nan, 0.0])
 
 
+def test_a_transform_that_overflows_raises_one_error():
+    # finite samples whose sum overflows: numpy's warnings are silenced (the
+    # suite turns them into errors) and one ValueError says what overflowed
+    g = parse_group("Z4")
+    huge = np.full(g.order, 1e308)
+    for transform in (dft_fast, dft_naive):
+        with pytest.raises(ValueError, match="^signal is too large: its forward transform"):
+            transform(Signal(g, huge))
+    with pytest.raises(ValueError, match="^spectrum is too large: its inverse transform"):
+        idft(Spectrum(g, huge))
+
+
 def test_wrong_length_rejected():
     with pytest.raises(ValueError):
         Signal(parse_group("Z4"), [1.0, 2.0])
