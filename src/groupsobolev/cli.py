@@ -62,7 +62,7 @@ from .spectral import (
     write_spectrum_csv,
     write_spectrum_json,
 )
-from .stringop import apply_operator, build_multiplier, domain_norm, solve_linear
+from .stringop import build_multiplier, domain_norm, solve_linear
 
 __all__ = ["main"]
 

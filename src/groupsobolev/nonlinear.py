@@ -17,10 +17,11 @@ on the iterate's coefficients a: one inverse transform synthesizes its
 samples y, and one forward transform brings V(., y) back.  What G reads
 besides the nonlinearity depends on (weight, c) alone, so the map is
 cached per pair (``_plan``) and takes the nonlinearity as an argument: it
-holds the layout, the multiplier on it and -1/m, and nothing else.  The
-weight must be symmetric, which is checked once per weight.  A new forcing
-reuses the map.  ``size_ball``'s constants are cached apart, per (weight,
-c, growth exponent), and take their sup over the whole dual for every
+holds the layout and, on it, log m, the entries where m overflows, m with
+zeros there and -1/m, and nothing else.  The weight must be symmetric,
+which is checked once per weight.  A new forcing reuses the map.
+``size_ball``'s constants are cached apart, per (weight, c, growth
+exponent), and take their sup over the whole dual for every
 weight.  Convergence is certified a posteriori by the map's
 certificate, on half coefficients: the equation residual
 ||L phi - V(., phi)||_L2 is recomputed through an independent forward
@@ -92,7 +93,6 @@ from .spectral import (
     idft_values,
 )
 from .stringop import (
-    MultiplierProfile,
     NotInDomainError,
     _log_multiplier,
     _multiplier_profile,
@@ -362,14 +362,20 @@ def _symmetric(w: Weight) -> bool:
 class _FixedPointMap:
     """G(u) = L^{-1} V(., u) for one (weight, c) on the coefficients of u on
     the group's half layout, for a symmetric weight; the methods that read V
-    take the nonlinearity.  The map holds the layout, the multiplier
-    profile on it and -1/m, all fixed per (weight, c).
+    take the nonlinearity.  Besides the weight and the layout, the map holds
+    one read-only array per fact about m on the layout, all fixed per
+    (weight, c): ``log_values`` (log m), ``overflow`` (the entries where m
+    is not representable in float64) and ``finite_values`` (m with zeros
+    there), which ``multiply_spectrum`` reads as it reads a profile's, and
+    ``neg_inverse`` (-1/m), which ``step`` reads.
     Callers silence numpy's overflow and invalid warnings: a blown-up
     iterate reads inf or nan, which the solver treats as divergence."""
 
     weight: Weight
     layout: HalfLayout
-    profile: MultiplierProfile
+    log_values: np.ndarray
+    overflow: np.ndarray
+    finite_values: np.ndarray
     neg_inverse: np.ndarray
 
     def source_hat(self, nl: Nonlinearity, y: np.ndarray) -> np.ndarray | None:
@@ -406,7 +412,7 @@ class _FixedPointMap:
         if v_hat is None:
             return math.inf
         try:
-            m_a = multiply_spectrum(self.profile, a)
+            m_a = multiply_spectrum(self, a)
         except NotInDomainError:
             return math.inf
         m_a += v_hat
@@ -444,9 +450,9 @@ class _FixedPointMap:
         # a diverged field may overflow these norms; inf is the honest report
         with np.errstate(over="ignore", invalid="ignore"):
             try:
-                m_p = multiply_spectrum(self.profile, p)
+                m_p = multiply_spectrum(self, p)
                 # ||L q||, which adds in quadrature to ||L p|| and to the residual
-                lq = 0.0 if q is None else self.norm(multiply_spectrum(self.profile, q))
+                lq = 0.0 if q is None else self.norm(multiply_spectrum(self, q))
                 dom = math.hypot(self.norm(m_p), lq)  # hypot(x, 0.0) is x
             except NotInDomainError:
                 m_p, dom = None, math.inf
@@ -481,12 +487,13 @@ class _FixedPointMap:
 # cached key keeps its weight alive.
 @lru_cache(maxsize=16)
 def _plan(w: Weight, c: float) -> _FixedPointMap:
-    group = w.group
-    layout = half_layout(group)
-    profile = _multiplier_profile(group, w.name, c, layout.gather(w.values))
-    neg_inverse = np.negative(profile.inverse)
+    layout = half_layout(w.group)
+    # the profile's m with inf where it overflows and its 1/m, which -1/m
+    # repeats, are dropped: no application of the map reads them
+    m = _multiplier_profile(w.group, w.name, c, layout.gather(w.values))
+    neg_inverse = np.negative(m.inverse)
     neg_inverse.setflags(write=False)
-    return _FixedPointMap(w, layout, profile, neg_inverse)
+    return _FixedPointMap(w, layout, m.log_values, m.overflow, m.finite_values, neg_inverse)
 
 
 def _fixed_point_map(nl: Nonlinearity, w: Weight, c: float) -> _FixedPointMap:

@@ -34,7 +34,8 @@ field, holds coefficients on this layout; every other module reads the
 full dual.  On an elementary abelian 2-group (every factor Z2, or
 Z1) each character is its own inverse and takes the values +-1, so a real
 field's coefficients are real: every run of factors, a lone Z2 too, is a
-dense block, and the half transforms are float64 products with the +-1
+dense block (a last run of order below ``_BLOCK_ORDER`` joins the run
+before it), and the half transforms are float64 products with the +-1
 tables on the full dual.  Any other group with no axis to halve (every
 factor of length 3 or more merged into a block, e.g. Z2xZ4xZ2xZ4) keeps
 the full dual as its half, with the complex arithmetic and no gathers.
@@ -159,7 +160,13 @@ def _same_group(a, b) -> FiniteAbelianGroup:
 # for 12 pocketfft passes.  A block of order b costs b*|G| multiply-adds.  On
 # an inner axis it is a batch of (b x b) @ (b x post) products; on the last
 # grid axis (post 1) it is one 2-D product, values.reshape(-1, b) @ T, with
-# the table T symmetric, instead of |G|/b matrix-vector products.  Importing
+# the table T symmetric, instead of |G|/b matrix-vector products.  A
+# 2-group's last run of order 2 or 4 joins the run before it, as one 2-D
+# product of order 16 or 32: kept apart, its block before would be |G|/16
+# or |G|/32 thin products (8 x 8) @ (8 x 2 or 4).  Interleaved in one
+# process, the half transforms (forward/inverse) of Z2^13 took 96/94 us as
+# runs 8, 8, 8, 8, 2 and 42/43 us as 8, 8, 8, 16; Z2^14's 119/116 us as
+# 8, 8, 8, 8, 4 and 74/74 us as 8, 8, 8, 32; Z2^12's 30/31 us.  Importing
 # the package first pins OpenBLAS to one thread (see __init__); in a process
 # that loaded numpy before, OpenBLAS runs a complex product of 65536 or more
 # multiply-adds on several threads: order 16 does so on groups of order 4096
@@ -258,7 +265,8 @@ def _grid_plan(factors: tuple[int, ...]) -> _GridPlan:
     """How ``_transform_grid`` lays a group's values out and transforms them.
 
     Holds the grid shape, one axis per run of consecutive factors merged
-    greedily while their product stays within ``_BLOCK_ORDER``; the axes of
+    greedily while their product stays within ``_BLOCK_ORDER`` (on a 2-group,
+    a last run of smaller order joins the run before it); the axes of
     single factors for ``fft``, counted from the end so that leading batch
     axes need no offset; per merged axis, (the number of grid points after
     it on the full grid, the same on the half grid, forward matrix
@@ -275,6 +283,9 @@ def _grid_plan(factors: tuple[int, ...]) -> _GridPlan:
             runs[-1].append(n)
         else:
             runs.append([n])
+    if real and len(runs) > 1 and math.prod(runs[-1]) < _BLOCK_ORDER:
+        last = runs.pop()  # a 2-group's thin last run joins the one before it
+        runs[-1] += last
     shape = tuple(math.prod(run) for run in runs)
     single = [] if real else [axis for axis, run in enumerate(runs) if len(run) == 1]
     fft_axes = tuple(axis - len(runs) for axis in single)

@@ -40,9 +40,10 @@ membership guard and the log-space products look at those entries only; a c
 for which c * gamma^2 itself overflows is refused when the profile is built.
 One private helper holds the log m formula: ``build_multiplier`` and
 ``nonlinear.size_ball`` apply it over the dual, and the fixed-point map of
-``nonlinear`` over the entries it holds a real field's coefficients on.
-``multiply_spectrum`` works entrywise on any such profile.  ``domain_norm``
-reads the full dual, and the certificate of
+``nonlinear`` over the entries it holds a real field's coefficients on; of
+that profile the map keeps log m, the overflow list and m with zeros there.
+``multiply_spectrum`` reads only those three, entrywise, from a profile or
+from the map.  ``domain_norm`` reads the full dual, and the certificate of
 ``nonlinear`` the map's entries, both as the l2 norm of the product m F.
 """
 from __future__ import annotations
@@ -188,22 +189,32 @@ def domain_norm_batch(profile: MultiplierProfile, spectra: np.ndarray) -> np.nda
     return norms
 
 
+def _coefficients(f: Signal) -> np.ndarray:
+    """f's dual coefficients (``dual_coefficients``), computed with numpy's
+    overflow warnings silenced; one ValueError where the forward transform
+    of f's values overflows float64."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite_output(dual_coefficients(f), "signal", "forward")
+
+
 def domain_norm(f: Signal, w: Weight, c: float) -> float:
     """The operator-domain norm (sum m^2 |F(f)|^2)^{1/2}.
 
     Raises NotInDomainError when f has spectral mass above 1e-300 at a
     frequency whose multiplier is not representable.  Uses the exact dual
     representation when f carries one; a transform of the values that
-    overflows leaves NaN coefficients, which raise NotInDomainError too.
+    overflows float64 raises one ValueError saying so.
     """
     profile = build_multiplier(f.group, w, c)
-    with np.errstate(over="ignore", invalid="ignore"):
-        spectrum = dual_coefficients(f)
-    return float(domain_norm_batch(profile, spectrum))
+    return float(domain_norm_batch(profile, _coefficients(f)))
 
 
 def multiply_spectrum(profile: MultiplierProfile, spectrum: np.ndarray) -> np.ndarray:
     """Pointwise m(xi) * F(xi) with the overflowed entries done in log space.
+
+    Reads the profile's ``overflow``, ``finite_values`` and ``log_values``
+    only, so it serves any object holding those three arrays, as the
+    fixed-point map of ``nonlinear`` does on its layout.
 
     Requires every coefficient at an overflowed multiplier to be inactive
     (<= 1e-300); the nonzero ones among them are then multiplied as
@@ -248,11 +259,11 @@ def apply_operator(u: Signal, w: Weight, c: float) -> Signal:
 
     The L^2 norm of the output equals domain_norm(u) exactly (diagonal
     operator + Plancherel), which is checked by the test suite rather than
-    enforced here.  Uses u's exact dual representation when present.
+    enforced here.  Uses u's exact dual representation when present.  A
+    transform of u that overflows float64 raises one ValueError saying so.
     """
     profile = build_multiplier(u.group, w, c)
-    spec = dual_coefficients(u)
-    return idft(Spectrum(u.group, -multiply_spectrum(profile, spec)))
+    return idft(Spectrum(u.group, -multiply_spectrum(profile, _coefficients(u))))
 
 
 def solve_linear(g: Signal, w: Weight, c: float) -> Signal:
@@ -266,7 +277,4 @@ def solve_linear(g: Signal, w: Weight, c: float) -> Signal:
     g or of u that overflows float64 raises one ValueError saying so.
     """
     profile = build_multiplier(g.group, w, c)
-    with np.errstate(over="ignore", invalid="ignore"):
-        spec = dual_coefficients(g)
-    sol_spec = -_finite_output(spec, "signal", "forward") * profile.inverse
-    return idft(Spectrum(g.group, sol_spec))
+    return idft(Spectrum(g.group, -_coefficients(g) * profile.inverse))

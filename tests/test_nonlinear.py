@@ -563,7 +563,7 @@ def test_real_layout_solve_matches_the_full_dual_map(c, lam):
 
 def test_half_map_builds_its_profile_on_the_half_layout():
     # neither the solve nor its certificate builds the full-dual profile;
-    # the half one holds exactly the full one's entries on the half layout
+    # the map's arrays hold exactly the full one's entries on the half layout
     from groupsobolev.nonlinear import _fixed_point_map
 
     g = parse_group("Z64")
@@ -574,14 +574,65 @@ def test_half_map_builds_its_profile_on_the_half_layout():
     phi, rep = solve_nonlinear(nl, w, 1.0, SolverConfig())
     assert rep.converged
     assert build_multiplier.cache_info() == before
-    half = _fixed_point_map(nl, w, 1.0).profile
+    fmap = _fixed_point_map(nl, w, 1.0)
     full = build_multiplier(g, w, 1.0)
     layout = half_layout(g)
-    assert full.overflow_count > 0 and half.overflow_count > 0
-    for name in ("log_values", "values", "inverse", "finite_values"):
-        assert np.array_equal(getattr(half, name), layout.gather(getattr(full, name)))
-        assert not getattr(half, name).flags.writeable
-    assert np.array_equal(half.overflow, np.flatnonzero(np.isinf(half.values)))
+    assert full.overflow_count > 0 and fmap.overflow.size > 0
+    for name, want in (("log_values", full.log_values), ("finite_values", full.finite_values),
+                       ("neg_inverse", -full.inverse)):
+        assert np.array_equal(getattr(fmap, name), layout.gather(want))
+    for arr in (fmap.log_values, fmap.overflow, fmap.finite_values, fmap.neg_inverse):
+        assert not arr.flags.writeable
+    assert np.array_equal(fmap.overflow, np.flatnonzero(np.isinf(layout.gather(full.values))))
+
+
+def test_half_map_holds_one_array_per_fact():
+    # log m, the overflowed entries, m with zeros there and -1/m, next to the
+    # weight and the layout: no profile, and no m with inf or 1/m, which no
+    # application of the map reads
+    from groupsobolev.nonlinear import _fixed_point_map
+    from groupsobolev.stringop import MultiplierProfile
+
+    g = parse_group("Z64")
+    w = make_weight(g, "sym-euclid")
+    fmap = _fixed_point_map(forced_power_nonlinearity(2, 0.5, lowfreq_forcing(g, 0.1)), w, 1.0)
+    names = [f.name for f in dataclasses.fields(fmap)]
+    assert names == ["weight", "layout", "log_values", "overflow", "finite_values", "neg_inverse"]
+    assert not any(isinstance(getattr(fmap, name), MultiplierProfile) for name in names)
+    assert not hasattr(fmap, "values") and not hasattr(fmap, "inverse")
+
+
+def _arrays_held(obj):
+    """Every ndarray that obj's dataclass fields hold, directly or through a
+    field that is itself a dataclass; the weight and the layout are shared
+    with the rest of the package and left out."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if f.name in ("weight", "layout"):
+            continue
+        if isinstance(value, np.ndarray):
+            yield value
+        elif dataclasses.is_dataclass(value):
+            yield from _arrays_held(value)
+
+
+def test_benchmark_sweep_maps_hold_three_layout_arrays():
+    # the c-grid of the benchmark's sweep on Z128xZ128: each cached map holds
+    # three float arrays of the layout's size (log m, m with zeros where it
+    # overflows, -1/m) and the overflow list
+    from groupsobolev.nonlinear import _fixed_point_map
+
+    g = parse_group("Z128xZ128")
+    w = make_weight(g, "sym-euclid")
+    nl = forced_power_nonlinearity(2, 1.0, lowfreq_forcing(g, 0.1))
+    size = half_layout(g).size
+    for c in (0.25, 0.5, 0.75, 1.0, 1.25, 1.5, 1.75, 2.0):
+        fmap = _fixed_point_map(nl, w, c)
+        floats = [a for a in _arrays_held(fmap) if a.dtype.kind == "f"]
+        assert len(floats) == 3 and all(a.shape == (size,) for a in floats)
+        assert sum(a.nbytes for a in floats) == 3 * 8 * size
+        others = [a for a in _arrays_held(fmap) if a.dtype.kind != "f"]
+        assert len(others) == 1 and others[0] is fmap.overflow
 
 
 @pytest.mark.parametrize("coeff", [1e-170, 1e-200])

@@ -112,6 +112,74 @@ def _definition(group, rows):
     return fwd, inv
 
 
+def _factor_table(n):
+    """Z_n's character table T[k, x] = exp(2 pi i k x / n), from the integer
+    phases k x mod n, as in _definition."""
+    k = np.arange(n)
+    return np.exp(2j * np.pi * np.arange(n) / n)[np.outer(k, k) % n]
+
+
+def _axiswise(group, rows):
+    """Forward and inverse transforms of each row as the Kronecker product of
+    the factors' transforms: each factor's own dense table applied along its
+    axis of the factor grid, O(|G| sum n_j), with no fft and none of the
+    code's merged runs."""
+    fwd = rows.reshape(len(rows), *group.factors).astype(np.complex128)
+    inv = fwd
+    for axis, n in enumerate(group.factors, start=1):
+        table = _factor_table(n)
+        fwd = np.moveaxis(np.tensordot(table.conj() / n, fwd, axes=(1, axis)), 0, axis)
+        inv = np.moveaxis(np.tensordot(table, inv, axes=(1, axis)), 0, axis)
+    return fwd.reshape(rows.shape), inv.reshape(rows.shape)
+
+
+def _radix_split(group, rows, a):
+    """Forward and inverse transforms of each row on a cyclic group of order
+    N = a b by one radix-a step: with x = b x1 + x2 and k = k1 + a k2,
+    xi_k(x) = w_a^(x1 k1) w_N^(x2 k1) w_b^(x2 k2), so a dense transform of
+    order a over x1, a twiddle by integer phases and one of order b over x2
+    make it, in O(N (a + b)) and with no fft."""
+    (n,) = group.factors
+    b = n // a
+    assert a * b == n
+    x2, k1 = np.arange(b), np.arange(a)
+    twiddle = np.exp(2j * np.pi * np.arange(n) / n)[np.outer(k1, x2) % n]
+    grid = rows.reshape(len(rows), a, b)
+    fwd = (_factor_table(a).conj() @ grid * twiddle.conj()) @ _factor_table(b).conj() / n
+    inv = (_factor_table(a) @ grid * twiddle) @ _factor_table(b)
+    # entry (k1, k2) holds k = k1 + a k2: k2 is the slower index
+    return tuple(out.transpose(0, 2, 1).reshape(rows.shape) for out in (fwd, inv))
+
+
+def _transforms(group, rows):
+    """Forward and inverse transforms of complex rows from references blind to
+    the code's plan: the definition below order 4096; above it Sylvester's
+    recursion on a 2-group (whose inverse is |G| times its forward
+    transform), a radix-64 split on a cyclic group, and the factor-by-factor
+    product on any other group."""
+    if group.order < 4096:
+        return _definition(group, rows)
+    if all(n <= 2 for n in group.factors):
+        fwd = _walsh(group, rows)
+        return fwd, fwd * group.order
+    if len(group.factors) == 1:
+        return _radix_split(group, rows, 64)
+    return _axiswise(group, rows)
+
+
+@pytest.mark.parametrize("name, oracle", [
+    ("Z2xZ3xZ5xZ7", _axiswise), ("Z6xZ10", _axiswise), ("Z4xZ4xZ4", _axiswise),
+    ("Z2xZ2xZ16", _axiswise), ("Z64", lambda g, rows: _radix_split(g, rows, 8)),
+    ("Z96", lambda g, rows: _radix_split(g, rows, 8)),
+    ("x".join(["Z2"] * 6), lambda g, rows: (_walsh(g, rows), _walsh(g, rows) * g.order)),
+])
+def test_fast_oracles_match_definition(name, oracle, rng):
+    g = parse_group(name)
+    rows = rng.standard_normal((2, g.order)) + 1j * rng.standard_normal((2, g.order))
+    for got, ref in zip(oracle(g, rows), _definition(g, rows)):
+        assert np.linalg.norm(got - ref) <= 1e-14 * np.linalg.norm(ref)
+
+
 @pytest.mark.parametrize("name", [
     "x".join(["Z2"] * 10), "x".join(["Z2"] * 12), "x".join(["Z3"] * 7), "x".join(["Z4"] * 6),
     "Z2xZ3xZ5xZ7", "Z2xZ2xZ1024", "Z2xZ2xZ2",
@@ -121,7 +189,7 @@ def test_blocked_plan_matches_definition(name, rng):
     # Z2xZ2xZ2 through blocks alone; a batch of rows transforms row by row
     g = parse_group(name)
     f = rng.standard_normal((3, g.order)) + 1j * rng.standard_normal((3, g.order))
-    for transform, refs in zip((dft_values, idft_values), _definition(g, f)):
+    for transform, refs in zip((dft_values, idft_values), _transforms(g, f)):
         batch = transform(g, f)
         for row, got, ref in zip(f, batch, refs):
             alone = transform(g, row)
@@ -138,6 +206,21 @@ def test_groups_without_small_runs_take_one_fftn_call(name, rng):
     inv = np.fft.ifftn(grid, norm="forward").reshape(-1)
     assert np.array_equal(dft_values(g, f), fwd)
     assert np.array_equal(idft_values(g, f), inv)
+
+
+def test_two_group_plans_keep_no_thin_last_run():
+    # a last run of order 2 or 4 joins the run before it (Z2^13 as 8, 8, 8,
+    # 16): no block is a batch of thin products; 2-groups with a multiple of
+    # three factors, Z2^12 among them, keep their runs of 8
+    from groupsobolev.spectral import _grid_plan
+
+    for k in range(1, 17):
+        shape = _grid_plan((2,) * k).shape
+        assert math.prod(shape) == 2**k
+        assert shape[:-1] == (8,) * (len(shape) - 1)
+        assert shape[-1] in ((2**k,) if k < 3 else (8, 16, 32))
+    assert _grid_plan((2,) * 13).shape == (8, 8, 8, 16)
+    assert _grid_plan((2,) * 12).shape == (8, 8, 8, 8)
 
 
 # ---------------------------------------------------------------------------
@@ -162,14 +245,11 @@ def _walsh(group, rows):
 
 
 def _oracle(group, rows):
-    """Forward transforms of real rows from the definition: dft_naive where
-    its table is small, else Sylvester's recursion on a 2-group (Z2^13) and
-    the blockwise definition above on any other group."""
+    """Forward transforms of real rows: dft_naive where its table is small,
+    else those of ``_transforms``."""
     if group.order <= 1024:
         return np.array([dft_naive(Signal(group, row)).values for row in rows])
-    if all(n <= 2 for n in group.factors):
-        return _walsh(group, rows)
-    return _definition(group, rows.astype(np.complex128))[0]
+    return _transforms(group, rows.astype(np.complex128))[0]
 
 
 def test_walsh_oracle_matches_definition(rng):

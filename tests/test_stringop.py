@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -211,6 +212,21 @@ def test_domain_norm_batch_matches_scalar(rng):
         assert row == pytest.approx(domain_norm(s, w, 0.5), rel=1e-13)
 
 
+@pytest.mark.parametrize("routine", [apply_operator, domain_norm])
+def test_operator_routines_refuse_an_overflowing_transform_alike(routine):
+    # four finite samples of 1e308 on Z4: their mean coefficient sums past
+    # float64.  Each routine raises solve_linear's one ValueError about the
+    # input's transform, not NotInDomainError, which would blame the
+    # multiplier, and lets numpy print no RuntimeWarning
+    g = parse_group("Z4")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^signal is too large: its forward transform "
+                           "overflows float64$") as err:
+            routine(Signal(g, np.full(4, 1e308)), make_weight(g, "sym-euclid"), 1.0)
+    assert not isinstance(err.value, NotInDomainError)
+
+
 def test_domain_norm_overflow_raises():
     g = parse_group("Z64")
     w = make_weight(g, "sym-euclid")
@@ -222,15 +238,18 @@ def test_domain_norm_overflow_raises():
 
 
 def test_domain_norm_of_a_field_whose_transform_overflows_is_refused():
-    # every sample is finite, but the transform's sums overflow and leave
-    # NaN coefficients, whose row is refused rather than read as 0, with no
-    # numpy warning (an error in this suite)
+    # every sample is finite, but the transform's sums overflow: the input's
+    # own transform is refused, as solve_linear refuses it, with no numpy
+    # warning (an error in this suite); a row of NaN coefficients given to
+    # the batch norm is refused rather than read as 0
     g = parse_group("Z8")
     w = make_weight(g, "sym-euclid")
     f = Signal(g, [1.7e308] * 8)
     assert lp_norm(f, 2) == 1.7e308
-    with pytest.raises(NotInDomainError, match="not a number"):
+    with pytest.raises(ValueError, match="^signal is too large: its forward transform "
+                       "overflows float64$") as err:
         domain_norm(f, w, 0.5)
+    assert not isinstance(err.value, NotInDomainError)
     rows = np.zeros((2, 8), dtype=complex)
     rows[0, 2] = np.nan
     with pytest.raises(NotInDomainError, match="not a number"):
