@@ -14,7 +14,6 @@ worst margin, so failures are reproducible.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +33,7 @@ from .nonlinear import (
 )
 from .sobolev import (
     Weight,
+    _alpha_grid,
     algebra_constant,
     check_subadditivity,
     compactness_profile,
@@ -58,7 +58,7 @@ from .spectral import (
 from .stringop import build_multiplier, domain_norm_batch
 from .group import compose_indices, element_at
 
-__all__ = ["ZOO", "SuiteResult", "run_checks", "suite_names", "weights_for"]
+__all__ = ["ZOO", "run_checks", "suite_names", "weights_for"]
 
 ZOO = (
     "Z2",
@@ -75,26 +75,6 @@ ZOO = (
 S_GRID = (0.0, 0.5, 1.0, 2.0)
 
 _REL_TOL = 1e-10
-
-
-@dataclass
-class SuiteResult:
-    name: str
-    passed: bool
-    trials: int
-    worst_slack: float
-    witness: dict | None
-    detail: str
-
-    def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "passed": self.passed,
-            "trials": self.trials,
-            "worst_slack": self.worst_slack,
-            "witness": self.witness,
-            "detail": self.detail,
-        }
 
 
 def weights_for(group: FiniteAbelianGroup) -> list[Weight]:
@@ -140,23 +120,23 @@ class _Tracker:
             self.worst = float(slack)
             self.witness = witness
 
-    def result(self, name: str, detail: str, extra_ok: bool = True) -> SuiteResult:
-        worst = self.worst if math.isfinite(self.worst) else 0.0
-        return SuiteResult(
-            name=name,
-            passed=bool(extra_ok and self.worst >= 0.0),
-            trials=self.trials,
-            worst_slack=worst,
-            witness=self.witness,
-            detail=detail,
-        )
+    def result(self, name: str, detail: str, extra_ok: bool = True) -> dict:
+        """The suite's record in the ``check`` JSON."""
+        return {
+            "name": name,
+            "passed": bool(extra_ok and self.worst >= 0.0),
+            "trials": self.trials,
+            "worst_slack": self.worst if math.isfinite(self.worst) else 0.0,
+            "witness": self.witness,
+            "detail": detail,
+        }
 
 
 # ---------------------------------------------------------------------------
 # transform suites
 # ---------------------------------------------------------------------------
 
-def _suite_transform_oracle(rng, inject_bug: bool) -> SuiteResult:
+def _suite_transform_oracle(rng, inject_bug: bool) -> dict:
     t = _Tracker()
     for name in ZOO:
         group = parse_group(name)
@@ -174,7 +154,7 @@ def _suite_transform_oracle(rng, inject_bug: bool) -> SuiteResult:
     )
 
 
-def _suite_transform_roundtrip(rng, inject_bug: bool) -> SuiteResult:
+def _suite_transform_roundtrip(rng, inject_bug: bool) -> dict:
     t = _Tracker()
     for name in ZOO + ("Z720", "Z4096", "Z3xZ5xZ7"):
         group = parse_group(name)
@@ -188,7 +168,7 @@ def _suite_transform_roundtrip(rng, inject_bug: bool) -> SuiteResult:
     )
 
 
-def _suite_plancherel(rng, inject_bug: bool) -> SuiteResult:
+def _suite_plancherel(rng, inject_bug: bool) -> dict:
     t = _Tracker()
     for name in ZOO:
         group = parse_group(name)
@@ -204,7 +184,7 @@ def _suite_plancherel(rng, inject_bug: bool) -> SuiteResult:
     )
 
 
-def _suite_convolution(rng, inject_bug: bool) -> SuiteResult:
+def _suite_convolution(rng, inject_bug: bool) -> dict:
     t = _Tracker()
     for name in ("Z8", "Z12", "Z2xZ3", "Z2xZ2xZ2"):
         group = parse_group(name)
@@ -221,7 +201,7 @@ def _suite_convolution(rng, inject_bug: bool) -> SuiteResult:
     )
 
 
-def _suite_translation_modulation(rng, inject_bug: bool) -> SuiteResult:
+def _suite_translation_modulation(rng, inject_bug: bool) -> dict:
     t = _Tracker()
     for name in ("Z6", "Z4xZ3", "Z2xZ2xZ2"):
         group = parse_group(name)
@@ -244,7 +224,7 @@ def _suite_translation_modulation(rng, inject_bug: bool) -> SuiteResult:
 # weight / norm suites
 # ---------------------------------------------------------------------------
 
-def _suite_subadditivity(rng, inject_bug: bool) -> SuiteResult:
+def _suite_subadditivity(rng, inject_bug: bool) -> dict:
     t = _Tracker()
     ok = True
     for name in ZOO:
@@ -273,7 +253,7 @@ def _norm_fuzz_configs():
                 yield name, group, w, s
 
 
-def _suite_l2_vs_sobolev(rng, inject_bug: bool) -> SuiteResult:
+def _suite_l2_vs_sobolev(rng, inject_bug: bool) -> dict:
     t = _Tracker()
     for name, group, w, s in _norm_fuzz_configs():
         vals = _rand_complex(rng, group, 60)
@@ -288,7 +268,7 @@ def _suite_l2_vs_sobolev(rng, inject_bug: bool) -> SuiteResult:
     )
 
 
-def _suite_sup_embedding(rng, inject_bug: bool) -> SuiteResult:
+def _suite_sup_embedding(rng, inject_bug: bool) -> dict:
     t = _Tracker()
     for name, group, w, s in _norm_fuzz_configs():
         vals = _rand_complex(rng, group, 60)
@@ -304,12 +284,7 @@ def _suite_sup_embedding(rng, inject_bug: bool) -> SuiteResult:
     )
 
 
-def _alpha_grid(s: float):
-    cands = {s + 0.5, 2 * s + 1.0, 4.0}
-    return sorted(a for a in cands if a >= 1.0 and a > s)
-
-
-def _suite_lebesgue_embedding(rng, inject_bug: bool) -> SuiteResult:
+def _suite_lebesgue_embedding(rng, inject_bug: bool) -> dict:
     t = _Tracker()
     for name, group, w, s in _norm_fuzz_configs():
         vals = _rand_complex(rng, group, 40)
@@ -330,7 +305,7 @@ def _suite_lebesgue_embedding(rng, inject_bug: bool) -> SuiteResult:
     )
 
 
-def _suite_algebra_bound(rng, inject_bug: bool) -> SuiteResult:
+def _suite_algebra_bound(rng, inject_bug: bool) -> dict:
     t = _Tracker()
     scale = 0.45 if inject_bug else 1.0
     for name, group, w, s in _norm_fuzz_configs():
@@ -348,7 +323,7 @@ def _suite_algebra_bound(rng, inject_bug: bool) -> SuiteResult:
     )
 
 
-def _suite_scale_monotonicity(rng, inject_bug: bool) -> SuiteResult:
+def _suite_scale_monotonicity(rng, inject_bug: bool) -> dict:
     t = _Tracker()
     grid = S_GRID + (4.0,)
     for name in ZOO:
@@ -378,7 +353,7 @@ def _suite_scale_monotonicity(rng, inject_bug: bool) -> SuiteResult:
     )
 
 
-def _suite_translation_bound(rng, inject_bug: bool) -> SuiteResult:
+def _suite_translation_bound(rng, inject_bug: bool) -> dict:
     t = _Tracker()
     for name in ZOO:
         group = parse_group(name)
@@ -412,7 +387,7 @@ def _suite_translation_bound(rng, inject_bug: bool) -> SuiteResult:
     )
 
 
-def _suite_shift_angle_bound(rng, inject_bug: bool) -> SuiteResult:
+def _suite_shift_angle_bound(rng, inject_bug: bool) -> dict:
     t = _Tracker()
     ok = True
     for name in ("Z16", "Z64"):
@@ -448,7 +423,7 @@ _OPERATOR_CONFIGS = (
 )
 
 
-def _suite_linear_isometry(rng, inject_bug: bool) -> SuiteResult:
+def _suite_linear_isometry(rng, inject_bug: bool) -> dict:
     t = _Tracker()
     for name, wname, c in _OPERATOR_CONFIGS:
         group = parse_group(name)
@@ -467,7 +442,7 @@ def _suite_linear_isometry(rng, inject_bug: bool) -> SuiteResult:
     )
 
 
-def _suite_linear_roundtrip(rng, inject_bug: bool) -> SuiteResult:
+def _suite_linear_roundtrip(rng, inject_bug: bool) -> dict:
     t = _Tracker()
     for name, wname, c in _OPERATOR_CONFIGS:
         group = parse_group(name)
@@ -497,7 +472,7 @@ def _suite_linear_roundtrip(rng, inject_bug: bool) -> SuiteResult:
     )
 
 
-def _suite_domain_embedding(rng, inject_bug: bool) -> SuiteResult:
+def _suite_domain_embedding(rng, inject_bug: bool) -> dict:
     t = _Tracker()
     for name, wname, c in _OPERATOR_CONFIGS:
         group = parse_group(name)
@@ -526,7 +501,7 @@ def _suite_domain_embedding(rng, inject_bug: bool) -> SuiteResult:
     )
 
 
-def _suite_multiplier_monotonicity(rng, inject_bug: bool) -> SuiteResult:
+def _suite_multiplier_monotonicity(rng, inject_bug: bool) -> dict:
     t = _Tracker()
     cs = (0.1, 0.5, 1.0, 2.0)
     for name, wname in (("Z64", "sym-euclid"), ("Z12", "sym-euclid"), ("Z2xZ2xZ2", "hamming")):
@@ -569,7 +544,7 @@ _AFFINE_CONFIGS = (
 )
 
 
-def _suite_affine_exactness(rng, inject_bug: bool) -> SuiteResult:
+def _suite_affine_exactness(rng, inject_bug: bool) -> dict:
     t = _Tracker()
     ok = True
     from .stringop import solve_linear
@@ -597,7 +572,7 @@ def _suite_affine_exactness(rng, inject_bug: bool) -> SuiteResult:
     )
 
 
-def _suite_quadratic_smalldata(rng, inject_bug: bool) -> SuiteResult:
+def _suite_quadratic_smalldata(rng, inject_bug: bool) -> dict:
     t = _Tracker()
     ok = True
     for name, wname, c in _SOLVER_CONFIGS[:2]:
@@ -623,7 +598,7 @@ def _suite_quadratic_smalldata(rng, inject_bug: bool) -> SuiteResult:
     )
 
 
-def _suite_growth_conditions(rng, inject_bug: bool) -> SuiteResult:
+def _suite_growth_conditions(rng, inject_bug: bool) -> dict:
     group = parse_group("Z12")
     y_samples = [0.0, 0.1, -0.1, 1.0, -1.0, 10.0, -10.0]
     h = Signal(group, _rand_real(rng, group, 1)[0])
@@ -661,7 +636,7 @@ def _suite_growth_conditions(rng, inject_bug: bool) -> SuiteResult:
     )
 
 
-def _suite_damping_neutrality(rng, inject_bug: bool) -> SuiteResult:
+def _suite_damping_neutrality(rng, inject_bug: bool) -> dict:
     t = _Tracker()
     ok = True
     group = parse_group("Z64")
@@ -734,6 +709,6 @@ def run_checks(seed: int = 42, inject_bug: bool = False, only=None) -> dict:
         "version": __version__,
         "seed": int(seed),
         "groups": list(ZOO),
-        "all_passed": all(r.passed for r in results),
-        "suites": [r.as_dict() for r in results],
+        "all_passed": all(r["passed"] for r in results),
+        "suites": results,
     }

@@ -23,8 +23,6 @@ import json
 import math
 import sys
 
-import numpy as np
-
 from . import __version__
 from .group import FiniteAbelianGroup, parse_group
 from .nonlinear import (
@@ -35,13 +33,14 @@ from .nonlinear import (
 )
 from .sobolev import (
     Weight,
+    _alpha_grid,
     algebra_constant,
     check_subadditivity,
     embedding_constant_lalpha,
     embedding_constant_sup,
     lp_norm,
+    lp_norm_batch,
     make_weight,
-    sobolev_norm,
     weight_from_table,
 )
 from .spectral import (
@@ -66,18 +65,29 @@ from .stringop import build_multiplier, domain_norm, solve_linear
 
 __all__ = ["main"]
 
-def _print_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, sort_keys=True, indent=2) + "\n")
+def _json_text(doc: dict) -> str:
+    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
 
 
-def _load_weight(group: FiniteAbelianGroup, args) -> Weight:
+def _emit(text: str, path: str | None = None) -> None:
+    """Write ``text`` to the file at ``path``, or to stdout without one."""
+    if path:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
+def _load_problem(args) -> tuple[FiniteAbelianGroup, Weight]:
+    """The group and weight that ``--group`` and the weight flags name."""
+    group = parse_group(args.group)
     if args.weight_table:
         gamma = _read_table_csv(args.weight_table, group, ("gamma",))[:, 0]
         c_gamma = args.c_gamma if args.c_gamma is not None else 1.0
-        return weight_from_table(group, gamma, c_gamma, name="custom")
+        return group, weight_from_table(group, gamma, c_gamma, name="custom")
     if args.c_gamma is not None:
         raise ValueError("--c-gamma applies only with --weight-table")
-    return make_weight(group, args.weight)
+    return group, make_weight(group, args.weight)
 
 
 def _read_field(path: str, group: FiniteAbelianGroup, spectral: bool = False):
@@ -98,15 +108,32 @@ def _write_field(path: str, obj) -> None:
         raise ValueError(f"cannot infer file format of {path!r} (use .csv or .json)")
 
 
+def _emit_solution(args, field: Signal, report: dict) -> None:
+    """The field to ``--output`` and the report to ``--report``; with
+    neither, the report to stdout."""
+    if args.output:
+        _write_field(args.output, field)
+    if args.report or not args.output:
+        _emit(_json_text(report), args.report)
+
+
+def _constants(group: FiniteAbelianGroup, w: Weight, s: float) -> dict:
+    """The block of constants that ``info`` and ``constants`` share."""
+    d_const = algebra_constant(group, w, s)
+    return {
+        "s": s,
+        "embedding_constant_sup": embedding_constant_sup(group, w, s),
+        "algebra_constant": d_const if math.isfinite(d_const) else "inf",
+    }
+
+
 # ---------------------------------------------------------------------------
 # subcommands
 # ---------------------------------------------------------------------------
 
 def _cmd_info(args) -> int:
-    group = parse_group(args.group)
-    w = _load_weight(group, args)
+    group, w = _load_problem(args)
     sub = check_subadditivity(group, w)
-    d_const = algebra_constant(group, w, args.s)
     doc = {
         "group": group.descriptor,
         "order": group.order,
@@ -119,12 +146,10 @@ def _cmd_info(args) -> int:
             "subadditive": sub["ok"],
             "worst_ratio": sub["worst_ratio"] if math.isfinite(sub["worst_ratio"]) else "inf",
         },
-        "s": args.s,
-        "embedding_constant_sup": embedding_constant_sup(group, w, args.s),
-        "algebra_constant": d_const if math.isfinite(d_const) else "inf",
+        **_constants(group, w, args.s),
     }
     if args.json:
-        _print_json(doc)
+        _emit(_json_text(doc))
     else:
         print(f"group {group.descriptor}: order {group.order}, factors {list(group.factors)}")
         print(
@@ -150,12 +175,12 @@ def _cmd_transform(args) -> int:
         fast = dft_fast(sig) if args.oracle or not args.naive else None
         naive = dft_naive(sig) if args.oracle or args.naive else None
         if args.oracle:
-            dev = float(
-                np.linalg.norm(fast.values - naive.values)
-                / max(np.linalg.norm(naive.values), 1e-30)
-            )
+            # rescaled l2 norms, which neither overflow nor warn; 1/|G| cancels.
+            # Below the normal range float64 holds only absolute accuracy.
+            dev = float(lp_norm_batch(group, fast.values - naive.values, 2)
+                        / max(lp_norm_batch(group, naive.values, 2), sys.float_info.min))
             print(f"oracle deviation (relative l2): {_fmt17(dev)}")
-            if dev > 1e-10:
+            if not dev <= 1e-10:
                 print("FAIL: fast transform disagrees with the naive oracle", file=sys.stderr)
                 return 1
         out = naive if args.naive else fast
@@ -167,29 +192,19 @@ def _cmd_transform(args) -> int:
 
 
 def _cmd_constants(args) -> int:
-    from .checks import _alpha_grid  # the suites load only where they are used
-
-    group = parse_group(args.group)
-    w = _load_weight(group, args)
-    s = args.s
-    alphas = args.alpha if args.alpha else _alpha_grid(s)
-    per_alpha = []
-    for alpha in alphas:
-        emb = embedding_constant_lalpha(group, w, s, alpha)
-        per_alpha.append({"alpha": alpha, **emb})
-    d_const = algebra_constant(group, w, s)
+    group, w = _load_problem(args)
+    per_alpha = [{"alpha": alpha, **embedding_constant_lalpha(group, w, args.s, alpha)}
+                 for alpha in args.alpha or _alpha_grid(args.s)]
     doc = {
         "group": group.descriptor,
         "weight": w.name,
-        "s": s,
-        "embedding_constant_sup": embedding_constant_sup(group, w, s),
-        "algebra_constant": d_const if math.isfinite(d_const) else "inf",
+        **_constants(group, w, args.s),
         "lebesgue_embeddings": per_alpha,
     }
     if args.json:
-        _print_json(doc)
+        _emit(_json_text(doc))
     else:
-        print(f"group {group.descriptor}, weight {w.name}, s={_fmt17(s)}")
+        print(f"group {group.descriptor}, weight {w.name}, s={_fmt17(args.s)}")
         print(f"C(gamma,s) = {_fmt17(doc['embedding_constant_sup'])}")
         print(f"D(gamma,s) = {_fmt17(doc['algebra_constant'])}")
         for row in per_alpha:
@@ -204,19 +219,17 @@ def _cmd_check(args) -> int:
     from .checks import run_checks
 
     doc = run_checks(seed=args.seed, inject_bug=args.inject_bug, only=args.only or None)
-    text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    text = _json_text(doc)
     if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-    if args.json or not args.output:
-        if args.json:
-            sys.stdout.write(text)
-        else:
-            for suite in doc["suites"]:
-                status = "PASS" if suite["passed"] else "FAIL"
-                print(f"{status} {suite['name']}: worst slack {suite['worst_slack']:.3e} "
-                      f"({suite['trials']} trials)")
-            print("all passed" if doc["all_passed"] else "FAILURES present")
+        _emit(text, args.output)
+    if args.json:
+        _emit(text)
+    elif not args.output:
+        for suite in doc["suites"]:
+            status = "PASS" if suite["passed"] else "FAIL"
+            print(f"{status} {suite['name']}: worst slack {suite['worst_slack']:.3e} "
+                  f"({suite['trials']} trials)")
+        print("all passed" if doc["all_passed"] else "FAILURES present")
     if not doc["all_passed"]:
         failing = [s["name"] for s in doc["suites"] if not s["passed"]]
         print(f"failing suites: {', '.join(failing)}", file=sys.stderr)
@@ -225,8 +238,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_solve_linear(args) -> int:
-    group = parse_group(args.group)
-    w = _load_weight(group, args)
+    group, w = _load_problem(args)
     g = _read_field(args.input, group)
     u = solve_linear(g, w, args.c)
     profile = build_multiplier(group, w, args.c)
@@ -255,13 +267,7 @@ def _cmd_solve_linear(args) -> int:
         },
         "multiplier_overflow_frequencies": profile.overflow_count,
     }
-    if args.output:
-        _write_field(args.output, u)
-    if args.report:
-        with open(args.report, "w", encoding="ascii") as fh:
-            fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    if not args.output and not args.report:
-        _print_json(report)
+    _emit_solution(args, u, report)
     if not report["isometry"]["ok"] or not report["sup_bound"]["ok"]:
         print("solve-linear: a guarantee failed (see report)", file=sys.stderr)
         return 1
@@ -292,20 +298,45 @@ def _solver_config(args, group: FiniteAbelianGroup) -> SolverConfig:
     )
 
 
+_SWEEP_PARAMS = ("c", "theta", "forcing-scale", "lam")
+
+
+def _problems(args, group: FiniteAbelianGroup, grid=(None,)):
+    """Yield the (nonlinearity, c, config) of the solve-nonlinear command line
+    ``args`` at each grid value, which is first set on the field that
+    ``args.param`` names (solve-nonlinear sweeps none).  A lam is written
+    into a spec that has parsed, so a sweep refuses what solve-nonlinear
+    refuses.  The first point builds every part, reading each file once; a
+    later one rebuilds only what its field changes."""
+    param = getattr(args, "param", None)
+    for k, value in enumerate(grid):
+        if param in ("c", "theta", "forcing-scale"):
+            setattr(args, param.replace("-", "_"), value)
+        if k == 0 or param == "forcing-scale":
+            forcing = _load_forcing(args.forcing, args.forcing_scale, group)
+        if param == "lam":
+            spec = parse_nonlinearity(args.nonlinearity, group, forcing).name
+            if "," not in spec:
+                raise ValueError("sweeping lam needs a power:p,lam style nonlinearity")
+            args.nonlinearity = f"{spec.rpartition(',')[0]},{value!r}"  # repr keeps lam exact
+        nl = parse_nonlinearity(args.nonlinearity, group, forcing)
+        if k == 0:
+            cfg = _solver_config(args, group)
+        elif param == "theta":
+            cfg = dataclasses.replace(cfg, theta=value)
+        yield nl, args.c, cfg
+
+
 def _cmd_solve_nonlinear(args) -> int:
-    group = parse_group(args.group)
-    w = _load_weight(group, args)
-    nl = parse_nonlinearity(
-        args.nonlinearity, group, _load_forcing(args.forcing, args.forcing_scale, group)
-    )
-    cfg = _solver_config(args, group)
-    phi, rep = solve_nonlinear(nl, w, args.c, cfg)
+    group, w = _load_problem(args)
+    nl, c, cfg = next(_problems(args, group))
+    phi, rep = solve_nonlinear(nl, w, c, cfg)
     report = {
         "version": __version__,
         "config": {
             "group": group.descriptor,
             "weight": w.name,
-            "c": args.c,
+            "c": c,
             "s": args.s,
             "nonlinearity": nl.name,
             "theta": args.theta,
@@ -316,40 +347,11 @@ def _cmd_solve_nonlinear(args) -> int:
         "result": rep.as_dict(),
         "verification": rep.verification,
     }
-    if args.output:
-        _write_field(args.output, phi)
-    if args.report:
-        with open(args.report, "w", encoding="ascii") as fh:
-            fh.write(json.dumps(report, sort_keys=True, indent=2) + "\n")
-    if not args.output and not args.report:
-        _print_json(report)
-    else:
+    _emit_solution(args, phi, report)
+    if args.output or args.report:
         print(f"status: {rep.status} after {rep.iterations} iterations; "
               f"equation residual {rep.final_residual_eq:.3e}")
     return 0 if rep.converged and rep.verification["all_ok"] else 1
-
-
-_SWEEP_PARAMS = ("c", "theta", "forcing-scale", "lam")
-
-
-def _sweep_one(args, group: FiniteAbelianGroup, w: Weight, forcing: Signal | None,
-               cfg: SolverConfig, value: float):
-    """One grid point; group, weight, forcing and config come parsed once."""
-    c = value if args.param == "c" else args.c
-    nonlinearity = args.nonlinearity
-    if args.param == "theta":
-        cfg = dataclasses.replace(cfg, theta=value)
-    if args.param == "forcing-scale":
-        forcing = _load_forcing(args.forcing, value, group)
-    if args.param == "lam":
-        base = args.nonlinearity.split(":", 1)
-        if len(base) != 2 or "," not in base[1]:
-            raise ValueError("sweeping lam needs a power:p,lam style nonlinearity")
-        p = base[1].split(",")[0]
-        nonlinearity = f"{base[0]}:{p},{value!r}"  # repr keeps lam exact
-    nl = parse_nonlinearity(nonlinearity, group, forcing)
-    _, rep = solve_nonlinear(nl, w, c, cfg)
-    return rep
 
 
 def _cmd_sweep(args) -> int:
@@ -359,19 +361,13 @@ def _cmd_sweep(args) -> int:
         raise ValueError(f"bad sweep grid {args.grid!r}") from exc
     if not grid:
         raise ValueError("sweep grid is empty")
-    group = parse_group(args.group)
-    w = _load_weight(group, args)
-    forcing = None
-    if args.param != "forcing-scale":
-        forcing = _load_forcing(args.forcing, args.forcing_scale, group)
-    cfg = _solver_config(args, group)
-    header = (
+    group, w = _load_problem(args)
+    lines = [
         "param,value,status,converged,iterations,final_residual_eq,"
         "norm_l2,norm_l2alpha,norm_domain,norm_sup,ball_respected,ball_radius"
-    )
-    lines = [header]
-    for value in grid:
-        rep = _sweep_one(args, group, w, forcing, cfg, value)
+    ]
+    for value, (nl, c, cfg) in zip(grid, _problems(args, group, grid)):
+        _, rep = solve_nonlinear(nl, w, c, cfg)
         lines.append(
             ",".join(
                 [
@@ -390,12 +386,7 @@ def _cmd_sweep(args) -> int:
                 ]
             )
         )
-    text = "\n".join(lines) + "\n"
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit("\n".join(lines) + "\n", args.output)
     return 0
 
 
@@ -421,13 +412,18 @@ class _SuiteListFormatter(argparse.HelpFormatter):
         return text
 
 
-def _add_weight_flags(p: argparse.ArgumentParser) -> None:
+def _add_problem_flags(p: argparse.ArgumentParser, c: bool = False) -> None:
+    """``--group``, the weight flags, ``--s`` and, with ``c``, ``--c``."""
+    p.add_argument("--group", required=True)
     p.add_argument("--weight", default="sym-euclid",
                    help="zero | sym-euclid | hamming | pruefer:<p> (default sym-euclid)")
     p.add_argument("--weight-table", default=None,
                    help="CSV 'index,gamma' table overriding --weight")
     p.add_argument("--c-gamma", type=float, default=None,
                    help="subadditivity constant for --weight-table (default 1)")
+    p.add_argument("--s", type=float, default=1.0)
+    if c:
+        p.add_argument("--c", type=float, required=True)
 
 
 def _add_solver_flags(p: argparse.ArgumentParser) -> None:
@@ -458,9 +454,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("info", help="group/weight summary and constants")
-    p.add_argument("--group", required=True)
-    _add_weight_flags(p)
-    p.add_argument("--s", type=float, default=1.0)
+    _add_problem_flags(p)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_info)
 
@@ -475,9 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_transform)
 
     p = sub.add_parser("constants", help="embedding/algebra constants table")
-    p.add_argument("--group", required=True)
-    _add_weight_flags(p)
-    p.add_argument("--s", type=float, default=1.0)
+    _add_problem_flags(p)
     p.add_argument("--alpha", type=float, action="append", default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_constants)
@@ -493,28 +485,19 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_check)
 
     p = sub.add_parser("solve-linear", help="exact inverse of the string operator")
-    p.add_argument("--group", required=True)
-    _add_weight_flags(p)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--c", type=float, required=True)
+    _add_problem_flags(p, c=True)
     p.add_argument("--input", required=True, help="data signal g (.csv/.json)")
     p.add_argument("--output", default=None)
     p.add_argument("--report", default=None)
     p.set_defaults(func=_cmd_solve_linear)
 
     p = sub.add_parser("solve-nonlinear", help="damped Picard solver")
-    p.add_argument("--group", required=True)
-    _add_weight_flags(p)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--c", type=float, required=True)
+    _add_problem_flags(p, c=True)
     _add_solver_flags(p)
     p.set_defaults(func=_cmd_solve_nonlinear)
 
     p = sub.add_parser("sweep", help="vary one parameter over a grid, CSV out")
-    p.add_argument("--group", required=True)
-    _add_weight_flags(p)
-    p.add_argument("--s", type=float, default=1.0)
-    p.add_argument("--c", type=float, required=True)
+    _add_problem_flags(p, c=True)
     _add_solver_flags(p)
     p.add_argument("--param", required=True, choices=_SWEEP_PARAMS)
     p.add_argument("--grid", required=True, help="comma-separated values")

@@ -381,6 +381,13 @@ def embedding_constant_sup(group: FiniteAbelianGroup, w: Weight, s: float) -> fl
     return float(np.sqrt(_inverse_power_sum(w, s)))
 
 
+def _alpha_grid(s: float) -> list[float]:
+    """The default alpha values of the L^{alpha*} embedding at smoothness s:
+    those of s + 1/2, 2s + 1 and 4 with alpha >= 1 and alpha > s."""
+    cands = {s + 0.5, 2 * s + 1.0, 4.0}
+    return sorted(a for a in cands if a >= 1.0 and a > s)
+
+
 def embedding_constant_lalpha(
     group: FiniteAbelianGroup, w: Weight, s: float, alpha: float
 ) -> dict:

@@ -564,11 +564,17 @@ def _read_values_json(path, group: FiniteAbelianGroup | None):
     pairs = doc["values"]
     if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise ValueError(f"{path}: 'values' must be a list of [re, im] pairs")
+    bad = f"{path}: 'values' pairs must hold JSON numbers that float64 can hold"
+    # json reads a number as int or float; a bool or a string is not one
+    if not all(type(x) in (int, float) for pair in pairs for x in pair):
+        raise ValueError(bad)
     try:
-        vals = np.array([complex(float(r), float(i)) for r, i in pairs], dtype=np.complex128)
-    except (TypeError, ValueError) as exc:
-        raise ValueError(f"{path}: 'values' pairs must hold numbers ({exc})") from None
-    return file_group, vals
+        flat = np.array([x for pair in pairs for x in pair], dtype=np.float64)
+    except OverflowError:  # an integer past float64
+        raise ValueError(bad) from None
+    if not np.isfinite(flat).all():  # 1e999, NaN, Infinity
+        raise ValueError(bad)
+    return file_group, flat.view(np.complex128)
 
 
 def write_signal_csv(path, f: Signal) -> None:

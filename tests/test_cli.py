@@ -255,6 +255,33 @@ def test_overflowing_transform_exits_2_with_one_line(tmp_path, capsys, argv, tex
     assert err == f"error: {text} overflows float64\n"
 
 
+@pytest.mark.parametrize("argv", [["transform"], ["solve-linear", "--c", "1"]])
+@pytest.mark.parametrize("pairs", ["[1%s, 0]" % ("0" * 399), "[true, false]", '["0.5", 0]'],
+                         ids=["integer-past-float64", "bool", "string"])
+def test_json_entry_that_is_not_a_float64_number_exits_2(tmp_path, capsys, argv, pairs):
+    path = tmp_path / "sig.json"
+    path.write_text('{"group": "Z4", "values": [%s, [0, 0], [0, 0], [0, 0]]}' % pairs)
+    code = main([*argv, "--group", "Z4", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: {path}: 'values' pairs must hold JSON numbers that float64 can hold\n"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("scale", [1e200, 1e-300])
+def test_transform_oracle_measures_samples_near_the_ends_of_float64(tmp_path, capsys, scale):
+    # squares of 1e200 overflow and squares of 1e-300 underflow; the
+    # rescaled norm reads both, so the deviation is a relative one
+    path = tmp_path / "sig.json"
+    values = scale * np.array([1.0, -2.0, 3.0j, 0.5])
+    write_signal_json(str(path), Signal(parse_group("Z4"), values))
+    code = main(["transform", "--group", "Z4", "--input", str(path), "--oracle"])
+    out, err = capsys.readouterr()
+    dev = float(out.splitlines()[0].removeprefix("oracle deviation (relative l2): "))
+    assert code == 0 and err == ""
+    assert 0.0 < dev <= 1e-10
+
+
 def test_transform_naive_computes_no_fast_transform(tmp_path, rng, monkeypatch, capsys):
     import groupsobolev.cli as cli
 
@@ -580,6 +607,17 @@ def test_sweep_lam_rewrites_nonlinearity(tmp_path):
     assert lines[3].split(",")[2:] != lines[4].split(",")[2:]
 
 
+@pytest.mark.parametrize("spec", ["forced-power:2,1,7", "forced-power:2,oops"])
+def test_sweep_lam_refuses_what_solve_nonlinear_refuses(capsys, spec):
+    flags = ["--group", "Z12", "--c", "0.5", "--nonlinearity", spec, "--forcing-scale", "0.01"]
+    assert main(["solve-nonlinear", *flags]) == 2
+    refusal = capsys.readouterr().err
+    assert refusal.startswith("error: bad nonlinearity spec") and refusal.count("\n") == 1
+    assert main(["sweep", *flags, "--param", "lam", "--grid", "0.1,0.2"]) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err == refusal
+
+
 def test_sweep_empty_grid(capsys):
     code = main(["sweep", "--group", "Z12", "--c", "0.5",
                  "--nonlinearity", "power:2,0.1",
@@ -641,10 +679,13 @@ def test_cli_imports_the_suites_only_to_run_them(capsys):
     import subprocess
     import sys
 
-    probe = "import sys, groupsobolev.cli; print('groupsobolev.checks' in sys.modules)"
+    probe = ("import sys, groupsobolev.cli; print('groupsobolev.checks' in sys.modules); "
+             "groupsobolev.cli.main(['constants', '--group', 'Z4']); "
+             "print('groupsobolev.checks' in sys.modules)")
     out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
                          check=True).stdout
-    assert out.strip() == "False"
+    lines = out.strip().splitlines()
+    assert lines[0] == lines[-1] == "False"  # after import, and after a constants run
     # check --help still lists every suite
     assert main(["check", "--help"]) == 0
     text = "".join(capsys.readouterr().out.split())

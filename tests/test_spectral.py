@@ -571,6 +571,20 @@ def test_json_group_mismatch_rejected(tmp_path, rng):
         read_signal_json(path, parse_group("Z2xZ2"))
 
 
+@pytest.mark.parametrize("pairs", [
+    "[1%s, 0]" % ("0" * 399),         # an integer past float64
+    "[1e999, 0]",                     # json reads it as inf
+    "[NaN, 0]",
+    "[true, false]",                  # a bool is not a JSON number
+    '["0.5", 0]',                     # nor is a string
+], ids=["integer-past-float64", "1e999", "nan", "bool", "string"])
+def test_json_reader_refuses_what_is_not_a_float64_number(tmp_path, pairs):
+    path = tmp_path / "sig.json"
+    path.write_text('{"group": "Z2", "values": [%s, [0, 0]]}' % pairs)
+    with pytest.raises(ValueError, match=r"sig\.json: 'values' pairs must hold JSON numbers"):
+        read_signal_json(path)
+
+
 def test_csv_wrong_row_count_rejected(tmp_path):
     path = tmp_path / "short.csv"
     path.write_text("index,re,im\n0,1.0,0.0\n")

@@ -1,3 +1,4 @@
+import importlib.util
 import json
 import subprocess
 import sys
@@ -21,3 +22,17 @@ def test_paired_solve_runs_the_checkout_against_itself():
         lo, hi = row["ci95"]
         assert 0.0 < lo <= hi and row["ratio"] > 0.0
         assert 0.0 <= row["change_wins"] <= 1.0
+
+
+def test_cli_regression_compares_the_checkout_against_itself(capsys):
+    spec = importlib.util.spec_from_file_location("cli_regression",
+                                                  ROOT / "tools" / "cli_regression.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    summary = tool.compare(ROOT, ROOT, ["error-json-bool-and-string"])
+    assert summary["commands"] == summary["identical"] == 1 and summary["differ"] == []
+    assert capsys.readouterr().out == ""
+    # the command it ran reads an input the script wrote and names it in one line
+    got = tool.run(ROOT, tool.COMMANDS["error-json-bool-and-string"])
+    assert got["exit"] == 2 and got["stderr"].startswith("error: {tmp}/z4_bool.json: ")
+    assert list(got["files"]) == ["z4_bool.json"]
