@@ -48,6 +48,7 @@ from .spectral import (
     Spectrum,
     _csv_rows,
     _fmt17,
+    _read_json,
     _read_table_csv,
     dft_fast,
     dft_naive,
@@ -532,8 +533,7 @@ def _apply_config_defaults(parser: argparse.ArgumentParser, path: str) -> None:
     """Make each key of the JSON object at ``path`` the default of every
     subcommand flag it names, which then is no longer required; a key that
     names no flag is an error."""
-    with open(path, "r", encoding="ascii") as fh:
-        cfg = json.load(fh)
+    cfg = _read_json(path)
     if not isinstance(cfg, dict):
         raise ValueError(f"{path}: config must be a JSON object of flag defaults")
     subparsers = [

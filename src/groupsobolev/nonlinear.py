@@ -20,13 +20,12 @@ cached per pair (``_plan``) and takes the nonlinearity as an argument: it
 holds the layout and, on it, log m, the entries where m overflows, m with
 zeros there and -1/m, and nothing else.  The weight must be symmetric,
 which is checked once per weight.  A new forcing reuses the map.
-``size_ball``'s constants are cached apart, per (weight, c, growth
-exponent), and take their sup over the whole dual for every
-weight.  Convergence is certified a posteriori by the map's
-certificate, on half coefficients: the equation residual
-||L phi - V(., phi)||_L2 is recomputed through an independent forward
-application of the operator.  The product m a of
-phi's coefficients a gives both L phi, by one transform, and the domain
+``size_ball``'s two norms of L^{-1} are cached apart, per (weight, c),
+and run over the whole dual for every weight.  Convergence is certified a
+posteriori by the map's certificate, on half coefficients: the equation
+residual ||L phi - V(., phi)||_L2 is recomputed through an independent
+forward application of the operator.  The product m a of phi's
+coefficients a gives both L phi, by one transform, and the domain
 norm ||m a||; the Sobolev norm reads a on the layout, by the count-twice
 rule of the map's norms, and the sup norm phi's samples.  The solver
 certifies its own (a, y); :func:`verify_solution` takes them from a
@@ -53,11 +52,13 @@ Nonlinearities are described by the growth data (alpha, beta, C, h, f):
 The smallness analysis runs through a ball  Y_eps = {u : ||u||_{L^{2alpha}} <= eps}
 that the map G preserves when the forcing is small.  The executable sizing
 rule (the underlying theory only asserts "eps exists") is spelled out at
-:func:`size_ball`.  The string field is real-valued throughout; transforms
-leave only a rounding-level anti-Hermitian part in its coefficients (on the
-half layout, only where an entry's partner is stored too), which is
-projected away.  It cannot be more than rounding: m is a function of gamma,
-and the solver's weights are symmetric.
+:func:`size_ball`: it bounds L^{-1} from L^2 to L^{2alpha} by interpolating
+its exact norms into L^2, max 1/m, and into L^infinity, ||1/m||_l2.  The
+string field is real-valued throughout; transforms leave only a
+rounding-level anti-Hermitian part in its coefficients (on the half layout,
+only where an entry's partner is stored too), which is projected away.  It
+cannot be more than rounding: m is a function of gamma, and the solver's
+weights are symmetric.
 """
 from __future__ import annotations
 
@@ -73,11 +74,9 @@ from .sobolev import (
     Weight,
     _check_s,
     _float_pow,
-    _inverse_power_sum,
     _root_sum,
     _sobolev_weights,
     _weighted_norm,
-    embedding_constant_lalpha,
     embedding_constant_sup,
     lp_norm,
     lp_norm_batch,
@@ -334,21 +333,15 @@ def eval_source(nl: Nonlinearity, u: Signal) -> Signal:
     return Signal(u.group, nl.u_func(y) - y)
 
 
-_DELTAS = (1.25, 1.5, 2.0, 3.0, 4.0)
-
-
-# Keyed by (weight, c, alpha): the benchmark's solve workload asks for 12
-# (weight, c) cells at two exponents, 24 entries; weights hash by identity.
-@lru_cache(maxsize=32)
-def _ball_constants(w: Weight, c: float, alpha: float) -> tuple[float, float, float]:
-    """``size_ball``'s steps 1-3, (delta, s_embed, E), at growth exponent
-    alpha; the sup in E runs over the whole dual."""
-    delta = next((cand for cand in _DELTAS if _inverse_power_sum(w, cand) <= 10.0), 4.0)
-    s_embed = delta - delta / (2.0 * alpha)
-    log_ratio = (s_embed / 2.0) * np.log1p(w.values**2) - _log_multiplier(w.values, c, w.name)
-    e_const = (float(np.exp(log_ratio.max()))
-               * embedding_constant_lalpha(w.group, w, s_embed, delta)["constant"])
-    return delta, s_embed, e_const
+# Keyed by (weight, c): the benchmark's solve workload asks for 12 cells;
+# weights hash by identity.
+@lru_cache(maxsize=16)
+def _ball_constants(w: Weight, c: float) -> tuple[float, float]:
+    """The two exact norms of L^{-1} that ``size_ball`` interpolates, taken
+    over the whole dual: max 1/m, from L^2 to L^2, and ||1/m||_l2, from L^2
+    to L^infinity."""
+    inverse = np.exp(-_log_multiplier(w.values, c, w.name))
+    return float(inverse.max()), float(_root_sum(inverse))
 
 
 @lru_cache(maxsize=16)  # every solve asks; weights hash by identity, as in _plan
@@ -560,8 +553,6 @@ class SolveReport:
     ball_respected: bool
     ball_radius: float                   # eps (inf if the small-data rule failed)
     small_data_ok: bool
-    delta: float                         # summability exponent used by the rule
-    s_embed: float                       # smoothness used inside the ball rule
     continuity_constant: float           # sup-embedding constant at config.s
     theta_used: float
     verification: dict                   # the certificate; not in as_dict
@@ -574,40 +565,40 @@ class SolveReport:
 def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) -> dict:
     """Executable sizing of the invariant ball Y_eps in L^{2 alpha}.
 
-    Chain of constants:
+    1. E bounds ||L^{-1}||, from L^2 to L^{2 alpha}, by interpolating its two
+       exact norms.  For u = L^{-1} f, whose coefficients are f_hat / m,
+       ||u||_inf <= sum |f_hat| / m <= ||1/m||_l2 ||f||_L2 (Cauchy-Schwarz
+       and Plancherel; equality at f_hat = 1/m), and ||u||_L2 <= max(1/m)
+       ||f||_L2.  On the probability space G, ||u||_{2 alpha}^{2 alpha} <=
+       ||u||_inf^{2 alpha - 2} ||u||_L2^2, so
 
-    1. delta = smallest exponent in {1.25, 1.5, 2, 3, 4} with
-       S(delta) = sum (1+gamma^2)^{-delta} <= 10 (finite duals make every
-       exponent admissible; the threshold picks a scale-stable one).  Falls
-       back to 4 if none qualifies.
-    2. s = midpoint of the admissible window (delta - delta/alpha, delta).
-    3. E = [sup_xi (1+gamma^2)^{s/2} / m(xi)] * S(delta)^{s/(2 delta)}:
-       the norm of the chain  domain -> H^s -> L^{alpha*} -> L^{2 alpha}
-       (the last inclusion is norm-1 on a probability space since
-       alpha* >= 2 alpha inside the window).  The sup depends on xi only
-       through gamma(xi); it is taken over the whole dual for every weight,
-       symmetric or not, and cached per (weight, c, alpha), apart from the
-       solver's fixed-point map.
-    4. With D' = 2 C^2 E^2 the map G sends Y_eps into itself whenever
-       D'(||h||_L2^2 + eps^{2 alpha}) <= eps^2; the smallest such eps is
+           E = max(1/m)^{1/alpha} * ||1/m||_l2^{1 - 1/alpha},
+
+       Riesz-Thorin between L^2 and L^inf (Grafakos, Classical Fourier
+       Analysis, Thm 1.3.4).  The two norms run over the whole dual for every
+       weight, symmetric or not, and are cached per (weight, c), apart from
+       the solver's fixed-point map; alpha enters only here.
+    2. With D' = 2 C^2 E^2 the map G sends Y_eps into itself whenever
+       D'(||h||_L2^2 + eps^{2 alpha}) <= eps^2, since ||G(u)||_{2 alpha} <=
+       E C (||h||_L2 + ||u||_{2 alpha}^alpha); the smallest such eps is
        found by bisection below the minimizer eps* = (alpha D')^{-1/(2alpha-2)}.
 
-    Returns {"epsilon", "ok", "delta", "s_embed", "embedding_const",
-    "contraction_coeff"}; ok=False (and epsilon=inf) when the forcing is too
-    large for any admissible ball, or D' overflows.  When D' underflows to 0
-    every ball is invariant: epsilon=inf and ok=True; so too when eps*
-    overflows, where only balls narrower than sqrt(D') ||h|| < 1e-154 ||h||
-    are not.
+    Returns {"epsilon", "ok", "embedding_const", "contraction_coeff"};
+    ok=False (and epsilon=inf) when the forcing is too large for any
+    admissible ball, or D' overflows.  When D' underflows to 0 every ball is
+    invariant: epsilon=inf and ok=True; so too when eps* overflows, where
+    only balls narrower than sqrt(D') ||h|| < 1e-154 ||h|| are not.
     """
     if w.group != group:
         raise ValueError("weight lives on a different group")
     if nl.group != group:
         raise ValueError("nonlinearity lives on a different group")
-    delta, s_embed, e_const = _ball_constants(w, c, nl.alpha)
+    a = nl.alpha
+    inverse_max, inverse_l2 = _ball_constants(w, c)
+    e_const = inverse_max ** (1.0 / a) * inverse_l2 ** (1.0 - 1.0 / a)
     h_norm = lp_norm(nl.h, 2)
     # squares by multiplication read inf past float64, where ** would raise
     d_prime = 2.0 * (nl.c_growth * nl.c_growth) * (e_const * e_const)
-    a = nl.alpha
 
     def gap(eps: float) -> float:
         grow = _float_pow(eps, 2 * a)
@@ -617,12 +608,7 @@ def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) 
         # 1/a up to eps*
         return d_prime * h_norm * h_norm + eps * eps * (d_prime * _float_pow(eps, 2 * a - 2) - 1.0)
 
-    base = {
-        "delta": delta,
-        "s_embed": s_embed,
-        "embedding_const": e_const,
-        "contraction_coeff": d_prime,
-    }
+    base = {"embedding_const": e_const, "contraction_coeff": d_prime}
     if d_prime == math.inf:
         return {"epsilon": math.inf, "ok": False, **base}
     eps_star = math.inf if d_prime == 0.0 else _float_pow(1.0 / (a * d_prime), 1.0 / (2.0 * a - 2.0))
@@ -755,8 +741,6 @@ def solve_nonlinear(
         ball_respected=ball_ok,
         ball_radius=float(eps),
         small_data_ok=bool(ball["ok"]),
-        delta=float(ball["delta"]),
-        s_embed=float(ball["s_embed"]),
         continuity_constant=record["continuity_constant"],
         theta_used=theta,
         verification=record,

@@ -551,9 +551,18 @@ def _write_values_json(path, group: FiniteAbelianGroup, values: np.ndarray) -> N
         fh.write(text)
 
 
-def _read_values_json(path, group: FiniteAbelianGroup | None):
+def _read_json(path):
+    """The JSON document at ``path``; one that json refuses (malformed, an
+    integer of more than 4300 digits) raises a ValueError naming the file."""
     with open(path, "r", encoding="ascii") as fh:
-        doc = json.load(fh)
+        try:
+            return json.load(fh)
+        except ValueError as exc:
+            raise ValueError(f"{path}: {exc}") from None
+
+
+def _read_values_json(path, group: FiniteAbelianGroup | None):
+    doc = _read_json(path)
     if not isinstance(doc, dict) or "group" not in doc or "values" not in doc:
         raise ValueError(f"{path}: expected an object with 'group' and 'values'")
     file_group = parse_group(doc["group"])

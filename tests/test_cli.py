@@ -267,6 +267,28 @@ def test_json_entry_that_is_not_a_float64_number_exits_2(tmp_path, capsys, argv,
     assert err == f"error: {path}: 'values' pairs must hold JSON numbers that float64 can hold\n"
 
 
+@pytest.mark.parametrize("text, message", [
+    ('{"group": "Z4",\n', "Expecting property name enclosed in double quotes: line 2 column 1"),
+    ('{"group": "Z4", "values": [[1%s, 0]]}\n' % ("0" * 5000), "Exceeds the limit (4300 digits)"),
+], ids=["truncated", "integer-past-4300-digits"])
+def test_field_file_that_json_refuses_exits_2_naming_it(tmp_path, capsys, text, message):
+    path = tmp_path / "sig.json"
+    path.write_text(text)
+    code = main(["transform", "--group", "Z4", "--input", str(path)])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith(f"error: {path}: {message}") and err.count("\n") == 1
+
+
+def test_config_file_that_json_refuses_exits_2_naming_it(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"c": \n')
+    code = main(["--config", str(cfg), "info", "--group", "Z4"])
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: {cfg}: Expecting value: line 2 column 1 (char 7)\n")
+
+
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 @pytest.mark.parametrize("scale", [1e200, 1e-300])
 def test_transform_oracle_measures_samples_near_the_ends_of_float64(tmp_path, capsys, scale):

@@ -768,6 +768,11 @@ def test_every_application_of_the_map_refuses_an_asymmetric_weight():
 # ball sizing / certificates
 # ---------------------------------------------------------------------------
 
+def _interpolated(inverse_max, inverse_l2, alpha):
+    """E = max(1/m)^(1/alpha) * ||1/m||_l2^(1 - 1/alpha)."""
+    return inverse_max ** (1.0 / alpha) * inverse_l2 ** (1.0 - 1.0 / alpha)
+
+
 def test_size_ball_unforced():
     g = parse_group("Z12")
     w = make_weight(g, "sym-euclid")
@@ -775,9 +780,13 @@ def test_size_ball_unforced():
     ball = size_ball(g, w, 1.0, nl)
     assert ball["ok"]
     assert 0.0 < ball["epsilon"] < math.inf
-    assert ball["delta"] == 1.25  # smallest admissible exponent on this dual
-    # s sits inside the admissible window (delta - delta/alpha, delta)
-    assert ball["delta"] - ball["delta"] / nl.alpha < ball["s_embed"] < ball["delta"]
+    # m(0) = 1 is the least multiplier, so E = ||1/m||_l2^(1 - 1/alpha)
+    inverse = np.exp(-build_multiplier(g, w, 1.0).log_values)
+    assert inverse.max() == 1.0
+    assert ball["embedding_const"] == pytest.approx(np.linalg.norm(inverse) ** 0.5, rel=1e-15)
+    # without forcing the radius is the minimizer eps* = (alpha D')^(-1/(2 alpha - 2))
+    assert ball["epsilon"] == pytest.approx((2.0 * ball["contraction_coeff"]) ** -0.5,
+                                             rel=1e-15)
 
 
 def test_size_ball_small_forcing_shrinks_eps():
@@ -836,22 +845,23 @@ def test_weight_constants_computed_once_per_weight():
     g = parse_group("Z12")
     w = make_weight(g, "sym-euclid")
     nl = power_nonlinearity(g, 2, 0.5)
-    size_ball(g, w, 0.5, nl)
-    before = _inverse_power_sum.cache_info().misses
+    solve_nonlinear(nl, w, 0.5, SolverConfig())
+    before = _inverse_power_sum.cache_info()
     for c in (0.75, 1.0, 1.25, 1.5):  # a sweep over c
-        size_ball(g, w, c, nl)
-    assert _inverse_power_sum.cache_info().misses == before
+        solve_nonlinear(nl, w, c, SolverConfig())
+    after = _inverse_power_sum.cache_info()
+    # the certificate's continuity constant sums over the dual once per weight
+    assert after.misses == before.misses and after.hits == before.hits + 4
 
 
-# An asymmetric table, gamma(xi) != gamma(xi^-1), small enough that the sup
-# in E sits away from gamma = 0; the radii pinned are those of the sup taken
-# over the whole dual.
+# An asymmetric table, gamma(xi) != gamma(xi^-1); the radii pinned are those
+# of the norms of 1/m taken over the whole dual.
 _ASYMMETRIC = [0.0, 0.05, 0.2, 0.35, 0.1, 0.5, 0.6, 0.45, 0.1, 0.3, 0.2, 0.15]
 _ASYMMETRIC_BALLS = {
-    (0.25, 2): ("0x1.b819c1493e204p-8", "0x1.2f988a599e68cp+1"),
-    (0.25, 3): ("0x1.78110c70a4410p-7", "0x1.5a3fa53e457b9p+1"),
-    (2.0, 2): ("0x1.b242832f841e3p-8", "0x1.2b951f8269122p+1"),
-    (2.0, 3): ("0x1.6749c13bb2ce0p-7", "0x1.4accf1e194b1dp+1"),
+    (0.25, 2): ("0x1.4b687c72c6e57p-8", "0x1.c98c2ec5cc40ep+0"),
+    (0.25, 3): ("0x1.2d8acbda18f8ep-7", "0x1.15a2267403165p+1"),
+    (2.0, 2): ("0x1.477aaefea8848p-8", "0x1.c421511cec28cp+0"),
+    (2.0, 3): ("0x1.28ca89e32f7b7p-7", "0x1.11425459fb566p+1"),
 }
 
 
@@ -863,10 +873,9 @@ def test_size_ball_over_distinct_gammas_is_bit_identical():
         ball = size_ball(g, w, c, forced_power_nonlinearity(p, 1.0, h))
         assert ball["epsilon"] == float.fromhex(eps)
         assert ball["embedding_const"] == float.fromhex(e_const)
-        s_embed = ball["s_embed"]
-        over_dual = (s_embed / 2.0) * np.log1p(w.values**2) - build_multiplier(g, w, c).log_values
-        chain = embedding_constant_lalpha(g, w, s_embed, ball["delta"])["constant"]
-        assert ball["embedding_const"] == float(np.exp(over_dual.max())) * chain
+        inverse = np.exp(-build_multiplier(g, w, c).log_values)
+        assert ball["embedding_const"] == pytest.approx(
+            _interpolated(inverse.max(), np.linalg.norm(inverse), p), rel=1e-15)
     with pytest.raises(ValueError, match="different group"):
         size_ball(parse_group("Z6"), w, 1.0, power_nonlinearity(g, 2, 1.0))
     with pytest.raises(ValueError, match="positive"):
@@ -886,31 +895,33 @@ def test_size_ball_on_an_asymmetric_weight_builds_no_map():
 
 _Z2_12 = "x".join(["Z2"] * 12)
 _SYMMETRIC_BALLS = {
-    ("Z4096", "sym-euclid", 0.5, 2): ("0x1.01fcf3c2ffd89p-8", "0x1.64419d81cbe97p+0"),
-    ("Z4096", "sym-euclid", 0.5, 3): ("0x1.9168621738e11p-8", "0x1.7194b5f3bcf63p+0"),
-    ("Z4096", "sym-euclid", 1.0, 2): ("0x1.01fcf3c2ffd89p-8", "0x1.64419d81cbe97p+0"),
-    ("Z4096", "sym-euclid", 1.0, 3): ("0x1.9168621738e11p-8", "0x1.7194b5f3bcf63p+0"),
-    ("Z4096", "pruefer:2", 0.5, 2): ("0x1.901be55047b00p-9", "0x1.1446deda61076p+0"),
-    ("Z4096", "pruefer:2", 0.5, 3): ("0x1.2e9ef5eb09e2ap-8", "0x1.16a07071af81fp+0"),
-    ("Z4096", "pruefer:2", 1.0, 2): ("0x1.901be55047b00p-9", "0x1.1446deda61076p+0"),
-    ("Z4096", "pruefer:2", 1.0, 3): ("0x1.2e9ef5eb09e2ap-8", "0x1.16a07071af81fp+0"),
-    (_Z2_12, "hamming", 0.5, 2): ("0x1.2609e18f46d25p-8", "0x1.9601494f38bfcp+0"),
-    (_Z2_12, "hamming", 0.5, 3): ("0x1.d02777d58e0b4p-8", "0x1.ab5a2e409bb37p+0"),
-    (_Z2_12, "hamming", 1.0, 2): ("0x1.2609e18f46d25p-8", "0x1.9601494f38bfcp+0"),
-    (_Z2_12, "hamming", 1.0, 3): ("0x1.d02777d58e0b4p-8", "0x1.ab5a2e409bb37p+0"),
-    # at this c the sup in E sits away from gamma = 0
-    (_Z2_12, "hamming", 0.01, 2): ("0x1.69905adffafc4p-8", "0x1.f31cf6dd71bb0p+0"),
-    (_Z2_12, "hamming", 0.01, 3): ("0x1.9ba2d6b859b9fp-7", "0x1.7aff5dafa0b0fp+1"),
-    ("Z64xZ64", "sym-euclid", 0.5, 2): ("0x1.6ea627b48b7bep-8", "0x1.fa1e8fb41ca3ep+0"),
-    ("Z64xZ64", "sym-euclid", 0.5, 3): ("0x1.2879df9ab1869p-7", "0x1.10f80f6cef809p+1"),
-    ("Z64xZ64", "sym-euclid", 1.0, 2): ("0x1.6ea627b48b7bep-8", "0x1.fa1e8fb41ca3ep+0"),
-    ("Z64xZ64", "sym-euclid", 1.0, 3): ("0x1.2879df9ab1869p-7", "0x1.10f80f6cef809p+1"),
+    ("Z4096", "sym-euclid", 0.5, 2): ("0x1.8ae61e331b10dp-9", "0x1.10ae0be267fe5p+0"),
+    ("Z4096", "sym-euclid", 0.5, 3): ("0x1.2e75974de31f9p-8", "0x1.167a598a24306p+0"),
+    ("Z4096", "sym-euclid", 1.0, 2): ("0x1.7f7b1fe4da5fcp-9", "0x1.08cc0338ced19p+0"),
+    ("Z4096", "sym-euclid", 1.0, 3): ("0x1.22db7fced3276p-8", "0x1.0bcbc036c8c76p+0"),
+    ("Z4096", "pruefer:2", 0.5, 2): ("0x1.72d6b56a9d036p-9", "0x1.00118a6a5c47ap+0"),
+    ("Z4096", "pruefer:2", 0.5, 3): ("0x1.16251a28ce7eep-8", "0x1.0017637cd9530p+0"),
+    ("Z4096", "pruefer:2", 1.0, 2): ("0x1.72bdcbc51ce6cp-9", "0x1.00005723957d8p+0"),
+    ("Z4096", "pruefer:2", 1.0, 3): ("0x1.160c313e6d3fep-8", "0x1.0000742f78941p+0"),
+    (_Z2_12, "hamming", 0.5, 2): ("0x1.decf05f861bbap-9", "0x1.4a9aae7b3af7bp+0"),
+    (_Z2_12, "hamming", 0.5, 3): ("0x1.87071250e7af0p-8", "0x1.680617b43150fp+0"),
+    (_Z2_12, "hamming", 1.0, 2): ("0x1.b183531d39433p-9", "0x1.2b566888baf43p+0"),
+    (_Z2_12, "hamming", 1.0, 3): ("0x1.56837a3890ad7p-8", "0x1.3b5b399e330a5p+0"),
+    (_Z2_12, "hamming", 0.01, 2): ("0x1.50248449292b9p-8", "0x1.d013441a3295fp+0"),
+    (_Z2_12, "hamming", 0.01, 3): ("0x1.334ab1b08fedep-7", "0x1.1aed574fc7d4fp+1"),
+    ("Z64xZ64", "sym-euclid", 0.5, 2): ("0x1.a5a80527d0f42p-9", "0x1.23270562e6164p+0"),
+    ("Z64xZ64", "sym-euclid", 0.5, 3): ("0x1.4a154e10693c1p-8", "0x1.2fe95c6aebc73p+0"),
+    ("Z64xZ64", "sym-euclid", 1.0, 2): ("0x1.8c4ae2d879a44p-9", "0x1.11a45b18c2c89p+0"),
+    ("Z64xZ64", "sym-euclid", 1.0, 3): ("0x1.2fe2156ef4d30p-8", "0x1.17c9f149c0685p+0"),
 }
 
 
 def test_size_ball_on_symmetric_weights_is_bit_identical():
-    # the sup in E over the whole dual equals the sup over the half layout,
-    # which holds every gamma value of a symmetric weight
+    # the norms of 1/m over the whole dual are those over the half layout,
+    # which holds every gamma value of a symmetric weight: its max exactly,
+    # and its l2 norm, the map's E_inf, to rounding
+    from groupsobolev.nonlinear import _ball_constants, _plan
+
     prepared = {}
     for (descriptor, name, c, p), (eps, e_const) in _SYMMETRIC_BALLS.items():
         if (descriptor, name) not in prepared:
@@ -920,24 +931,27 @@ def test_size_ball_on_symmetric_weights_is_bit_identical():
         ball = size_ball(g, w, c, forced_power_nonlinearity(p, 1.0, h))
         assert ball["epsilon"] == float.fromhex(eps)
         assert ball["embedding_const"] == float.fromhex(e_const)
-        layout = half_layout(g)
-        s_embed = ball["s_embed"]
-        over_layout = ((s_embed / 2.0) * np.log1p(layout.gather(w.values) ** 2)
-                       - layout.gather(build_multiplier(g, w, c).log_values))
-        chain = embedding_constant_lalpha(g, w, s_embed, ball["delta"])["constant"]
-        assert ball["embedding_const"] == float(np.exp(over_layout.max())) * chain
+        fmap = _plan(w, c)
+        inverse_max, inverse_l2 = _ball_constants(w, c)
+        assert inverse_max == float(np.abs(fmap.neg_inverse).max())
+        assert inverse_l2 == pytest.approx(fmap.norm(fmap.neg_inverse), rel=1e-14)
 
 
-def test_ball_constants_are_computed_once_per_weight_c_and_alpha():
+def test_ball_constants_are_computed_once_per_weight_and_c():
     from groupsobolev.nonlinear import _ball_constants
 
     g = parse_group("Z64")
     w = make_weight(g, "sym-euclid")
     size_ball(g, w, 1.0, forced_power_nonlinearity(2, 1.0, lowfreq_forcing(g, 0.01)))
-    misses = _ball_constants.cache_info().misses
-    ball = size_ball(g, w, 1.0, forced_power_nonlinearity(2, 1.0, lowfreq_forcing(g, 0.02)))
-    assert _ball_constants.cache_info().misses == misses  # a second forcing
-    assert (ball["delta"], ball["s_embed"], ball["embedding_const"]) == _ball_constants(w, 1.0, 2.0)
+    before = _ball_constants.cache_info()
+    size_ball(g, w, 1.0, forced_power_nonlinearity(2, 1.0, lowfreq_forcing(g, 0.02)))
+    ball = size_ball(g, w, 1.0, forced_power_nonlinearity(3, 1.0, lowfreq_forcing(g, 0.01)))
+    after = _ball_constants.cache_info()
+    # a second forcing and a second alpha
+    assert after.misses == before.misses and after.hits == before.hits + 2
+    assert ball["embedding_const"] == _interpolated(*_ball_constants(w, 1.0), 3.0)
+    size_ball(g, w, 2.0, forced_power_nonlinearity(2, 1.0, lowfreq_forcing(g, 0.01)))
+    assert _ball_constants.cache_info().misses == before.misses + 1  # a second c
 
 
 def test_symmetric_and_asymmetric_weights_share_one_sizing_path():
@@ -950,7 +964,90 @@ def test_symmetric_and_asymmetric_weights_share_one_sizing_path():
         ball = size_ball(g, w, 0.25, nl)
         after = _ball_constants.cache_info()
         assert after.misses == before.misses + 1 and after.hits == before.hits
-        assert ball["embedding_const"] == _ball_constants(w, 0.25, 2.0)[2]
+        assert ball["embedding_const"] == _interpolated(*_ball_constants(w, 0.25), 2.0)
+
+
+_BOUND_CASES = [("Z12", "sym-euclid"), ("Z64xZ64", "sym-euclid"), (_Z2_12, "hamming"),
+                ("Z729", "pruefer:3"), ("Z2xZ3xZ5", "sym-euclid")]
+
+
+@pytest.mark.parametrize("descriptor, name", _BOUND_CASES)
+def test_ball_constant_bounds_the_inverse_and_attains_its_sup_end(descriptor, name, rng):
+    from groupsobolev.nonlinear import _ball_constants
+
+    g = parse_group(descriptor)
+    w = make_weight(g, name)
+    for c in (0.01, 1.0):
+        inverse = np.exp(-build_multiplier(g, w, c).log_values)
+        for alpha in (2.0, 3.0, 5.0):
+            e_const = size_ball(g, w, c, power_nonlinearity(g, int(alpha), 1.0))["embedding_const"]
+            for _ in range(4):
+                # ||L^{-1} f||_{2 alpha} <= E ||f||_L2, on real and on complex f
+                for f in (rng.standard_normal(g.order),
+                          rng.standard_normal(g.order) + 1j * rng.standard_normal(g.order)):
+                    u = solve_linear(Signal(g, f), w, c)
+                    assert lp_norm(u, 2 * alpha) <= e_const * lp_norm(Signal(g, f), 2) * (1 + 1e-12)
+        # f_hat = 1/m attains the L^inf end: L^{-1} f peaks at 0 with sum 1/m^2
+        f = Signal(g, idft_values(g, inverse))
+        ratio = lp_norm(solve_linear(f, w, c), math.inf) / lp_norm(f, 2)
+        assert ratio == pytest.approx(_ball_constants(w, c)[1], rel=1e-12)
+
+
+def _chain_constant(g, w, c, alpha):
+    """The constant of the embedding chain domain -> H^s -> L^{alpha*} ->
+    L^{2 alpha}: delta the first of {1.25, 1.5, 2, 3, 4} with sum (1 +
+    gamma^2)^-delta <= 10 (else 4), s = delta - delta / (2 alpha), and E =
+    sup (1 + gamma^2)^(s/2) / m times the L^{alpha*} embedding constant."""
+    gam2 = w.values**2
+    delta = next((d for d in (1.25, 1.5, 2.0, 3.0, 4.0) if np.sum((1.0 + gam2) ** -d) <= 10.0),
+                 4.0)
+    s_embed = delta - delta / (2.0 * alpha)
+    with np.errstate(divide="ignore"):
+        log_m = np.logaddexp(0.0, c * gam2 + np.log(gam2))
+    sup = np.exp(np.max(0.5 * s_embed * np.log1p(gam2) - log_m))
+    return sup * embedding_constant_lalpha(g, w, s_embed, delta)["constant"]
+
+
+def test_ball_constant_never_exceeds_the_embedding_chain():
+    # 12 groups x 7 values of c x 3 exponents: the interpolated E is at most
+    # the chain's at every cell, and strictly below it
+    cells = [("Z4096", "sym-euclid"), ("Z4096", "pruefer:2"), ("Z64xZ64", "sym-euclid"),
+             ("Z16xZ16xZ16", "sym-euclid"), (_Z2_12, "hamming"), ("Z257", "sym-euclid"),
+             ("Z128xZ128", "sym-euclid"), ("Z12", "sym-euclid"), ("Z729", "pruefer:3"),
+             ("Z64", "sym-euclid"), ("Z8xZ8", "sym-euclid"), ("Z2xZ3xZ5", "sym-euclid")]
+    ratios = []
+    for descriptor, name in cells:
+        g = parse_group(descriptor)
+        w = make_weight(g, name)
+        for c in (0.01, 0.1, 0.25, 0.5, 1.0, 2.0, 7.5):
+            for p in (2, 3, 5):
+                e_const = size_ball(g, w, c, power_nonlinearity(g, p, 1.0))["embedding_const"]
+                ratios.append(e_const / _chain_constant(g, w, c, float(p)))
+    assert len(ratios) == 252
+    assert 0.37 < min(ratios) and max(ratios) < 0.96
+
+
+@pytest.mark.parametrize("descriptor, name, c, p, scale", [
+    ("Z12", "sym-euclid", 1.0, 2, 1e-3),
+    ("Z64xZ64", "sym-euclid", 1.0, 3, 0.05),
+    ("Z4096", "pruefer:2", 0.5, 2, 1e-3),
+    (_Z2_12, "hamming", 0.5, 3, 0.01),
+    ("Z729", "pruefer:3", 0.25, 2, 0.01),
+])
+def test_balls_are_invariant_under_the_map(descriptor, name, c, p, scale, rng):
+    g = parse_group(descriptor)
+    w = make_weight(g, name)
+    nl = forced_power_nonlinearity(p, 1.0, lowfreq_forcing(g, scale))
+    ball = size_ball(g, w, c, nl)
+    eps = ball["epsilon"]
+    assert ball["ok"] and 0.0 < eps < math.inf
+    for k in range(60):
+        # fields inside the ball, a third of them on its sphere, every other
+        # one with spiky samples
+        y = rng.standard_normal(g.order) * rng.uniform(0.1, 10.0, g.order) ** (k % 2)
+        radius = eps if k % 3 == 0 else eps * rng.uniform()
+        u = Signal(g, y * (radius / lp_norm(Signal(g, y), 2 * p)))
+        assert lp_norm(picard_step(u, nl, w, c), 2 * p) <= eps
 
 
 def test_certificate_half_and_full_paths_agree():

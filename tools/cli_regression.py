@@ -134,6 +134,9 @@ COMMANDS = {  # name: argv; "{tmp}" is the run's directory, which holds the INPU
     "solve-z64xz64-files": [*_SOLVE, "forced-power:3,1", "--group", "Z64xZ64", "--c", "0.5",
                             "--forcing-scale", "0.05", "--output", "{tmp}/phi.csv",
                             "--report", "{tmp}/report.json"],
+    # a forcing small enough for a finite invariant ball
+    "solve-z64xz64-small-data": [*_SOLVE, "forced-power:3,1", "--group", "Z64xZ64", "--c", "1",
+                                 "--forcing-scale", "0.05"],
     "solve-z16^3": [*_SOLVE, "forced-power:2,2", "--group", "Z16xZ16xZ16", "--c", "1",
                     "--forcing-scale", "0.1"],
     "solve-z2^12-hamming": ["solve-nonlinear", "--group", "x".join(["Z2"] * 12), "--weight",
