@@ -2,9 +2,13 @@
 
 Each suite fuzzes or exhaustively scans one family of guarantees (transform
 identities, norm inequalities, operator isometries, solver contracts) over a
-fixed zoo of groups.  Suites are deterministic for a given seed: the runner
-spawns one child RNG stream per suite in a fixed order, so results -- and the
-serialized JSON -- are byte-stable across runs.
+fixed zoo of groups.  A suite is one function ``suite(rng, t, inject_bug)``
+declared with ``@_suite(name, detail)``; it only feeds margins and structural
+checks to the tracker ``t``, and ``run_checks`` turns the tracker into the
+suite's JSON record.  Suites are deterministic for a given seed: the runner
+spawns one child RNG stream per suite in definition order, so results -- and
+the serialized JSON -- are byte-stable across runs.  A new suite goes after
+the last one, so the streams of the others stay as they are.
 
 ``worst_slack`` is the smallest observed margin (bound minus value, including
 the tolerance); a suite passes iff its slack never went negative and all its
@@ -14,11 +18,12 @@ worst margin, so failures are reproducible.
 from __future__ import annotations
 
 import math
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .group import FiniteAbelianGroup, parse_group, residue_grid
+from .group import FiniteAbelianGroup, compose_indices, element_at, parse_group, residue_grid
 from .nonlinear import (
     Nonlinearity,
     SolverConfig,
@@ -55,8 +60,7 @@ from .spectral import (
     idft_values,
     translate,
 )
-from .stringop import build_multiplier, domain_norm_batch
-from .group import compose_indices, element_at
+from .stringop import build_multiplier, domain_norm_batch, solve_linear
 
 __all__ = ["ZOO", "run_checks", "suite_names", "weights_for"]
 
@@ -107,12 +111,14 @@ def _rand_real(rng, group: FiniteAbelianGroup, count: int) -> np.ndarray:
 
 
 class _Tracker:
-    """Accumulates the smallest margin and the witness attaining it."""
+    """Accumulates the smallest margin, the witness attaining it and whether
+    every structural check held."""
 
     def __init__(self) -> None:
         self.worst = math.inf
         self.witness: dict | None = None
         self.trials = 0
+        self.ok = True
 
     def add(self, slack: float, witness: dict, count: int = 1) -> None:
         self.trials += count
@@ -120,11 +126,15 @@ class _Tracker:
             self.worst = float(slack)
             self.witness = witness
 
-    def result(self, name: str, detail: str, extra_ok: bool = True) -> dict:
+    def require(self, holds) -> None:
+        """Record a structural check; the suite fails if any does not hold."""
+        self.ok = self.ok and bool(holds)
+
+    def result(self, name: str, detail: str) -> dict:
         """The suite's record in the ``check`` JSON."""
         return {
             "name": name,
-            "passed": bool(extra_ok and self.worst >= 0.0),
+            "passed": self.ok and self.worst >= 0.0,
             "trials": self.trials,
             "worst_slack": self.worst if math.isfinite(self.worst) else 0.0,
             "witness": self.witness,
@@ -132,12 +142,31 @@ class _Tracker:
         }
 
 
+_SUITES: dict[str, tuple[str, Callable]] = {}  # name: (detail, suite), in definition order
+
+
+def _suite(name: str, detail: str):
+    """Register the decorated function as the suite ``name``."""
+    def register(suite):
+        _SUITES[name] = (detail, suite)
+        return suite
+    return register
+
+
+def _configs(table):
+    """(name, weight name, c, group, weight) for each row of a config table."""
+    for name, wname, c in table:
+        group = parse_group(name)
+        yield name, wname, c, group, make_weight(group, wname)
+
+
 # ---------------------------------------------------------------------------
 # transform suites
 # ---------------------------------------------------------------------------
 
-def _suite_transform_oracle(rng, inject_bug: bool) -> dict:
-    t = _Tracker()
+@_suite("transform-oracle",
+        "fast factor-split transform matches the quadratic-time definition (rel l2, tol 1e-10)")
+def _suite_transform_oracle(rng, t: _Tracker, inject_bug: bool) -> None:
     for name in ZOO:
         group = parse_group(name)
         vals = _rand_complex(rng, group, 8)
@@ -148,28 +177,21 @@ def _suite_transform_oracle(rng, inject_bug: bool) -> dict:
             naive = dft_naive(f).values
             dev = np.linalg.norm(fast - naive) / max(np.linalg.norm(naive), 1e-30)
             t.add(_REL_TOL - dev, {"group": name, "trial": i})
-    return t.result(
-        "transform-oracle",
-        "fast factor-split transform matches the quadratic-time definition (rel l2, tol 1e-10)",
-    )
 
 
-def _suite_transform_roundtrip(rng, inject_bug: bool) -> dict:
-    t = _Tracker()
+@_suite("transform-roundtrip",
+        "inverse transform undoes the forward transform (rel l2, tol 1e-10)")
+def _suite_transform_roundtrip(rng, t: _Tracker, inject_bug: bool) -> None:
     for name in ZOO + ("Z720", "Z4096", "Z3xZ5xZ7"):
         group = parse_group(name)
         vals = _rand_complex(rng, group, 4)
         back = idft_values(group, dft_values(group, vals))
         dev = np.linalg.norm(back - vals, axis=1) / np.linalg.norm(vals, axis=1)
         t.add(float(_REL_TOL - dev.max()), {"group": name}, count=vals.shape[0])
-    return t.result(
-        "transform-roundtrip",
-        "inverse transform undoes the forward transform (rel l2, tol 1e-10)",
-    )
 
 
-def _suite_plancherel(rng, inject_bug: bool) -> dict:
-    t = _Tracker()
+@_suite("plancherel", "L2 norm on the group equals l2 norm of the coefficients (tol 1e-10)")
+def _suite_plancherel(rng, t: _Tracker, inject_bug: bool) -> None:
     for name in ZOO:
         group = parse_group(name)
         vals = _rand_complex(rng, group, 100)
@@ -178,14 +200,11 @@ def _suite_plancherel(rng, inject_bug: bool) -> dict:
         l2spec = np.sqrt((np.abs(spec) ** 2).sum(axis=1))
         dev = np.abs(l2 - l2spec) / l2
         t.add(float(_REL_TOL - dev.max()), {"group": name}, count=vals.shape[0])
-    return t.result(
-        "plancherel",
-        "L2 norm on the group equals l2 norm of the coefficients (tol 1e-10)",
-    )
 
 
-def _suite_convolution(rng, inject_bug: bool) -> dict:
-    t = _Tracker()
+@_suite("convolution-theorem",
+        "transform of a pointwise product is the dual-side convolution (tol 1e-10)")
+def _suite_convolution(rng, t: _Tracker, inject_bug: bool) -> None:
     for name in ("Z8", "Z12", "Z2xZ3", "Z2xZ2xZ2"):
         group = parse_group(name)
         for trial in range(5):
@@ -195,14 +214,11 @@ def _suite_convolution(rng, inject_bug: bool) -> dict:
             rhs = convolve_dual(dft_fast(f), dft_fast(g)).values
             dev = np.linalg.norm(lhs - rhs) / max(np.linalg.norm(lhs), 1e-30)
             t.add(_REL_TOL - dev, {"group": name, "trial": trial})
-    return t.result(
-        "convolution-theorem",
-        "transform of a pointwise product is the dual-side convolution (tol 1e-10)",
-    )
 
 
-def _suite_translation_modulation(rng, inject_bug: bool) -> dict:
-    t = _Tracker()
+@_suite("translation-modulation",
+        "translating a signal modulates its coefficients by xi(h) (tol 1e-10)")
+def _suite_translation_modulation(rng, t: _Tracker, inject_bug: bool) -> None:
     for name in ("Z6", "Z4xZ3", "Z2xZ2xZ2"):
         group = parse_group(name)
         for trial in range(5):
@@ -214,35 +230,26 @@ def _suite_translation_modulation(rng, inject_bug: bool) -> dict:
             rhs = _character_column(group, h) * dft_fast(f).values
             dev = np.linalg.norm(lhs - rhs) / max(np.linalg.norm(rhs), 1e-30)
             t.add(_REL_TOL - dev, {"group": name, "shift": list(h), "trial": trial})
-    return t.result(
-        "translation-modulation",
-        "translating a signal modulates its coefficients by xi(h) (tol 1e-10)",
-    )
 
 
 # ---------------------------------------------------------------------------
 # weight / norm suites
 # ---------------------------------------------------------------------------
 
-def _suite_subadditivity(rng, inject_bug: bool) -> dict:
-    t = _Tracker()
-    ok = True
+@_suite("weight-subadditivity",
+        "every built-in weight satisfies its declared subadditivity constant")
+def _suite_subadditivity(rng, t: _Tracker, inject_bug: bool) -> None:
     for name in ZOO:
         group = parse_group(name)
         for w in weights_for(group):
             rep = check_subadditivity(group, w)
-            ok = ok and rep["ok"]
+            t.require(rep["ok"])
             slack = (
                 -1.0
                 if not math.isfinite(rep["worst_ratio"])
                 else w.c_gamma + 1e-12 - rep["worst_ratio"]
             )
             t.add(slack, {"group": name, "weight": w.name, "report": rep})
-    return t.result(
-        "weight-subadditivity",
-        "every built-in weight satisfies its declared subadditivity constant",
-        extra_ok=ok,
-    )
 
 
 def _norm_fuzz_configs():
@@ -253,8 +260,8 @@ def _norm_fuzz_configs():
                 yield name, group, w, s
 
 
-def _suite_l2_vs_sobolev(rng, inject_bug: bool) -> dict:
-    t = _Tracker()
+@_suite("l2-vs-sobolev", "the L2 norm never exceeds the weighted Sobolev norm (tol 1e-12)")
+def _suite_l2_vs_sobolev(rng, t: _Tracker, inject_bug: bool) -> None:
     for name, group, w, s in _norm_fuzz_configs():
         vals = _rand_complex(rng, group, 60)
         spec = dft_values(group, vals)
@@ -262,14 +269,11 @@ def _suite_l2_vs_sobolev(rng, inject_bug: bool) -> dict:
         sob = sobolev_norm_batch(w, s, spec)
         slack = (sob + 1e-12 - l2).min()
         t.add(float(slack), {"group": name, "weight": w.name, "s": s}, count=60)
-    return t.result(
-        "l2-vs-sobolev",
-        "the L2 norm never exceeds the weighted Sobolev norm (tol 1e-12)",
-    )
 
 
-def _suite_sup_embedding(rng, inject_bug: bool) -> dict:
-    t = _Tracker()
+@_suite("sup-embedding",
+        "sup|f| <= C(gamma,s) * ||f||_{s,gamma} with the explicit constant (tol 1e-10)")
+def _suite_sup_embedding(rng, t: _Tracker, inject_bug: bool) -> None:
     for name, group, w, s in _norm_fuzz_configs():
         vals = _rand_complex(rng, group, 60)
         spec = dft_values(group, vals)
@@ -278,14 +282,11 @@ def _suite_sup_embedding(rng, inject_bug: bool) -> dict:
         c = embedding_constant_sup(group, w, s)
         slack = (c * sob + _REL_TOL - sup).min()
         t.add(float(slack), {"group": name, "weight": w.name, "s": s}, count=60)
-    return t.result(
-        "sup-embedding",
-        "sup|f| <= C(gamma,s) * ||f||_{s,gamma} with the explicit constant (tol 1e-10)",
-    )
 
 
-def _suite_lebesgue_embedding(rng, inject_bug: bool) -> dict:
-    t = _Tracker()
+@_suite("lebesgue-embedding",
+        "||f||_{alpha*} <= (sum (1+gamma^2)^{-alpha})^{s/2alpha} ||f||_{s,gamma} (tol 1e-10)")
+def _suite_lebesgue_embedding(rng, t: _Tracker, inject_bug: bool) -> None:
     for name, group, w, s in _norm_fuzz_configs():
         vals = _rand_complex(rng, group, 40)
         spec = dft_values(group, vals)
@@ -299,14 +300,11 @@ def _suite_lebesgue_embedding(rng, inject_bug: bool) -> dict:
                 {"group": name, "weight": w.name, "s": s, "alpha": alpha},
                 count=40,
             )
-    return t.result(
-        "lebesgue-embedding",
-        "||f||_{alpha*} <= (sum (1+gamma^2)^{-alpha})^{s/2alpha} ||f||_{s,gamma} (tol 1e-10)",
-    )
 
 
-def _suite_algebra_bound(rng, inject_bug: bool) -> dict:
-    t = _Tracker()
+@_suite("algebra-bound",
+        "||fg|| <= D(gamma,s) ||f|| ||g|| with the closed-form constant (tol 1e-10)")
+def _suite_algebra_bound(rng, t: _Tracker, inject_bug: bool) -> None:
     scale = 0.45 if inject_bug else 1.0
     for name, group, w, s in _norm_fuzz_configs():
         f = _rand_complex(rng, group, 60)
@@ -317,14 +315,11 @@ def _suite_algebra_bound(rng, inject_bug: bool) -> dict:
         d = algebra_constant(group, w, s) * scale
         slack = (d * sob_f * sob_g + _REL_TOL - sob_fg).min()
         t.add(float(slack), {"group": name, "weight": w.name, "s": s}, count=60)
-    return t.result(
-        "algebra-bound",
-        "||fg|| <= D(gamma,s) ||f|| ||g|| with the closed-form constant (tol 1e-10)",
-    )
 
 
-def _suite_scale_monotonicity(rng, inject_bug: bool) -> dict:
-    t = _Tracker()
+@_suite("scale-monotonicity",
+        "Sobolev norms grow with s; C(gamma,s) and the translation modulus shrink")
+def _suite_scale_monotonicity(rng, t: _Tracker, inject_bug: bool) -> None:
     grid = S_GRID + (4.0,)
     for name in ZOO:
         group = parse_group(name)
@@ -347,14 +342,11 @@ def _suite_scale_monotonicity(rng, inject_bug: bool) -> dict:
                         hi_m - lo_m + 1e-12,
                         {"group": name, "weight": w.name, "shift": list(h)},
                     )
-    return t.result(
-        "scale-monotonicity",
-        "Sobolev norms grow with s; C(gamma,s) and the translation modulus shrink",
-    )
 
 
-def _suite_translation_bound(rng, inject_bug: bool) -> dict:
-    t = _Tracker()
+@_suite("translation-bound",
+        "mean-square translation distance is controlled by the modulus C(h) (tol 1e-10)")
+def _suite_translation_bound(rng, t: _Tracker, inject_bug: bool) -> None:
     for name in ZOO:
         group = parse_group(name)
         if group.order > 64:
@@ -381,15 +373,10 @@ def _suite_translation_bound(rng, inject_bug: bool) -> dict:
                         {"group": name, "weight": w.name, "s": s, "shift_index": h_idx},
                         count=20,
                     )
-    return t.result(
-        "translation-bound",
-        "mean-square translation distance is controlled by the modulus C(h) (tol 1e-10)",
-    )
 
 
-def _suite_shift_angle_bound(rng, inject_bug: bool) -> dict:
-    t = _Tracker()
-    ok = True
+@_suite("shift-angle-bound", "discrete shifts obey the torus-angle bound sup <= 2*pi*min(m,N-m)/N")
+def _suite_shift_angle_bound(rng, t: _Tracker, inject_bug: bool) -> None:
     for name in ("Z16", "Z64"):
         group = parse_group(name)
         w = make_weight(group, "sym-euclid")
@@ -397,16 +384,11 @@ def _suite_shift_angle_bound(rng, inject_bug: bool) -> dict:
             for row in compactness_profile(group, w, s):
                 if row.angle_bound is None:
                     continue
-                ok = ok and bool(row.within_bound)
+                t.require(row.within_bound)
                 t.add(
                     row.angle_bound + 1e-12 - row.sup_ratio,
                     {"group": name, "s": s, "multiple": row.multiple},
                 )
-    return t.result(
-        "shift-angle-bound",
-        "discrete shifts obey the torus-angle bound sup <= 2*pi*min(m,N-m)/N",
-        extra_ok=ok,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -423,11 +405,10 @@ _OPERATOR_CONFIGS = (
 )
 
 
-def _suite_linear_isometry(rng, inject_bug: bool) -> dict:
-    t = _Tracker()
-    for name, wname, c in _OPERATOR_CONFIGS:
-        group = parse_group(name)
-        w = make_weight(group, wname)
+@_suite("linear-isometry",
+        "domain norm of the linear solution equals the L2 norm of the data (tol 1e-10)")
+def _suite_linear_isometry(rng, t: _Tracker, inject_bug: bool) -> None:
+    for name, wname, c, group, w in _configs(_OPERATOR_CONFIGS):
         profile = build_multiplier(group, w, c)
         g = _rand_complex(rng, group, 100)
         spec = dft_values(group, g)
@@ -436,17 +417,12 @@ def _suite_linear_isometry(rng, inject_bug: bool) -> dict:
         l2g = np.sqrt((np.abs(spec) ** 2).sum(axis=1))
         dev = np.abs(dom - l2g) / l2g
         t.add(float(_REL_TOL - dev.max()), {"group": name, "weight": wname, "c": c}, 100)
-    return t.result(
-        "linear-isometry",
-        "domain norm of the linear solution equals the L2 norm of the data (tol 1e-10)",
-    )
 
 
-def _suite_linear_roundtrip(rng, inject_bug: bool) -> dict:
-    t = _Tracker()
-    for name, wname, c in _OPERATOR_CONFIGS:
-        group = parse_group(name)
-        w = make_weight(group, wname)
+@_suite("linear-roundtrip",
+        "solve/apply invert each other on representable frequencies; both are linear")
+def _suite_linear_roundtrip(rng, t: _Tracker, inject_bug: bool) -> None:
+    for name, wname, c, group, w in _configs(_OPERATOR_CONFIGS):
         profile = build_multiplier(group, w, c)
         g = _rand_complex(rng, group, 30)
         spec = dft_values(group, g)
@@ -466,17 +442,12 @@ def _suite_linear_roundtrip(rng, inject_bug: bool) -> dict:
         parts = (-spec[0] * profile.inverse) * a + (-spec[1] * profile.inverse) * b
         dev3 = np.linalg.norm(lin - parts) / max(np.linalg.norm(lin), 1e-30)
         t.add(float(_REL_TOL - dev3), {"group": name, "weight": wname, "c": c})
-    return t.result(
-        "linear-roundtrip",
-        "solve/apply invert each other on representable frequencies; both are linear",
-    )
 
 
-def _suite_domain_embedding(rng, inject_bug: bool) -> dict:
-    t = _Tracker()
-    for name, wname, c in _OPERATOR_CONFIGS:
-        group = parse_group(name)
-        w = make_weight(group, wname)
+@_suite("domain-embedding",
+        "domain norm dominates every tested Sobolev norm (s <= 2); solutions are continuous")
+def _suite_domain_embedding(rng, t: _Tracker, inject_bug: bool) -> None:
+    for name, wname, c, group, w in _configs(_OPERATOR_CONFIGS):
         profile = build_multiplier(group, w, c)
         g = _rand_complex(rng, group, 40)
         spec = dft_values(group, g)
@@ -495,14 +466,11 @@ def _suite_domain_embedding(rng, inject_bug: bool) -> dict:
         l2g = np.sqrt((np.abs(spec) ** 2).sum(axis=1))
         cs = embedding_constant_sup(group, w, 1.0)
         t.add(float((cs * l2g + _REL_TOL - sup).min()), {"group": name, "weight": wname}, 40)
-    return t.result(
-        "domain-embedding",
-        "domain norm dominates every tested Sobolev norm (s <= 2); solutions are continuous",
-    )
 
 
-def _suite_multiplier_monotonicity(rng, inject_bug: bool) -> dict:
-    t = _Tracker()
+@_suite("multiplier-monotonicity",
+        "multiplier grows pointwise with c; solution L2 norms shrink with c")
+def _suite_multiplier_monotonicity(rng, t: _Tracker, inject_bug: bool) -> None:
     cs = (0.1, 0.5, 1.0, 2.0)
     for name, wname in (("Z64", "sym-euclid"), ("Z12", "sym-euclid"), ("Z2xZ2xZ2", "hamming")):
         group = parse_group(name)
@@ -517,10 +485,6 @@ def _suite_multiplier_monotonicity(rng, inject_bug: bool) -> dict:
         ]
         for hi_n, lo_n in zip(sols, sols[1:]):
             t.add(float((hi_n - lo_n).min()) + 1e-15, {"group": name, "weight": wname}, 20)
-    return t.result(
-        "multiplier-monotonicity",
-        "multiplier grows pointwise with c; solution L2 norms shrink with c",
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -530,7 +494,6 @@ def _suite_multiplier_monotonicity(rng, inject_bug: bool) -> dict:
 _SOLVER_CONFIGS = (
     ("Z64", "sym-euclid", 1.0),
     ("Z2xZ2xZ2xZ2xZ2xZ2", "hamming", 1.0),
-    ("Z12", "sym-euclid", 0.5),
 )
 
 # For the affine one-step certificate the forcing is full-spectrum random, so
@@ -544,14 +507,9 @@ _AFFINE_CONFIGS = (
 )
 
 
-def _suite_affine_exactness(rng, inject_bug: bool) -> dict:
-    t = _Tracker()
-    ok = True
-    from .stringop import solve_linear
-
-    for name, wname, c in _AFFINE_CONFIGS:
-        group = parse_group(name)
-        w = make_weight(group, wname)
+@_suite("affine-exactness", "U = y + h solves in exactly one undamped step with residual <= 1e-12")
+def _suite_affine_exactness(rng, t: _Tracker, inject_bug: bool) -> None:
+    for name, wname, c, group, w in _configs(_AFFINE_CONFIGS):
         for trial in range(10):
             h = Signal(group, 0.1 * _rand_real(rng, group, 1)[0])
             nl = affine_nonlinearity(h)
@@ -560,45 +518,28 @@ def _suite_affine_exactness(rng, inject_bug: bool) -> dict:
             dev = np.linalg.norm(phi.values - direct.values) / max(
                 np.linalg.norm(direct.values), 1e-30
             )
-            ok = ok and rep.converged and rep.iterations == 1 and dev <= _REL_TOL
+            t.require(rep.converged and rep.iterations == 1 and dev <= _REL_TOL)
             t.add(
                 1e-12 - rep.final_residual_eq,
                 {"group": name, "weight": wname, "c": c, "trial": trial},
             )
-    return t.result(
-        "affine-exactness",
-        "U = y + h solves in exactly one undamped step with residual <= 1e-12",
-        extra_ok=ok,
-    )
 
 
-def _suite_quadratic_smalldata(rng, inject_bug: bool) -> dict:
-    t = _Tracker()
-    ok = True
-    for name, wname, c in _SOLVER_CONFIGS[:2]:
-        group = parse_group(name)
-        w = make_weight(group, wname)
+@_suite("quadratic-smalldata",
+        "small forced quadratic problems converge inside the sized ball with certified residual")
+def _suite_quadratic_smalldata(rng, t: _Tracker, inject_bug: bool) -> None:
+    for name, wname, c, group, w in _configs(_SOLVER_CONFIGS):
         h = lowfreq_forcing(group, 0.01)
         nl = forced_power_nonlinearity(2, 0.1, h)
         phi, rep = solve_nonlinear(nl, w, c, SolverConfig())
         record = verify_solution(phi, nl, w, c, s=1.0)
-        ok = (
-            ok
-            and rep.converged
-            and rep.iterations < 50
-            and rep.ball_respected
-            and rep.small_data_ok
-            and record["all_ok"]
-        )
+        t.require(rep.converged and rep.iterations < 50 and rep.ball_respected
+                  and rep.small_data_ok and record["all_ok"])
         t.add(_REL_TOL - rep.final_residual_eq, {"group": name, "weight": wname, "c": c})
-    return t.result(
-        "quadratic-smalldata",
-        "small forced quadratic problems converge inside the sized ball with certified residual",
-        extra_ok=ok,
-    )
 
 
-def _suite_growth_conditions(rng, inject_bug: bool) -> dict:
+@_suite("growth-conditions", "catalog growth certificates hold; a mislabeled exponent is detected")
+def _suite_growth_conditions(rng, t: _Tracker, inject_bug: bool) -> None:
     group = parse_group("Z12")
     y_samples = [0.0, 0.1, -0.1, 1.0, -1.0, 10.0, -10.0]
     h = Signal(group, _rand_real(rng, group, 1)[0])
@@ -608,11 +549,9 @@ def _suite_growth_conditions(rng, inject_bug: bool) -> dict:
         power_nonlinearity(group, 3, 0.5),
         forced_power_nonlinearity(2, 0.1, h),
     ]
-    t = _Tracker()
-    ok = True
     for nl in catalog:
         rep = check_growth_conditions(nl, y_samples)
-        ok = ok and rep["ok"]
+        t.require(rep["ok"])
         worst = max(rep["worst_value_ratio"], rep["worst_derivative_ratio"])
         t.add(1.0 + 1e-12 - worst, {"nonlinearity": nl.name})
     # a deliberately mislabeled cubic must be caught
@@ -627,65 +566,29 @@ def _suite_growth_conditions(rng, inject_bug: bool) -> dict:
         f_env=Signal(group, np.zeros(group.order)),
     )
     rep = check_growth_conditions(bad, y_samples)
-    ok = ok and not rep["ok"]
+    t.require(not rep["ok"])
     t.add(rep["worst_value_ratio"] - 1.0, {"nonlinearity": "mislabeled-cubic-detected"})
-    return t.result(
-        "growth-conditions",
-        "catalog growth certificates hold; a mislabeled exponent is detected",
-        extra_ok=ok,
-    )
 
 
-def _suite_damping_neutrality(rng, inject_bug: bool) -> dict:
-    t = _Tracker()
-    ok = True
+@_suite("damping-neutrality", "a fixed point of the undamped map is fixed for every damping")
+def _suite_damping_neutrality(rng, t: _Tracker, inject_bug: bool) -> None:
     group = parse_group("Z64")
     w = make_weight(group, "sym-euclid")
     h = lowfreq_forcing(group, 0.01)
     nl = forced_power_nonlinearity(2, 0.1, h)
     cfg = SolverConfig(theta=1.0, tol=1e-12)
     phi, rep = solve_nonlinear(nl, w, 1.0, cfg)
-    ok = ok and rep.converged
+    t.require(rep.converged)
     for theta in (0.5, 0.25):
         step = picard_step(phi, nl, w, 1.0)
         damped = (1.0 - theta) * phi.values + theta * step.values
         drift = float(np.sqrt((np.abs(damped - phi.values) ** 2).sum() / group.order))
         t.add(1e-11 - drift, {"theta": theta})
-        ok = ok and drift <= 1e-11
-    return t.result(
-        "damping-neutrality",
-        "a fixed point of the undamped map is fixed for every damping",
-        extra_ok=ok,
-    )
-
-
-_SUITES = (
-    ("transform-oracle", _suite_transform_oracle),
-    ("transform-roundtrip", _suite_transform_roundtrip),
-    ("plancherel", _suite_plancherel),
-    ("convolution-theorem", _suite_convolution),
-    ("translation-modulation", _suite_translation_modulation),
-    ("weight-subadditivity", _suite_subadditivity),
-    ("l2-vs-sobolev", _suite_l2_vs_sobolev),
-    ("sup-embedding", _suite_sup_embedding),
-    ("lebesgue-embedding", _suite_lebesgue_embedding),
-    ("algebra-bound", _suite_algebra_bound),
-    ("scale-monotonicity", _suite_scale_monotonicity),
-    ("translation-bound", _suite_translation_bound),
-    ("shift-angle-bound", _suite_shift_angle_bound),
-    ("linear-isometry", _suite_linear_isometry),
-    ("linear-roundtrip", _suite_linear_roundtrip),
-    ("domain-embedding", _suite_domain_embedding),
-    ("multiplier-monotonicity", _suite_multiplier_monotonicity),
-    ("affine-exactness", _suite_affine_exactness),
-    ("quadratic-smalldata", _suite_quadratic_smalldata),
-    ("growth-conditions", _suite_growth_conditions),
-    ("damping-neutrality", _suite_damping_neutrality),
-)
+        t.require(drift <= 1e-11)
 
 
 def suite_names() -> list[str]:
-    return [name for name, _ in _SUITES]
+    return list(_SUITES)
 
 
 def run_checks(seed: int = 42, inject_bug: bool = False, only=None) -> dict:
@@ -695,16 +598,17 @@ def run_checks(seed: int = 42, inject_bug: bool = False, only=None) -> dict:
     streams of the remaining suites are unaffected by the filter).
     """
     if only is not None:
-        unknown = set(only) - set(suite_names())
+        unknown = set(only) - set(_SUITES)
         if unknown:
             raise ValueError(f"unknown suite names: {sorted(unknown)}")
-    root = np.random.SeedSequence(seed)
-    children = root.spawn(len(_SUITES))
+    children = np.random.SeedSequence(seed).spawn(len(_SUITES))
     results = []
-    for (name, fn), child in zip(_SUITES, children):
+    for (name, (detail, suite)), child in zip(_SUITES.items(), children):
         if only is not None and name not in only:
             continue
-        results.append(fn(np.random.default_rng(child), inject_bug))
+        t = _Tracker()
+        suite(np.random.default_rng(child), t, inject_bug)
+        results.append(t.result(name, detail))
     return {
         "version": __version__,
         "seed": int(seed),

@@ -62,7 +62,7 @@ from .spectral import (
     write_spectrum_csv,
     write_spectrum_json,
 )
-from .stringop import build_multiplier, domain_norm, solve_linear
+from .stringop import build_multiplier, domain_norm, solve_linear, unrepresentable_data
 
 __all__ = ["main"]
 
@@ -228,7 +228,7 @@ def _cmd_check(args) -> int:
     elif not args.output:
         for suite in doc["suites"]:
             status = "PASS" if suite["passed"] else "FAIL"
-            print(f"{status} {suite['name']}: worst slack {suite['worst_slack']:.3e} "
+            print(f"{status} {suite['name']}: worst slack {_fmt17(suite['worst_slack'])} "
                   f"({suite['trials']} trials)")
         print("all passed" if doc["all_passed"] else "FAILURES present")
     if not doc["all_passed"]:
@@ -245,7 +245,8 @@ def _cmd_solve_linear(args) -> int:
     profile = build_multiplier(group, w, args.c)
     dom = domain_norm(u, w, args.c)
     l2g = lp_norm(g, 2)
-    rel_dev = abs(dom - l2g) / l2g if l2g > 0 else 0.0
+    share, omitted_sup = unrepresentable_data(g, w, args.c)
+    rel_dev = abs(math.hypot(dom, share) - l2g) / l2g if l2g > 0 else 0.0
     c_sup = embedding_constant_sup(group, w, args.s)
     sup_u = lp_norm(u, math.inf)
     report = {
@@ -257,6 +258,8 @@ def _cmd_solve_linear(args) -> int:
         "isometry": {
             "domain_norm_solution": dom,
             "l2_norm_data": l2g,
+            "unrepresentable_data_l2": share,
+            "omitted_solution_sup_bound": omitted_sup,
             "relative_deviation": rel_dev,
             "ok": rel_dev <= 1e-10,
         },

@@ -284,24 +284,14 @@ def lowfreq_forcing(group: FiniteAbelianGroup, scale: float) -> Signal:
     gam = make_weight(group, "sym-euclid").values
     inv = inverse_indices(group)
     order = np.lexsort((np.arange(group.order), gam))
-    coeffs = np.zeros(group.order, dtype=np.complex128)
-    picked = 0
-    seen: set[int] = set()
-    for idx in order:
-        idx = int(idx)
-        if gam[idx] == 0.0 or idx in seen:
-            continue
-        picked += 1
-        coeffs[idx] = 2.0**-picked
-        coeffs[int(inv[idx])] = 2.0**-picked
-        seen.add(idx)
-        seen.add(int(inv[idx]))
-        if picked == 3:
-            break
-    if picked == 0:
+    # gamma is symmetric, so of each pair {xi, -xi} the smaller index comes first
+    picked = order[(gam[order] > 0.0) & (order <= inv[order])][:3]
+    if picked.size == 0:
         raise ValueError(
             f"group {group.descriptor} has no nonzero frequencies for the built-in forcing"
         )
+    coeffs = np.zeros(group.order, dtype=np.complex128)
+    coeffs[picked] = coeffs[inv[picked]] = 0.5 ** np.arange(1, picked.size + 1)
     with np.errstate(over="ignore", invalid="ignore"):
         coeffs *= scale / float(_root_sum(coeffs))  # Plancherel: the l2 norm of the coefficients
         values = idft_values(group, coeffs)

@@ -551,18 +551,20 @@ def _write_values_json(path, group: FiniteAbelianGroup, values: np.ndarray) -> N
         fh.write(text)
 
 
-def _read_json(path):
-    """The JSON document at ``path``; one that json refuses (malformed, an
-    integer of more than 4300 digits) raises a ValueError naming the file."""
+def _read_json(path, parse_int=int):
+    """The JSON document at ``path``, reading each integer with ``parse_int``;
+    one that json refuses (malformed, an integer of more than 4300 digits)
+    raises a ValueError naming the file."""
     with open(path, "r", encoding="ascii") as fh:
         try:
-            return json.load(fh)
+            return json.load(fh, parse_int=parse_int)
         except ValueError as exc:
             raise ValueError(f"{path}: {exc}") from None
 
 
 def _read_values_json(path, group: FiniteAbelianGroup | None):
-    doc = _read_json(path)
+    # the writer's "-0" is the float -0.0, which json would read as the integer 0
+    doc = _read_json(path, lambda text: -0.0 if text == "-0" else int(text))
     if not isinstance(doc, dict) or "group" not in doc or "values" not in doc:
         raise ValueError(f"{path}: expected an object with 'group' and 'values'")
     file_group = parse_group(doc["group"])

@@ -278,3 +278,24 @@ def solve_linear(g: Signal, w: Weight, c: float) -> Signal:
     """
     profile = build_multiplier(g.group, w, c)
     return idft(Spectrum(g.group, -_coefficients(g) * profile.inverse))
+
+
+def unrepresentable_data(g: Signal, w: Weight, c: float) -> tuple[float, float]:
+    """What ``solve_linear(g, w, c)`` leaves out: the entries where m
+    overflows float64 and the solution's coefficient -F(g)/m underflows to 0.
+
+    Returns the l2 norm of g's coefficients there, and a bound on the sup
+    distance of the computed solution from the exact one: that norm times
+    the l2 norm of 1/m there (Cauchy-Schwarz), formed in log space."""
+    profile = build_multiplier(g.group, w, c)
+    coeffs = _coefficients(g)
+    over = profile.overflow
+    dropped = np.zeros(g.group.order, dtype=bool)
+    dropped[over] = coeffs[over] * profile.inverse[over] == 0.0
+    share = float(_root_sum(np.where(dropped, coeffs, 0.0)))
+    if share == 0.0:
+        return 0.0, 0.0
+    log_m = profile.log_values[dropped]
+    low = float(log_m.min())
+    log_bound = math.log(share) - low + 0.5 * math.log(float(np.exp(2.0 * (low - log_m)).sum()))
+    return share, math.exp(log_bound)

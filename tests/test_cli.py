@@ -13,8 +13,15 @@ from groupsobolev.checks import suite_names
 from groupsobolev.cli import main
 from groupsobolev.group import parse_group
 from groupsobolev.sobolev import algebra_constant, embedding_constant_sup, make_weight
-from groupsobolev.spectral import Signal, read_signal_csv, write_signal_csv, write_signal_json
-from groupsobolev.stringop import solve_linear
+from groupsobolev.spectral import (
+    Signal,
+    dft_values,
+    idft_values,
+    read_signal_csv,
+    write_signal_csv,
+    write_signal_json,
+)
+from groupsobolev.stringop import build_multiplier, solve_linear
 
 
 def _write_huge_signal(path):
@@ -342,6 +349,7 @@ def test_solve_linear_report(tmp_path, rng):
     assert report["isometry"]["relative_deviation"] <= 1e-10
     assert report["sup_bound"]["ok"] is True
     assert report["multiplier_overflow_frequencies"] == 0
+    assert report["isometry"]["unrepresentable_data_l2"] == 0.0
     # the written solution is the library solution
     from groupsobolev.spectral import read_signal_json
 
@@ -349,6 +357,48 @@ def test_solve_linear_report(tmp_path, rng):
     w = make_weight(g, "sym-euclid")
     u_lib = solve_linear(sig, w, 0.5)
     assert np.allclose(u_file.values, u_lib.values, atol=1e-15)
+
+
+def _solve_linear_pruefer(tmp_path, capsys, values) -> tuple[int, dict]:
+    """solve-linear on Z64 under pruefer:2 at c = 2, where m overflows at 48
+    frequencies; the report read from stdout."""
+    write_signal_csv(str(tmp_path / "g.csv"), Signal(parse_group("Z64"), values))
+    code = main(["solve-linear", "--group", "Z64", "--weight", "pruefer:2", "--c", "2",
+                 "--input", str(tmp_path / "g.csv")])
+    return code, json.loads(capsys.readouterr().out)
+
+
+def test_solve_linear_reports_the_data_it_cannot_represent(tmp_path, rng, capsys):
+    # where log m >= 2054 the exact solution's coefficients are below
+    # e^-2054 times the data's: the isometry holds with that data counted apart
+    g = parse_group("Z64")
+    values = rng.standard_normal(g.order)
+    profile = build_multiplier(g, make_weight(g, "pruefer:2"), 2.0)
+    assert profile.overflow_count == 48 and profile.log_values[profile.overflow].min() > 2000
+    code, doc = _solve_linear_pruefer(tmp_path, capsys, values)
+    assert code == 0
+    iso = doc["isometry"]
+    share = np.linalg.norm(dft_values(g, values)[profile.overflow])
+    assert iso["unrepresentable_data_l2"] == pytest.approx(share, rel=1e-12)
+    assert iso["omitted_solution_sup_bound"] == 0.0
+    assert math.hypot(iso["domain_norm_solution"], share) == pytest.approx(
+        iso["l2_norm_data"], rel=1e-12)
+    assert iso["ok"] is True and iso["relative_deviation"] <= 1e-10
+
+
+def test_solve_linear_data_without_energy_where_m_overflows(tmp_path, rng, capsys):
+    g = parse_group("Z64")
+    profile = build_multiplier(g, make_weight(g, "pruefer:2"), 2.0)
+    coeffs = dft_values(g, rng.standard_normal(g.order))
+    coeffs[profile.overflow] = 0.0
+    values = idft_values(g, coeffs).real
+    assert not dft_values(g, values)[profile.overflow].any()
+    code, doc = _solve_linear_pruefer(tmp_path, capsys, values)
+    assert code == 0
+    iso = doc["isometry"]
+    assert iso["unrepresentable_data_l2"] == 0.0 and iso["omitted_solution_sup_bound"] == 0.0
+    dom, l2g = iso["domain_norm_solution"], iso["l2_norm_data"]
+    assert iso["relative_deviation"] == abs(dom - l2g) / l2g  # the deviation as before
 
 
 def test_solve_linear_stdout_json(tmp_path, rng, capsys):
@@ -719,6 +769,16 @@ def test_check_single_suite(capsys):
     assert main(["check", "--only", name]) == 0
     out = capsys.readouterr().out
     assert f"PASS {name}" in out
+
+
+def test_check_text_prints_the_json_slack_in_full(capsys):
+    # a slack of tol - 1e-16 must not read as the round tolerance
+    assert main(["check", "--seed", "1", "--only", "plancherel", "--json"]) == 0
+    slack = json.loads(capsys.readouterr().out)["suites"][0]["worst_slack"]
+    assert main(["check", "--seed", "1", "--only", "plancherel"]) == 0
+    line = capsys.readouterr().out.splitlines()[0]
+    printed = line.split("worst slack ")[1].split(" (")[0]
+    assert float(printed) == slack != 1e-10 and printed == format(slack, ".17g")
 
 
 def test_check_output_deterministic(tmp_path):

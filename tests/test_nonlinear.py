@@ -160,6 +160,24 @@ def test_lowfreq_forcing_refinement_consistent():
         assert fa[64 - k] == pytest.approx(fb[128 - k], abs=1e-15)
 
 
+@pytest.mark.parametrize("name", ["Z6xZ10", "Z2xZ4xZ2xZ4", "Z8xZ8", "Z2xZ2xZ2", "Z5xZ2xZ2xZ7"])
+def test_lowfreq_forcing_takes_the_three_lowest_shells_in_index_order(name):
+    # reference: scan (gamma, index) and take each unseen frequency with its inverse
+    g = parse_group(name)
+    gam = make_weight(g, "sym-euclid").values
+    inv = inverse_indices(g)
+    first, seen = [], set()
+    for idx in sorted(range(g.order), key=lambda i: (gam[i], i)):
+        if gam[idx] > 0.0 and idx not in seen and len(first) < 3:
+            first.append(idx)
+            seen |= {idx, int(inv[idx])}
+    ref = np.zeros(g.order)
+    for t, idx in enumerate(first, 1):
+        ref[idx] = ref[inv[idx]] = 2.0**-t
+    coeffs = dft_values(g, lowfreq_forcing(g, 1.0).values)
+    np.testing.assert_allclose(coeffs, ref / np.linalg.norm(ref), rtol=0, atol=1e-15)
+
+
 def test_lowfreq_forcing_tiny_groups():
     g = parse_group("Z2")
     h = lowfreq_forcing(g, 1.0)

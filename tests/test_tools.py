@@ -36,3 +36,17 @@ def test_cli_regression_compares_the_checkout_against_itself(capsys):
     got = tool.run(ROOT, tool.COMMANDS["error-json-bool-and-string"])
     assert got["exit"] == 2 and got["stderr"].startswith("error: {tmp}/z4_bool.json: ")
     assert list(got["files"]) == ["z4_bool.json"]
+
+
+def test_src_lines_reads_zero_for_the_checkout_against_itself():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "src_lines.py"), str(ROOT), str(ROOT)],
+        capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    rows = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert "checks.py" in rows and "total" in rows
+    for row in rows.values():
+        assert row["diff"] == {"physical": 0, "code": 0}
+        assert row["parent"] == row["change"]
+    total = rows["total"]["change"]
+    assert 0 < total["code"] < total["physical"]
