@@ -17,6 +17,7 @@ worst margin, so failures are reproducible.
 """
 from __future__ import annotations
 
+import contextlib
 import math
 from typing import Callable
 
@@ -86,17 +87,10 @@ def weights_for(group: FiniteAbelianGroup) -> list[Weight]:
     out = [make_weight(group, "zero"), make_weight(group, "sym-euclid")]
     if all(n == 2 for n in group.factors):
         out.append(make_weight(group, "hamming"))
-    if len(group.factors) == 1:
-        n = group.factors[0]
-        if n > 1:
-            p = 2
-            while n % p:
-                p += 1
-            m = n
-            while m % p == 0:
-                m //= p
-            if m == 1:
-                out.append(make_weight(group, f"pruefer:{p}"))
+    if len(group.factors) == 1 and (n := group.factors[0]) > 1:
+        p = next(q for q in range(2, n + 1) if n % q == 0)  # the least prime factor
+        with contextlib.suppress(ValueError):  # n is not a power of p
+            out.append(make_weight(group, f"pruefer:{p}"))
     return out
 
 

@@ -85,7 +85,12 @@ def _load_problem(args) -> tuple[FiniteAbelianGroup, Weight]:
     if args.weight_table:
         gamma = _read_table_csv(args.weight_table, group, ("gamma",))[:, 0]
         c_gamma = args.c_gamma if args.c_gamma is not None else 1.0
-        return group, weight_from_table(group, gamma, c_gamma, name="custom")
+        if not (math.isfinite(c_gamma) and c_gamma >= 0):  # the flag's fault, not the table's
+            raise ValueError(f"--c-gamma must be finite and nonnegative, got {c_gamma}")
+        try:
+            return group, weight_from_table(group, gamma, c_gamma, name="custom")
+        except ValueError as exc:
+            raise ValueError(f"{args.weight_table}: {exc}") from None
     if args.c_gamma is not None:
         raise ValueError("--c-gamma applies only with --weight-table")
     return group, make_weight(group, args.weight)

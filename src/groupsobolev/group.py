@@ -38,7 +38,6 @@ __all__ = [
     "index_of",
     "element_at",
     "residue_grid",
-    "index_strides",
     "compose_indices",
     "inverse_indices",
     "character_table",
@@ -177,8 +176,10 @@ def element_at(group: FiniteAbelianGroup, idx: int) -> tuple[int, ...]:
 # vectorized index tables
 #
 # These back the fast paths: transforms, convolution, translation, and the
-# exhaustive property scans.  All returned arrays are read-only so they can
-# be cached and shared freely.
+# exhaustive property scans.  An element's index comes from its residues by
+# np.ravel_multi_index over the factors, whose "wrap" mode reduces each
+# residue mod n_j, so a sum or a negation of residues needs no "% n".
+# Cached arrays are read-only so they can be shared freely.
 # ---------------------------------------------------------------------------
 
 @cache
@@ -189,39 +190,20 @@ def residue_grid(group: FiniteAbelianGroup) -> np.ndarray:
     return grid
 
 
-@cache
-def index_strides(group: FiniteAbelianGroup) -> np.ndarray:
-    """Mixed-radix strides: index = residues . strides."""
-    strides = np.ones(len(group.factors), dtype=np.int64)
-    for j in range(len(group.factors) - 2, -1, -1):
-        strides[j] = strides[j + 1] * group.factors[j + 1]
-    strides.setflags(write=False)
-    return strides
-
-
 def compose_indices(group: FiniteAbelianGroup, i, j) -> np.ndarray:
     """Index-level composition: the enumeration index of element_i * element_j.
 
     ``i`` and ``j`` are integer arrays (broadcast against each other).
     """
     grid = residue_grid(group)
-    strides = index_strides(group)
-    i = np.asarray(i, dtype=np.int64)
-    j = np.asarray(j, dtype=np.int64)
-    out = np.zeros(np.broadcast(i, j).shape, dtype=np.int64)
-    for axis, n in enumerate(group.factors):
-        out += ((grid[axis][i] + grid[axis][j]) % n) * strides[axis]
-    return out
+    return np.ravel_multi_index(tuple(axis[i] + axis[j] for axis in grid), group.factors,
+                                mode="wrap")
 
 
 @cache
 def inverse_indices(group: FiniteAbelianGroup) -> np.ndarray:
     """inverse_indices(G)[i] = enumeration index of the inverse of element i."""
-    grid = residue_grid(group)
-    strides = index_strides(group)
-    out = np.zeros(group.order, dtype=np.int64)
-    for axis, n in enumerate(group.factors):
-        out += ((n - grid[axis]) % n) * strides[axis]
+    out = np.ravel_multi_index(tuple(-residue_grid(group)), group.factors, mode="wrap")
     out.setflags(write=False)
     return out
 

@@ -77,6 +77,7 @@ from .sobolev import (
     _root_sum,
     _sobolev_weights,
     _weighted_norm,
+    _worst_ratio,
     embedding_constant_sup,
     lp_norm,
     lp_norm_batch,
@@ -795,28 +796,19 @@ def check_growth_conditions(nl: Nonlinearity, y_samples) -> dict:
     group = nl.group
     habs = np.abs(nl.h.values.real)
     fabs = np.abs(nl.f_env.values.real)
-    worst_val, worst_val_at = 0.0, None
-    worst_der, worst_der_at = 0.0, None
+    worst = {"value": (0.0, None), "derivative": (0.0, None)}  # kind: (ratio, witness)
     degenerate: list = []
     for y in y_samples:
         yarr = np.full(group.order, y)
-        lhs_val = np.abs(nl.u_func(yarr) - yarr)
-        rhs_val = nl.c_growth * (habs + abs(y) ** nl.alpha)
-        lhs_der = np.abs(nl.du_func(yarr) - 1.0)
-        rhs_der = nl.c_growth * (fabs + abs(y) ** nl.beta)
-        for lhs, rhs, tag in ((lhs_val, rhs_val, "value"), (lhs_der, rhs_der, "derivative")):
-            zero = rhs == 0.0
-            if np.any(zero & (lhs > 0.0)):
-                xi = int(np.argmax(zero & (lhs > 0.0)))
-                degenerate.append({"kind": tag, "x": list(element_at(group, xi)), "y": y})
-            ratio = np.where(zero, 0.0, lhs / np.where(zero, 1.0, rhs))
-            pos = int(np.argmax(ratio))
-            if tag == "value" and ratio[pos] > worst_val:
-                worst_val = float(ratio[pos])
-                worst_val_at = {"x": list(element_at(group, pos)), "y": y}
-            if tag == "derivative" and ratio[pos] > worst_der:
-                worst_der = float(ratio[pos])
-                worst_der_at = {"x": list(element_at(group, pos)), "y": y}
+        sides = (("value", np.abs(nl.u_func(yarr) - yarr), habs, nl.alpha),
+                 ("derivative", np.abs(nl.du_func(yarr) - 1.0), fabs, nl.beta))
+        for kind, lhs, env, power in sides:
+            ratio, pos, bad = _worst_ratio(lhs, nl.c_growth * (env + abs(y) ** power))
+            if bad is not None:
+                degenerate.append({"kind": kind, "x": list(element_at(group, bad)), "y": y})
+            if ratio > worst[kind][0]:
+                worst[kind] = ratio, {"x": list(element_at(group, pos)), "y": y}
+    (worst_val, worst_val_at), (worst_der, worst_der_at) = worst.values()
     ok = not degenerate and worst_val <= 1.0 + 1e-12 and worst_der <= 1.0 + 1e-12
     return {
         "ok": bool(ok),

@@ -575,6 +575,9 @@ def _read_values_json(path, group: FiniteAbelianGroup | None):
     pairs = doc["values"]
     if not isinstance(pairs, list) or not all(isinstance(p, list) and len(p) == 2 for p in pairs):
         raise ValueError(f"{path}: 'values' must be a list of [re, im] pairs")
+    if len(pairs) != file_group.order:
+        raise ValueError(f"{path}: {len(pairs)} pairs but group {file_group.descriptor} "
+                         f"has order {file_group.order}")
     bad = f"{path}: 'values' pairs must hold JSON numbers that float64 can hold"
     # json reads a number as int or float; a bool or a string is not one
     if not all(type(x) in (int, float) for pair in pairs for x in pair):

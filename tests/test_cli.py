@@ -168,6 +168,15 @@ def test_c_gamma_without_weight_table_exits_2(capsys):
     assert "--weight-table" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("c_gamma", ["-1", "nan", "inf"])
+def test_bad_c_gamma_with_weight_table_names_the_flag_not_the_file(tmp_path, capsys, c_gamma):
+    table = tmp_path / "gamma.csv"
+    table.write_text("index,gamma\n0,0\n1,1\n")
+    assert main(["info", "--group", "Z2", "--weight-table", str(table), "--c-gamma", c_gamma]) == 2
+    err = capsys.readouterr().err
+    assert "--c-gamma" in err and "gamma.csv" not in err
+
+
 def test_weight_table_asymmetric_rejected_before_solving(tmp_path, capsys):
     # gamma(1) != gamma(-1 = 3): real fields would not stay real
     table = tmp_path / "gamma.csv"

@@ -1,5 +1,6 @@
 """Fuzzed field files: what the writers make reads back bit for bit, and a
-damaged file ends ``solve-nonlinear`` in exit 2 and one stderr line."""
+damaged ``--forcing``, ``--initial`` or ``--weight-table`` file ends
+``solve-nonlinear`` in exit 2 and one stderr line that names the file."""
 import contextlib
 import io
 import os
@@ -54,10 +55,12 @@ def test_a_written_field_reads_back_bit_for_bit(parts, real, fmt):
     assert np.array_equal(back.values.view(np.uint64), f.values.view(np.uint64))
 
 
-_CELLS = {"non-numeric": "x", "nan": "nan", "1e999": "1e999"}
+_CELLS = {"non-numeric": "x", "nan": "nan", "1e999": "1e999", "negative": "-1"}
 
 
 def _damage_csv(text: str, mutation: str, k: int) -> str:
+    """``text``, an "index,<columns>" table, with row ``k`` damaged; a cell
+    mutation replaces the row's first value."""
     header, *rows = text.splitlines()
     if mutation == "drop-row":
         del rows[k]
@@ -70,9 +73,10 @@ def _damage_csv(text: str, mutation: str, k: int) -> str:
     elif mutation == "missing-column":
         rows[k] = rows[k].rsplit(",", 1)[0]
     elif mutation in _CELLS:
-        rows[k] = re.sub(r",[^,]*,", f",{_CELLS[mutation]},", rows[k])
+        index, _, *rest = rows[k].split(",")
+        rows[k] = ",".join([index, _CELLS[mutation], *rest])
     elif mutation == "bad-header":
-        header = "index,re"
+        header = header.rsplit(",", 1)[0]
     return "\n".join([header, *rows]) + "\n"
 
 
@@ -105,18 +109,27 @@ _MUTATIONS = {
     "json": ("drop-row", "repeat-row", "extra-column", "missing-column", "non-numeric", "nan",
              "1e999", "bad-header", "truncated", "other-group"),
 }
+_FIELD_CASES = [(fmt, m) for fmt, names in _MUTATIONS.items() for m in names]
+# an "index,gamma" table takes the CSV damage, and a negative gamma
+_TABLE_MUTATIONS = (*_MUTATIONS["csv"], "negative")
+_FUZZ = settings(max_examples=8, deadline=None)
+_DAMAGE = given(values=st.lists(_FLOATS, min_size=2, max_size=8), k=st.integers(0, 10**6))
 
 
-@pytest.mark.parametrize("fmt, mutation",
-                         [(fmt, m) for fmt, names in _MUTATIONS.items() for m in names])
-@settings(max_examples=8, deadline=None)
-@given(values=st.lists(_FLOATS, min_size=2, max_size=8), k=st.integers(0, 10**6))
-def test_a_damaged_forcing_file_exits_2_in_one_line(fmt, mutation, values, k):
+def _assert_refused(flag: str, fmt: str, mutation: str, values, k: int) -> None:
+    """``solve-nonlinear`` given the file ``flag`` names, written from
+    ``values`` and damaged by ``mutation`` at row k, exits 2 with one stderr
+    line that names the file."""
     f = _signal(values, real=True)
     n = f.group.order
     with tempfile.TemporaryDirectory() as tmp:
-        path = os.path.join(tmp, f"forcing.{fmt}")
-        _WRITE[fmt](path, f)
+        path = os.path.join(tmp, f"{flag.strip('-')}.{fmt}")
+        if flag == "--weight-table":
+            with open(path, "w", encoding="ascii") as fh:
+                fh.write("index,gamma\n" + "".join(f"{i},{abs(float(v))!r}\n"
+                                                   for i, v in enumerate(f.values.real)))
+        else:
+            _WRITE[fmt](path, f)
         with open(path, encoding="ascii") as fh:
             text = fh.read()
         damage = _damage_csv if fmt == "csv" else _damage_json
@@ -124,10 +137,33 @@ def test_a_damaged_forcing_file_exits_2_in_one_line(fmt, mutation, values, k):
         with open(path, "w", encoding="ascii") as fh:
             fh.write(damage(text, mutation, k if mutation == "truncated" else row))
         group = f"Z{n + 1}" if mutation == "other-group" else f.group.descriptor
+        forcing = [] if flag == "--forcing" else ["--forcing-scale", "0.1"]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
             code = main(["solve-nonlinear", "--group", group, "--c", "1", "--nonlinearity",
-                         "forced-power:2,1", "--forcing", path])
+                         "forced-power:2,1", *forcing, flag, path])
     assert code == 2, (mutation, out.getvalue())
     assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+    assert path in err.getvalue(), err.getvalue()
     assert "Traceback" not in err.getvalue() and out.getvalue() == ""
+
+
+@pytest.mark.parametrize("fmt, mutation", _FIELD_CASES)
+@_FUZZ
+@_DAMAGE
+def test_a_damaged_forcing_file_exits_2_in_one_line(fmt, mutation, values, k):
+    _assert_refused("--forcing", fmt, mutation, values, k)
+
+
+@pytest.mark.parametrize("fmt, mutation", _FIELD_CASES)
+@_FUZZ
+@_DAMAGE
+def test_a_damaged_initial_file_exits_2_in_one_line(fmt, mutation, values, k):
+    _assert_refused("--initial", fmt, mutation, values, k)
+
+
+@pytest.mark.parametrize("mutation", _TABLE_MUTATIONS)
+@_FUZZ
+@_DAMAGE
+def test_a_damaged_weight_table_exits_2_in_one_line(mutation, values, k):
+    _assert_refused("--weight-table", "csv", mutation, values, k)

@@ -101,6 +101,25 @@ def test_compose_indices_matches_tuple_compose(rng):
         assert compose_indices(g, int(i), int(j)) == expected
 
 
+@pytest.mark.parametrize("factors", [(1,), (7,), (1, 3, 1), (4, 1, 5), (2,) * 12,
+                                     (3, 1, 2, 1, 2, 1, 3, 1, 2, 1, 1, 2), "random"])
+def test_index_tables_match_the_tuple_definitions(factors, rng):
+    for _ in range(5 if factors == "random" else 1):
+        if factors == "random":
+            g = FiniteAbelianGroup(tuple(rng.integers(1, 6, size=rng.integers(1, 6))))
+        else:
+            g = FiniteAbelianGroup(factors)
+        elements = enumerate_elements(g)
+        i = rng.integers(0, g.order, size=40)
+        j = rng.integers(0, g.order, size=40)
+        expected = [index_of(g, compose(g, elements[a], elements[b])) for a, b in zip(i, j)]
+        assert compose_indices(g, i, j).tolist() == expected
+        table = compose_indices(g, i[:, None], j[None, :])  # broadcast
+        assert table.shape == (40, 40) and table[np.arange(40), np.arange(40)].tolist() == expected
+        assert compose_indices(g, int(i[0]), int(j[0])) == expected[0]
+        assert inverse_indices(g).tolist() == [index_of(g, inverse(g, a)) for a in elements]
+
+
 def test_character_values_on_z4():
     g = parse_group("Z4")
     assert evaluate_character(g, (1,), (1,)) == pytest.approx(1j)

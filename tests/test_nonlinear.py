@@ -1200,6 +1200,41 @@ def test_growth_conditions_detect_mislabeled_exponent():
     assert rep["worst_value_ratio"] > 1.0
 
 
+def test_growth_conditions_pin_the_degenerate_order_and_the_witnesses():
+    # h vanishes at x = 0, 3, 6, 9 and f_env everywhere, while |U - y| = 0.1
+    # and |d/dy(U - y)| = 0.2: at y = 0 both right sides vanish where the left
+    # sides do not
+    g = parse_group("Z12")
+    h = Signal(g, np.where(np.arange(12) % 3 == 0, 0.0, 0.3))
+    nl = Nonlinearity(
+        name="zero-envelopes",
+        u_func=lambda y: y + 0.1,
+        du_func=lambda y: np.full_like(y, 1.2),
+        alpha=2.0,
+        beta=1.0,
+        c_growth=1.0,
+        h=h,
+        f_env=_zero(g),
+    )
+    rep = check_growth_conditions(nl, (-1.0, 0.0, 2.0, -0.0))
+    assert not rep["ok"]
+    assert rep["degenerate_violations"] == [
+        {"kind": "value", "x": [0], "y": 0.0},
+        {"kind": "derivative", "x": [0], "y": 0.0},
+        {"kind": "value", "x": [0], "y": -0.0},
+        {"kind": "derivative", "x": [0], "y": -0.0},
+    ]
+    assert [math.copysign(1.0, d["y"]) for d in rep["degenerate_violations"]] == [1, 1, -1, -1]
+    # the value ratio peaks at 0.1 / 0.3 on every x with h != 0 at y = 0, and
+    # again at y = -0.0: the first such x at the first such y wins
+    assert rep["worst_value_ratio"] == 0.1 / 0.3
+    assert rep["worst_value_witness"] == {"x": [1], "y": 0.0}
+    assert math.copysign(1.0, rep["worst_value_witness"]["y"]) == 1.0
+    # the derivative ratio 0.2 / |y| peaks at y = -1 on every x
+    assert rep["worst_derivative_ratio"] == pytest.approx(0.2)
+    assert rep["worst_derivative_witness"] == {"x": [0], "y": -1.0}
+
+
 def test_growth_conditions_need_samples():
     g = parse_group("Z4")
     nl = power_nonlinearity(g, 2, 0.5)

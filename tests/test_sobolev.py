@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from groupsobolev.group import element_at, parse_group
+from groupsobolev.group import compose, element_at, index_of, parse_group
 from groupsobolev.sobolev import (
     algebra_constant,
     check_subadditivity,
@@ -105,6 +105,73 @@ def test_subadditivity_degenerate_violation_is_infinite():
     rep = check_subadditivity(g, w)
     assert not rep["ok"]
     assert math.isinf(rep["worst_ratio"])
+
+
+def _subadditivity_record(group, w, pairs, mode):
+    """The ``check_subadditivity`` record of a scan of ``pairs`` (index pairs
+    in scan order), kept the plain way: the first largest finite ratio and
+    the first pair whose denominator is 0 below a positive numerator."""
+    gam = w.values
+    worst, worst_pair, degenerate_pair, count = 0.0, None, None, 0
+    for i, j, k in pairs:
+        count += 1
+        num, den = gam[k], gam[i] + gam[j]
+        if den == 0.0:
+            if num > 0.0 and degenerate_pair is None:
+                degenerate_pair = (i, j)
+        elif num / den > worst:
+            worst, worst_pair = float(num / den), (i, j)
+    witness = degenerate_pair or worst_pair
+    return {
+        "ok": degenerate_pair is None and worst <= w.c_gamma + 1e-12,
+        "worst_ratio": math.inf if degenerate_pair else worst,
+        "witness": None if witness is None else [list(element_at(group, x)) for x in witness],
+        "pairs_checked": count,
+        "mode": mode,
+    }
+
+
+@pytest.mark.parametrize("name", ["Z1", "Z2", "Z7", "Z12", "Z2xZ3", "Z3xZ1xZ4", "Z2xZ2xZ2xZ2"])
+@pytest.mark.parametrize("table", ["violating", "zero-heavy", "small-integers"])
+def test_exhaustive_subadditivity_record_matches_a_brute_force(name, table, rng):
+    g = parse_group(name)
+    n = g.order
+    gamma = {
+        "violating": lambda: rng.random(n) * 3.0,
+        "zero-heavy": lambda: np.where(rng.random(n) < 0.6, 0.0, rng.random(n)),
+        "small-integers": lambda: rng.integers(1, 4, n).astype(float),  # tied ratios
+    }[table]()
+    w = weight_from_table(g, gamma, 0.5 if table == "small-integers" else 1.0)
+    pairs = ((i, j, index_of(g, compose(g, element_at(g, i), element_at(g, j))))
+             for i in range(n) for j in range(n))
+    assert check_subadditivity(g, w) == _subadditivity_record(g, w, pairs, "exhaustive")
+
+
+@pytest.mark.parametrize("zeros", [0.0, 0.5])
+@pytest.mark.parametrize("seed", [0, 7])
+def test_sampled_subadditivity_record_replays_the_seeded_draws(zeros, seed, rng):
+    g = parse_group("Z5000")
+    n = g.order
+    gamma = np.where(rng.random(n) < zeros, 0.0, rng.random(n))
+    w = weight_from_table(g, gamma, 1.0)
+    draws = np.random.default_rng(seed)
+    i, j = np.concatenate([[draws.integers(0, n, size=100_000), draws.integers(0, n, size=100_000)]
+                           for _ in range(10)], axis=1)
+    # vectorised for 10^6 pairs: the first largest ratio and the first
+    # degenerate pair over the draws in order
+    num, den = gamma[(i + j) % n], gamma[i] + gamma[j]
+    bad = np.flatnonzero((den == 0.0) & (num > 0.0))
+    ratio = np.divide(num, den, out=np.zeros(den.size), where=den > 0.0)
+    first = bad[0] if bad.size else int(np.argmax(ratio))
+    worst = math.inf if bad.size else float(ratio[first])
+    assert check_subadditivity(g, w, seed) == {
+        "ok": not bad.size and worst <= 1.0 + 1e-12,
+        "worst_ratio": worst,
+        "witness": [[int(i[first])], [int(j[first])]],
+        "pairs_checked": 1_000_000,
+        "mode": "sampled",
+    }
+    assert (bad.size > 0) == (zeros > 0)
 
 
 def test_sobolev_norm_single_mode():

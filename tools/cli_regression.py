@@ -15,10 +15,11 @@ stdout is one JSON object that sums the run up, and the exit code is 1 on
 any difference.
 
 The set covers ``check`` JSON at three seeds, every subcommand's help,
-``info``, ``constants``, ``transform`` with ``--naive``/``--oracle``/
-``--inverse``, ``solve-linear``, ``solve-nonlinear`` on the six groups of
-the benchmark's ``solve`` menu and on edge rows, the benchmark's ``sweep``
-command and three others, ``--config``, and error paths.  Input files are
+``info`` (on weight tables that break subadditivity too), ``constants``,
+``transform`` with ``--naive``/``--oracle``/``--inverse``,
+``solve-linear``, ``solve-nonlinear`` on the six groups of the benchmark's
+``solve`` menu and on edge rows, the benchmark's ``sweep`` command and
+three others, ``--config``, and error paths.  Input files are
 written by this script from fixed formulas, not by the package, so both
 trees read the same bytes.
 """
@@ -50,6 +51,10 @@ def _json(group: str, values) -> str:
     return f'{{"group": "{group}", "values": [{pairs}]}}\n'
 
 
+def _table(gamma) -> str:
+    return "index,gamma\n" + "".join(f"{i},{float(g)!r}\n" for i, g in enumerate(gamma))
+
+
 def _wave(n: int, scale: float = 1.0, imag: bool = True) -> list[complex]:
     return [scale * complex(math.sin(1.3 * i + 0.2) + 0.5 * math.cos(0.7 * i),
                             math.cos(0.9 * i) - 0.25 if imag else 0.0) for i in range(n)]
@@ -71,9 +76,14 @@ INPUTS = {  # file name: its text
     "z64_real.csv": lambda: _csv(_wave(64, 0.02, imag=False)),
     "z64_initial.csv": lambda: _csv(_wave(64, 0.01, imag=False)),
     "z128x128_forcing.csv": lambda: _csv(_plane_wave(128, 0.1)),
-    "z12_weights.csv": lambda: "index,gamma\n" + "".join(
-        f"{i},{float(min(i, 12 - i))!r}\n" for i in range(12)),
+    "z12_weights.csv": lambda: _table([min(i, 12 - i) for i in range(12)]),
     "bad_header.csv": lambda: "index,weight\n" + "".join(f"{i},1\n" for i in range(12)),
+    # gamma(1) + gamma(1) = 2 below gamma(2) = 5: a finite ratio of 2.5
+    "z8_violating.csv": lambda: _table([0, 1, 5, 3, 4, 3, 2, 1]),
+    # gamma vanishes on the odd characters but not at 1 + 1 = 2
+    "z8_degenerate.csv": lambda: _table([0, 0, 1, 0, 1, 0, 1, 0]),
+    "z8_negative.csv": lambda: _table([0, 1, 2, 3, -4, 3, 2, 1]),
+    "z5_four_pairs.json": lambda: _json("Z5", _wave(4, 0.1, imag=False)),
     "z4_huge.json": lambda: _json("Z4", [1e308] * 4),
     "z4_1e200.json": lambda: _json("Z4", [1e200, -2e200, 3e200j, 0.5e200]),
     "z4_1e-300.json": lambda: _json("Z4", [1e-300, -2e-300, 3e-300j, 0.5e-300]),
@@ -102,6 +112,16 @@ COMMANDS = {  # name: argv; "{tmp}" is the run's directory, which holds the INPU
                           "--json"],
     "info-weight-table": ["info", "--group", "Z12", "--weight-table", "{tmp}/z12_weights.csv",
                           "--c-gamma", "1.5", "--json"],
+    "info-z8-violating": ["info", "--group", "Z8", "--weight-table", "{tmp}/z8_violating.csv"],
+    "info-z8-violating-json": ["info", "--group", "Z8", "--weight-table",
+                               "{tmp}/z8_violating.csv", "--json"],
+    "info-z8-degenerate": ["info", "--group", "Z8", "--weight-table",
+                           "{tmp}/z8_degenerate.csv"],
+    "info-z8-degenerate-json": ["info", "--group", "Z8", "--weight-table",
+                                "{tmp}/z8_degenerate.csv", "--json"],
+    "info-z2^10-hamming-json": ["info", "--group", "x".join(["Z2"] * 10), "--weight", "hamming",
+                                "--json"],
+    "info-z729-pruefer-json": ["info", "--group", "Z729", "--weight", "pruefer:3", "--json"],
     "constants-z4": ["constants", "--group", "Z4"],
     "constants-pruefer-json": ["constants", "--group", "Z729", "--weight", "pruefer:3", "--s",
                                "0.5", "--json"],
@@ -175,6 +195,10 @@ COMMANDS = {  # name: argv; "{tmp}" is the run's directory, which holds the INPU
     "error-alpha-nan": ["constants", "--group", "Z4", "--alpha", "nan"],
     "error-weight-table-header": ["solve-linear", "--group", "Z12", "--c", "1", "--weight-table",
                                   "{tmp}/bad_header.csv", "--input", "{tmp}/z64_real.csv"],
+    "error-weight-table-negative": ["info", "--group", "Z8", "--weight-table",
+                                    "{tmp}/z8_negative.csv"],
+    "error-json-pair-count": [*_SOLVE, "forced-power:2,1", "--group", "Z5", "--c", "1",
+                              "--forcing", "{tmp}/z5_four_pairs.json"],
     "error-forcing-conflict": [*_SOLVE, "forced-power:2,1", "--group", "Z64", "--c", "1",
                                "--forcing", "{tmp}/z64_real.csv", "--forcing-scale", "0.1"],
     "error-spec-three-parts": [*_SOLVE, "forced-power:2,1,7", "--group", "Z12", "--c", "0.5",
