@@ -161,7 +161,7 @@ def _cmd_info(args) -> int:
         print(
             f"weight {w.name}: c_gamma={_fmt17(w.c_gamma)}, "
             f"gamma range [{_fmt17(w.values.min())}, {_fmt17(w.values.max())}], "
-            f"subadditive={sub['ok']} (worst ratio {sub['worst_ratio']:.6g})"
+            f"subadditive={sub['ok']} (worst ratio {_fmt17(sub['worst_ratio'])})"
         )
         print(f"s = {_fmt17(args.s)}")
         print(f"sup-embedding constant C = {_fmt17(doc['embedding_constant_sup'])}")
@@ -441,10 +441,11 @@ def _add_solver_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--forcing", default=None, help="forcing signal file (.csv/.json)")
     p.add_argument("--forcing-scale", type=float, default=None,
                    help="use the built-in low-frequency profile at this L2 norm")
-    p.add_argument("--theta", type=float, default=1.0, help="damping in (0,1], default 1")
-    p.add_argument("--tol", type=float, default=1e-10)
-    p.add_argument("--max-iter", type=int, default=500)
-    p.add_argument("--epsilon-ball", type=float, default=None,
+    p.add_argument("--theta", type=float, default=SolverConfig.theta,
+                   help="damping in (0,1], default 1")
+    p.add_argument("--tol", type=float, default=SolverConfig.tol)
+    p.add_argument("--max-iter", type=int, default=SolverConfig.max_iter)
+    p.add_argument("--epsilon-ball", type=float, default=SolverConfig.epsilon_ball,
                    help="override the automatic ball radius")
     p.add_argument("--initial", default=None, help="initial iterate file")
     p.add_argument("--output", default=None, help="solution output file (.csv/.json)")

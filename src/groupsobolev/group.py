@@ -37,10 +37,7 @@ __all__ = [
     "haar_weight",
     "index_of",
     "element_at",
-    "residue_grid",
     "compose_indices",
-    "inverse_indices",
-    "character_table",
 ]
 
 _FACTOR_RE = re.compile(r"^Z(\d+)$")

@@ -48,9 +48,7 @@ __all__ = [
     "weight_from_table",
     "check_subadditivity",
     "sobolev_norm",
-    "sobolev_norm_batch",
     "lp_norm",
-    "lp_norm_batch",
     "embedding_constant_sup",
     "embedding_constant_lalpha",
     "algebra_constant",

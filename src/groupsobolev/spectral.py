@@ -63,17 +63,12 @@ from .group import (
 __all__ = [
     "Signal",
     "Spectrum",
-    "HalfLayout",
-    "half_layout",
     "dft_naive",
     "dft_fast",
     "idft",
-    "dual_coefficients",
     "convolve_dual",
     "pointwise_mul",
     "translate",
-    "dft_values",
-    "idft_values",
     "write_signal_csv",
     "read_signal_csv",
     "write_spectrum_csv",

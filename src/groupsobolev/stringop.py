@@ -59,14 +59,10 @@ from .sobolev import Weight, _root_sum
 from .spectral import Signal, Spectrum, _all_finite, _finite_output, dual_coefficients, idft
 
 __all__ = [
-    "LOG_MAX_DOUBLE",
-    "ACTIVE_COEFF_TOL",
     "NotInDomainError",
     "MultiplierProfile",
     "build_multiplier",
     "domain_norm",
-    "domain_norm_batch",
-    "multiply_spectrum",
     "apply_operator",
     "solve_linear",
 ]
@@ -270,19 +266,31 @@ def solve_linear(g: Signal, w: Weight, c: float) -> Signal:
     """Exact solution of L u = g:  u = -F^{-1}(F(g) / m).
 
     Defined for every finite-valued g.  Division is by 1/m = exp(-log m), so
-    ultraviolet frequencies underflow cleanly to zero; the isometry
+    ultraviolet frequencies underflow cleanly to zero; where m overflows, a
+    quotient below float64's normal range is set to zero too.  The isometry
     domain_norm(u) == ||g||_L2 holds to rounding whenever no active
     coefficient of g sits beyond the representable multiplier range.  The
     returned signal carries its dual coefficients exactly.  A transform of
     g or of u that overflows float64 raises one ValueError saying so.
     """
     profile = build_multiplier(g.group, w, c)
-    return idft(Spectrum(g.group, -_coefficients(g) * profile.inverse))
+    return idft(Spectrum(g.group, _solution_coefficients(profile, _coefficients(g))))
+
+
+def _solution_coefficients(profile: MultiplierProfile, coeffs: np.ndarray) -> np.ndarray:
+    """-F(g)/m, with 0 at each entry where m overflows float64 and the
+    quotient is below float64's normal range: a subnormal quotient keeps too
+    few bits for m times it to give F(g) back."""
+    out = -coeffs * profile.inverse
+    over = profile.overflow
+    out[over[np.abs(out[over]) < np.finfo(np.float64).tiny]] = 0.0
+    return out
 
 
 def unrepresentable_data(g: Signal, w: Weight, c: float) -> tuple[float, float]:
     """What ``solve_linear(g, w, c)`` leaves out: the entries where m
-    overflows float64 and the solution's coefficient -F(g)/m underflows to 0.
+    overflows float64 and the solution's coefficient -F(g)/m is 0 (it
+    underflows, or is subnormal and dropped).
 
     Returns the l2 norm of g's coefficients there, and a bound on the sup
     distance of the computed solution from the exact one: that norm times
@@ -291,7 +299,7 @@ def unrepresentable_data(g: Signal, w: Weight, c: float) -> tuple[float, float]:
     coeffs = _coefficients(g)
     over = profile.overflow
     dropped = np.zeros(g.group.order, dtype=bool)
-    dropped[over] = coeffs[over] * profile.inverse[over] == 0.0
+    dropped[over] = _solution_coefficients(profile, coeffs)[over] == 0.0
     share = float(_root_sum(np.where(dropped, coeffs, 0.0)))
     if share == 0.0:
         return 0.0, 0.0

@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import warnings
 
 import numpy as np
@@ -56,6 +57,18 @@ def test_info_text(capsys):
     out = capsys.readouterr().out
     assert "order 6" in out
     assert "sup-embedding constant" in out
+
+
+def test_info_text_prints_the_worst_ratio_in_full(tmp_path, capsys):
+    # a table that breaks subadditivity by 5e-9 must not read as a ratio of 1
+    table = tmp_path / "gamma.csv"
+    table.write_text("index,gamma\n0,0\n1,1\n2,2.00000001\n3,1\n")
+    argv = ["info", "--group", "Z4", "--weight-table", str(table)]
+    assert main([*argv, "--json"]) == 0
+    ratio = json.loads(capsys.readouterr().out)["weight"]["worst_ratio"]
+    assert main(argv) == 0
+    line = capsys.readouterr().out.splitlines()[1]
+    assert ratio > 1 and line.endswith(f"subadditive=False (worst ratio {ratio:.17g})")
 
 
 def test_info_bad_group_exits_2(capsys):
@@ -420,6 +433,26 @@ def test_solve_linear_stdout_json(tmp_path, rng, capsys):
     assert set(doc) >= {"version", "isometry", "sup_bound", "multiplier_overflow_frequencies"}
 
 
+@pytest.mark.parametrize("c", [0.7, 0.71, 0.72])
+def test_solve_linear_counts_a_subnormal_quotient_as_unrepresentable(tmp_path, capsys, c):
+    # on Z64 under sym-euclid m overflows at the top frequency alone, where
+    # -F(g)/m is subnormal at c = 0.7 and 0.71 and underflows to 0 at 0.72;
+    # m times a subnormal quotient gives F(g) back to a few digits only, so
+    # the solution leaves it out and the report counts it as unrepresentable
+    g = parse_group("Z64")
+    k = np.arange(g.order)
+    values = 0.02 * (np.sin(1.3 * k + 0.2) + 0.5 * np.cos(0.7 * k))
+    write_signal_csv(str(tmp_path / "g.csv"), Signal(g, values))
+    assert main(["solve-linear", "--group", "Z64", "--c", str(c), "--input",
+                 str(tmp_path / "g.csv")]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    iso = doc["isometry"]
+    assert doc["multiplier_overflow_frequencies"] == 1
+    assert iso["ok"] is True and iso["relative_deviation"] <= 1e-10
+    assert iso["unrepresentable_data_l2"] == pytest.approx(abs(dft_values(g, values)[32]),
+                                                           rel=1e-12)
+
+
 # ---------------------------------------------------------------------------
 # solve-nonlinear
 # ---------------------------------------------------------------------------
@@ -752,6 +785,43 @@ def test_importing_the_package_first_pins_one_blas_thread():
     assert all(p.returncode == 0 for p in probes)
 
 
+_PUBLIC = {  # the package's public names
+    "__version__", "FiniteAbelianGroup", "parse_group", "compose", "inverse",
+    "evaluate_character", "enumerate_elements", "haar_weight", "index_of", "element_at",
+    "compose_indices", "Signal", "Spectrum", "dft_fast", "dft_naive", "idft", "pointwise_mul",
+    "translate", "convolve_dual", "write_signal_csv", "read_signal_csv", "write_signal_json",
+    "read_signal_json", "write_spectrum_csv", "read_spectrum_csv", "write_spectrum_json",
+    "read_spectrum_json", "Weight", "make_weight", "weight_from_table", "check_subadditivity",
+    "sobolev_norm", "lp_norm", "embedding_constant_sup", "embedding_constant_lalpha",
+    "algebra_constant", "translation_modulus", "ShiftProfileRow", "compactness_profile",
+    "verify_scale", "MultiplierProfile", "NotInDomainError", "build_multiplier", "domain_norm",
+    "apply_operator", "solve_linear", "Nonlinearity", "affine_nonlinearity",
+    "power_nonlinearity", "forced_power_nonlinearity", "parse_nonlinearity", "lowfreq_forcing",
+    "eval_source", "picard_step", "SolverConfig", "SolveReport", "size_ball", "solve_nonlinear",
+    "verify_solution", "check_growth_conditions", "run_checks", "suite_names",
+}
+
+
+def test_the_package_exports_each_module_list_once():
+    import subprocess
+    import sys
+
+    import groupsobolev
+    from groupsobolev import group, nonlinear, sobolev, spectral, stringop
+
+    names = groupsobolev.__all__
+    assert len(names) == len(set(names)) == len(_PUBLIC) == 62 and set(names) == _PUBLIC
+    assert names == ["__version__", *group.__all__, *spectral.__all__, *sobolev.__all__,
+                     *stringop.__all__, *nonlinear.__all__, "run_checks", "suite_names"]
+    for name in names:
+        assert getattr(groupsobolev, name) is not None
+    # the suites still load only on first use
+    probe = "import sys, groupsobolev; print('groupsobolev.checks' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "False"
+
+
 # ---------------------------------------------------------------------------
 # check
 # ---------------------------------------------------------------------------
@@ -859,6 +929,64 @@ def test_config_file_must_be_object(tmp_path, capsys):
         cfg.write_text(json.dumps({key: val}))
         assert main(["--config", str(cfg), "info", "--group", "Z4"]) == 2
         assert f"config key {key!r}" in capsys.readouterr().err
+
+
+_CONFIG_KEYS = (  # the long flags of every subcommand, then keys that name none
+    "group", "weight", "weight-table", "c-gamma", "s", "c", "json", "input", "output", "inverse",
+    "naive", "oracle", "alpha", "seed", "only", "inject-bug", "report", "nonlinearity",
+    "forcing", "forcing-scale", "theta", "tol", "max-iter", "epsilon-ball", "initial", "param",
+    "grid", "config", "version", "help", "sigma", "", "--s")
+_json_values = st.recursive(
+    st.one_of(st.none(), st.booleans(), st.sampled_from((0, 1, -1, 3, 2**64, 10**400)),
+              st.sampled_from((0.5, -1.0, 1e-300, 1e308)),
+              st.sampled_from(("nan", "inf", "", "x", "2", "Z8", "sym-euclid", "plancherel", "c",
+                               "power:2,1"))),
+    lambda inner: st.one_of(st.lists(inner, max_size=3),
+                            st.dictionaries(st.sampled_from(("s", "a")), inner, max_size=2)),
+    max_leaves=6)
+_Z8 = ("--group", "Z8", "--c", "1", "--nonlinearity", "forced-power:2,1", "--forcing-scale",
+       "0.1", "--max-iter", "50")  # a budget no config can lift
+_CONFIG_COMMANDS = (
+    ["info", "--group", "Z8"],
+    ["constants", "--group", "Z8"],
+    ["check", "--only", "plancherel"],
+    ["solve-nonlinear", *_Z8],
+    ["sweep", *_Z8, "--param", "c", "--grid", "0.5,1"],
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(doc=st.one_of(st.dictionaries(st.sampled_from(_CONFIG_KEYS), _json_values, max_size=4),
+                     _json_values))
+@example(doc={"s": 2, "seed": 10**400, "max-iter": 3, "alpha": [2]})
+@example(doc={"theta": "nan", "tol": None})
+@example(doc=[{"s": 1}])
+def test_any_config_file_ends_in_a_result_or_one_line(tmp_path_factory, doc):
+    import groupsobolev.cli as cli
+
+    where = tmp_path_factory.mktemp("config")
+    cfg = where / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    try:
+        cli._apply_config_defaults(cli.build_parser(), str(cfg))
+        refusal = None
+    except ValueError as exc:
+        refusal = f"error: {exc}\n"
+    cwd = os.getcwd()
+    os.chdir(where)  # an output or report path in the config lands here
+    try:
+        for argv in _CONFIG_COMMANDS:
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["--config", str(cfg), *argv])
+            assert code in (0, 1, 2)
+            assert "Traceback" not in err.getvalue()
+            if code == 2:
+                assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+            if refusal is not None:  # reading the config refused it: that line, naming the file
+                assert code == 2 and err.getvalue() == refusal and str(cfg) in refusal
+    finally:
+        os.chdir(cwd)
 
 
 # ---------------------------------------------------------------------------

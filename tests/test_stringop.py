@@ -3,10 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from groupsobolev.group import character_table, parse_group
+from groupsobolev.group import character_table, inverse_indices, parse_group
 from groupsobolev.sobolev import lp_norm, make_weight, sobolev_norm, weight_from_table
 from groupsobolev.spectral import Signal, Spectrum, idft
 from groupsobolev.stringop import (
@@ -19,6 +19,7 @@ from groupsobolev.stringop import (
     domain_norm_batch,
     multiply_spectrum,
     solve_linear,
+    unrepresentable_data,
 )
 
 
@@ -318,6 +319,55 @@ def test_norms_scale_exactly_by_powers_of_two(name, c, s, k, seed):
     data = Signal(g, rng.standard_normal(g.order))
     back = apply_operator(solve_linear(data, w, c), w, c)
     assert lp_norm(back, 2) == pytest.approx(lp_norm(data, 2), rel=1e-13, abs=0.0)
+
+
+def _small_group(factors):
+    """The product of the cyclic factors, each cut so the order stays <= 64."""
+    cut, room = [], 64
+    for n in factors:
+        cut.append(min(n, room))
+        room //= cut[-1]
+    return parse_group("x".join(f"Z{n}" for n in cut))
+
+
+def _weights_admitted(g):
+    names = ["zero", "sym-euclid", "hamming", *(f"pruefer:{p}" for p in (2, 3, 5, 7))]
+    out = []
+    for name in names:
+        try:
+            out.append(make_weight(g, name))
+        except ValueError:
+            pass
+    return out
+
+
+@settings(max_examples=40, deadline=None)
+@given(factors=st.lists(st.integers(1, 64), min_size=1, max_size=3), pick=st.integers(0, 8),
+       c=st.one_of(st.floats(0.05, 3.0), st.floats(0.69, 0.72)), real=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+@example(factors=[64], pick=1, c=0.7, real=True, seed=0)
+@example(factors=[64], pick=1, c=0.71, real=False, seed=1)
+def test_solve_linear_isometry_on_random_small_groups(factors, pick, c, real, seed):
+    # hypot(||u||_dom, the data solve_linear cannot represent) is ||g||: the
+    # check solve-linear prints.  Z64 under sym-euclid at c in [0.69, 0.72]
+    # puts log m at the top frequency in (709.78, 745), where -F(g)/m is
+    # subnormal or 0; a pick past the built-in weights draws a symmetric table
+    g = _small_group(factors)
+    rng = np.random.default_rng(seed)
+    weights = _weights_admitted(g)
+    if pick < len(weights):
+        w = weights[pick]
+    else:
+        gamma = rng.uniform(0.0, 40.0, g.order)
+        w = weight_from_table(g, np.maximum(gamma, gamma[inverse_indices(g)]), 1.0)
+    values = rng.standard_normal(g.order)
+    if not real:
+        values = values + 1j * rng.standard_normal(g.order)
+    data = Signal(g, values)
+    u = solve_linear(data, w, c)
+    share, _ = unrepresentable_data(data, w, c)
+    assert math.hypot(domain_norm(u, w, c), share) == pytest.approx(lp_norm(data, 2), rel=1e-10,
+                                                                    abs=0.0)
 
 
 def test_domain_norm_dominates_sobolev(rng):

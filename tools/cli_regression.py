@@ -83,6 +83,8 @@ INPUTS = {  # file name: its text
     # gamma vanishes on the odd characters but not at 1 + 1 = 2
     "z8_degenerate.csv": lambda: _table([0, 0, 1, 0, 1, 0, 1, 0]),
     "z8_negative.csv": lambda: _table([0, 1, 2, 3, -4, 3, 2, 1]),
+    # gamma(2) exceeds gamma(1) + gamma(1) by 1e-8: a ratio of 1.000000005
+    "z4_near_one.csv": lambda: _table([0, 1, 2.00000001, 1]),
     "z5_four_pairs.json": lambda: _json("Z5", _wave(4, 0.1, imag=False)),
     "z4_huge.json": lambda: _json("Z4", [1e308] * 4),
     "z4_1e200.json": lambda: _json("Z4", [1e200, -2e200, 3e200j, 0.5e200]),
@@ -119,6 +121,7 @@ COMMANDS = {  # name: argv; "{tmp}" is the run's directory, which holds the INPU
                            "{tmp}/z8_degenerate.csv"],
     "info-z8-degenerate-json": ["info", "--group", "Z8", "--weight-table",
                                 "{tmp}/z8_degenerate.csv", "--json"],
+    "info-z4-near-one": ["info", "--group", "Z4", "--weight-table", "{tmp}/z4_near_one.csv"],
     "info-z2^10-hamming-json": ["info", "--group", "x".join(["Z2"] * 10), "--weight", "hamming",
                                 "--json"],
     "info-z729-pruefer-json": ["info", "--group", "Z729", "--weight", "pruefer:3", "--json"],
@@ -146,6 +149,10 @@ COMMANDS = {  # name: argv; "{tmp}" is the run's directory, which holds the INPU
     "solve-linear-files": ["solve-linear", "--group", "Z64", "--weight", "pruefer:2", "--c", "2",
                            "--input", "{tmp}/z64_real.csv", "--output", "{tmp}/u.csv",
                            "--report", "{tmp}/report.json"],
+    # m overflows at the top frequency alone, where -F(g)/m is subnormal
+    **{f"solve-linear-subnormal-{c}": ["solve-linear", "--group", "Z64", "--c", c, "--input",
+                                       "{tmp}/z64_real.csv", "--report", "{tmp}/report.json"]
+       for c in ("0.7", "0.71")},
     "solve-z4096": ["solve-nonlinear", "--group", "Z4096", "--c", "1", "--nonlinearity",
                     "forced-power:2,1", "--forcing-scale", "0.2"],
     "solve-z4096-pruefer": ["solve-nonlinear", "--group", "Z4096", "--weight", "pruefer:2",
