@@ -408,6 +408,16 @@ class _Parser(argparse.ArgumentParser):
         raise ValueError(f"{self.prog}: {message}")
 
 
+class _Repeated(argparse._AppendAction):  # noqa: SLF001 - argparse surface
+    """``action="append"`` whose first use on the command line replaces the
+    default list, which ``--config`` may set, instead of extending it."""
+
+    def __call__(self, parser, namespace, values, option_string=None):
+        if getattr(namespace, self.dest) is self.default:
+            setattr(namespace, self.dest, None)
+        super().__call__(parser, namespace, values, option_string)
+
+
 class _SuiteListFormatter(argparse.HelpFormatter):
     """Fills the suite list into ``check``'s help only when help is printed,
     so that other commands do not import the suites."""
@@ -480,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("constants", help="embedding/algebra constants table")
     _add_problem_flags(p)
-    p.add_argument("--alpha", type=float, action="append", default=None)
+    p.add_argument("--alpha", type=float, action=_Repeated, default=None)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_constants)
 
@@ -489,7 +499,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=42)
     p.add_argument("--json", action="store_true")
     p.add_argument("--output", default=None, help="write the JSON result here")
-    p.add_argument("--only", action="append", default=None,
+    p.add_argument("--only", action=_Repeated, default=None,
                    help="restrict to a suite ({suites})")
     p.add_argument("--inject-bug", action="store_true", help=argparse.SUPPRESS)
     p.set_defaults(func=_cmd_check)

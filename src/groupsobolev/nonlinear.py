@@ -32,17 +32,12 @@ certifies its own (a, y); :func:`verify_solution` takes them from a
 Signal and gives the same record.  A phi that is not real is certified
 as p + i q, both real fields on the layout.
 
-Only ``spectral`` and G know the half layout: G makes real-to-half
+Only ``spectral`` and G know the half layout, and ``spectral`` owns its
+pairing of xi with xi^-1 (``HalfLayout``): G makes real-to-half
 transforms, about half the work of complex ones, on the multiplier built
-from gamma gathered onto the layout, and counts an entry twice in a norm
-but where its partner is stored too.  On an elementary abelian 2-group
-(Z2^n, the Walsh case) every character is real, and so are a real field's
-coefficients: a is float64 on the full dual, G's transforms are real
-products with the +-1 character tables, and the Hermitian projection is
-the identity.  A group with no axis to halve that is not a 2-group (every
-factor of length 3 or more merged into a dense block, e.g. Z2xZ4xZ2xZ4)
-keeps the full dual and the complex arithmetic.  The returned phi carries
-its full coefficients, expanded once.
+from gamma gathered onto the layout, and has the layout project each step
+onto a real field's coefficients and split a certified phi into p + i q.
+The returned phi carries its full coefficients, expanded once.
 
 Nonlinearities are described by the growth data (alpha, beta, C, h, f):
 
@@ -55,10 +50,9 @@ rule (the underlying theory only asserts "eps exists") is spelled out at
 :func:`size_ball`: it bounds L^{-1} from L^2 to L^{2alpha} by interpolating
 its exact norms into L^2, max 1/m, and into L^infinity, ||1/m||_l2.  The
 string field is real-valued throughout; transforms leave only a
-rounding-level anti-Hermitian part in its coefficients (on the half layout,
-only where an entry's partner is stored too), which is projected away.  It
-cannot be more than rounding: m is a function of gamma, and the solver's
-weights are symmetric.
+rounding-level anti-Hermitian part in its coefficients, which is projected
+away.  It cannot be more than rounding: m is a function of gamma, and the
+solver's weights are symmetric.
 """
 from __future__ import annotations
 
@@ -190,13 +184,34 @@ def _signed_power(y: np.ndarray, p: int) -> np.ndarray:
     return np.copysign(mag, y) if p % 2 else mag
 
 
-def _check_power(p: int, lam: float) -> tuple[int, float]:
+def _power_family(p: int, lam: float, h: Signal | None,
+                  group: FiniteAbelianGroup) -> Nonlinearity:
+    """U(x, y) = y + lam * y^p, plus h(x) when a forcing ``h`` is given, for
+    integer p >= 2 and finite lam > 0.  Growth data is exact: alpha = p,
+    beta = p - 1, C = p*lam, at least 1 with a forcing, and a zero
+    derivative envelope."""
     p, lam = int(p), float(lam)
     if p < 2:
         raise ValueError(f"power nonlinearity needs integer p >= 2, got {p}")
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"coupling must be finite and positive, got {lam}")
-    return p, lam
+    if h is None:
+        name, c_growth, h = "power", p * lam, _zero_signal(group)
+        u_func = lambda y: y + lam * _signed_power(y, p)
+    else:
+        hv = h.values.real.copy()
+        name, c_growth, h = "forced-power", max(1.0, p * lam), Signal(group, hv)
+        u_func = lambda y: y + lam * _signed_power(y, p) + hv
+    return Nonlinearity(
+        name=f"{name}:{p},{lam!r}",
+        u_func=u_func,
+        du_func=lambda y: 1.0 + p * lam * _signed_power(y, p - 1),
+        alpha=float(p),
+        beta=float(p - 1),
+        c_growth=c_growth,
+        h=h,
+        f_env=_zero_signal(group),
+    )
 
 
 def power_nonlinearity(group: FiniteAbelianGroup, p: int, lam: float) -> Nonlinearity:
@@ -206,33 +221,12 @@ def power_nonlinearity(group: FiniteAbelianGroup, p: int, lam: float) -> Nonline
     theory.  Growth data is exact: alpha = p, beta = p - 1, C = p*lam, with
     zero envelopes.
     """
-    p, lam = _check_power(p, lam)
-    return Nonlinearity(
-        name=f"power:{p},{lam!r}",
-        u_func=lambda y: y + lam * _signed_power(y, p),
-        du_func=lambda y: 1.0 + p * lam * _signed_power(y, p - 1),
-        alpha=float(p),
-        beta=float(p - 1),
-        c_growth=p * lam,
-        h=_zero_signal(group),
-        f_env=_zero_signal(group),
-    )
+    return _power_family(p, lam, None, group)
 
 
 def forced_power_nonlinearity(p: int, lam: float, h: Signal) -> Nonlinearity:
     """U(x, y) = y + lam * y^p + h(x)."""
-    p, lam = _check_power(p, lam)
-    hv = h.values.real.copy()
-    return Nonlinearity(
-        name=f"forced-power:{p},{lam!r}",
-        u_func=lambda y: y + lam * _signed_power(y, p) + hv,
-        du_func=lambda y: 1.0 + p * lam * _signed_power(y, p - 1),
-        alpha=float(p),
-        beta=float(p - 1),
-        c_growth=max(1.0, p * lam),
-        h=Signal(h.group, hv),
-        f_env=_zero_signal(h.group),
-    )
+    return _power_family(p, lam, h, h.group)
 
 
 def parse_nonlinearity(
@@ -370,25 +364,11 @@ class _FixedPointMap:
         return v_hat if _all_finite(v_hat) else None
 
     def step(self, v_hat: np.ndarray) -> np.ndarray:
-        """Coefficients of G's output, -v_hat / m, each entry ``paired`` (all
-        of them where no axis is halved) averaged with the conjugate of its
-        partner, stored at ``partner``, so that the field they synthesize is
-        exactly real.  m and -1/m are functions of gamma, which the weight
-        holds alike at xi and xi^-1, so the projection removes rounding only.
-        On a 2-group's ``real`` layout each entry is real and its own
-        partner, and the projection is the identity."""
-        raw = v_hat * self.neg_inverse
-        layout = self.layout
-        if layout.real:
-            return raw
-        sym = raw[layout.partner]
-        np.conjugate(sym, out=sym)
-        sym += raw if layout.paired is None else raw[layout.paired]
-        sym *= 0.5
-        if layout.paired is None:
-            return sym
-        raw[layout.paired] = sym
-        return raw
+        """Coefficients of G's output, -v_hat / m, projected by the layout
+        onto those of a real field.  m and -1/m are functions of gamma, which
+        the weight holds alike at xi and xi^-1, so the projection removes
+        rounding only."""
+        return self.layout.project(v_hat * self.neg_inverse)
 
     def residual(self, a: np.ndarray, v_hat: np.ndarray | None) -> float:
         """||L phi - V(., phi)||_L2 = ||m a + v_hat||_l2 for phi of
@@ -653,8 +633,7 @@ def solve_nonlinear(
             y0 = np.zeros(group.order)
         else:
             y0 = _real_values(nl, cfg.initial)
-            d0 = dual_coefficients(cfg.initial)
-            a0 = layout.gather(0.5 * (d0 + np.conj(d0[inverse_indices(group)])))
+            a0 = layout.split(dual_coefficients(cfg.initial))[0]
             if not _all_finite(a0):
                 raise ValueError("initial field is too large: its coefficients overflow float64")
         v_hat0 = fmap.source_hat(nl, y0)
@@ -765,7 +744,6 @@ def verify_solution(
     if w.group != group:
         raise ValueError("signal and weight live on different groups")
     fmap = _fixed_point_map(nl, w, c)
-    layout = fmap.layout
     dual = phi.exact_dual
     values = phi.values
     worst_imag = float(np.abs(values.imag).max(initial=0.0))
@@ -773,10 +751,8 @@ def verify_solution(
         if dual is None:
             p = dft_values(group, values.real, half=True)
             q = dft_values(group, values.imag, half=True) if worst_imag else None
-        elif np.array_equal(partners := dual[inverse_indices(group)].conj(), dual):
-            p, q = layout.gather(dual), None
         else:
-            p, q = layout.gather(0.5 * (dual + partners)), layout.gather(-0.5j * (dual - partners))
+            p, q = fmap.layout.split(dual)
     # |x + 0j| is |x|: a real phi's sup reads its real parts, bit for bit
     sup = float(np.abs(values.real if worst_imag == 0.0 else values).max())
     y = np.ascontiguousarray(values.real) if worst_imag <= _IMAG_TOL else None

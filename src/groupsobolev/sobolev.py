@@ -155,6 +155,14 @@ def weight_from_table(
     return Weight(group, values, c_gamma, name)
 
 
+def _check_group(group: FiniteAbelianGroup, w: Weight,
+                 message: str = "weight lives on a different group") -> None:
+    """Refuse a weight that does not live on ``group``: its table may still
+    have the order of ``group``'s dual."""
+    if w.group != group:
+        raise ValueError(message)
+
+
 def _worst_ratio(num: np.ndarray, den: np.ndarray) -> tuple[float, int, int | None]:
     """The largest num/den over the entries with den > 0 (0 if there are
     none), the first flat position of that maximum, and the first flat
@@ -193,6 +201,7 @@ def check_subadditivity(group: FiniteAbelianGroup, w: Weight, seed: int = 0) -> 
     Returns {"ok", "worst_ratio", "witness", "pairs_checked", "mode"};
     never raises on a violation (the witness pair is reported instead).
     """
+    _check_group(group, w)
     gam = w.values
     n = group.order
     exhaustive = n <= 4096
@@ -258,8 +267,7 @@ def sobolev_norm_batch(w: Weight, s: float, spectra: np.ndarray) -> np.ndarray:
 def sobolev_norm(f: Signal, w: Weight, s: float) -> float:
     """||f||_{s,gamma}; at s = 0 equal to the L^2 norm (Plancherel).  A
     transform of the values that overflows reads inf."""
-    if f.group != w.group:
-        raise ValueError("signal and weight live on different groups")
+    _check_group(f.group, w, "signal and weight live on different groups")
     with np.errstate(over="ignore", invalid="ignore"):
         return float(sobolev_norm_batch(w, s, dft_values(f.group, f.values)))
 
@@ -371,6 +379,7 @@ def embedding_constant_sup(group: FiniteAbelianGroup, w: Weight, s: float) -> fl
     Every f obeys sup|f| <= C(gamma, s) * ||f||_{s,gamma}: Cauchy-Schwarz
     against the inversion formula.  Always finite on a finite dual.
     """
+    _check_group(group, w)
     s = _check_s(s)
     return float(np.sqrt(_inverse_power_sum(w, s)))
 
@@ -387,6 +396,7 @@ def embedding_constant_lalpha(
 ) -> dict:
     """The L^{alpha*} embedding data: alpha* = 2 alpha/(alpha - s) and the
     constant (sum (1+gamma^2)^{-alpha})^{s/(2 alpha)}."""
+    _check_group(group, w)
     s = _check_s(s)
     alpha = float(alpha)
     if not (math.isfinite(alpha) and alpha >= 1):
@@ -443,6 +453,7 @@ def translation_modulus(group: FiniteAbelianGroup, w: Weight, s: float, h) -> fl
     integral |f(xh) - f(x)|^2 dmu <= C(h) ||f||_{s,gamma}^2.
     Zero at h = identity; nonincreasing in s.
     """
+    _check_group(group, w)
     return float(_translation_moduli(group, w, s, h))
 
 
@@ -473,6 +484,7 @@ def compactness_profile(
     h = m * e_j is profiled.  Uniform smallness of these ratios as h -> e is
     the quantitative hypothesis behind compact embedding into L^2.
     """
+    _check_group(group, w)
     s = _check_s(s)
     denom = (1.0 + w.values**2) ** s
     rows: list[ShiftProfileRow] = []
@@ -497,6 +509,7 @@ def verify_scale(f: Signal, w: Weight, s: float, sigma: float) -> bool:
 
     Requires sigma <= s (equality allowed); raises ValueError otherwise.
     """
+    _check_group(f.group, w, "signal and weight live on different groups")
     s = _check_s(s)
     sigma = _check_s(sigma)
     if sigma > s:

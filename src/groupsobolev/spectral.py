@@ -29,14 +29,18 @@ length >= 3 is halved to n//2 + 1 by ``rfft``/``irfft``, the other
 single-factor axes go through ``fft``/``ifft``, and the block products run
 on the half grid, in the one pass sequence of every transform.  A sum over
 the dual counts an entry twice but where its partner xi^-1 is stored too.
-Only the fixed-point map of ``nonlinear``, which steps and certifies every
-field, holds coefficients on this layout; every other module reads the
-full dual.  On an elementary abelian 2-group (every factor Z2, or
-Z1) each character is its own inverse and takes the values +-1, so a real
-field's coefficients are real: every run of factors, a lone Z2 too, is a
-dense block (a last run of order below ``_BLOCK_ORDER`` joins the run
-before it), and the half transforms are float64 products with the +-1
-tables on the full dual.  Any other group with no axis to halve (every
+The layout owns the pairing of xi with xi^-1: it gathers a real field's
+coefficients from the full dual and expands them back, projects half
+coefficients onto those of a real field, and splits any full-dual
+coefficients into those of two real fields, p + i q.  Only the fixed-point
+map of ``nonlinear``, which steps and certifies every field, holds
+coefficients on this layout, and it forms no Hermitian part itself; every
+other module reads the full dual.  On an elementary abelian 2-group (every
+factor Z2, or Z1) each character is its own inverse and takes the values
++-1, so a real field's coefficients are real: every run of factors, a lone
+Z2 too, is a dense block (a last run of order below ``_BLOCK_ORDER`` joins
+the run before it), and the half transforms are float64 products with the
++-1 tables on the full dual.  Any other group with no axis to halve (every
 factor of length 3 or more merged into a block, e.g. Z2xZ4xZ2xZ4) keeps
 the full dual as its half, with the complex arithmetic and no gathers.
 """
@@ -181,17 +185,17 @@ class HalfLayout:
     partner xi^-1 is stored too (coordinate 0 or n/2 on the halved axis) and
     ``partner`` the positions of those partners.  Every other entry stands
     for its partner as well, so a sum of |F|^2 over the dual counts it
-    twice.  Full index i reads half entry ``source[i]``, conjugated where
-    ``conjugate`` is set.
+    twice.  ``inverse`` is the inverse map of the full dual, index of xi to
+    index of xi^-1.
 
     When no axis can be halved the half is the full dual: ``axis``,
-    ``index``, ``paired``, ``source`` and ``conjugate`` are None (every
-    entry is its own half entry, counted once, and paired), ``partner`` is
-    the inverse map of the dual, and :meth:`expand` returns
-    its argument.  ``real`` is set on an elementary abelian 2-group, whose
-    characters are real: there a real field's coefficients are real, held
-    as float64, and :meth:`gather` takes the real part of Hermitian
-    coefficients; elsewhere it returns its argument.
+    ``index`` and ``paired`` are None (every entry is its own half entry,
+    counted once, and paired), ``partner`` is ``inverse``, and
+    :meth:`expand` returns its argument.  ``real`` is set on an elementary
+    abelian 2-group, whose characters are real: there a real field's
+    coefficients are real, held as float64, :meth:`gather` takes the real
+    part of Hermitian coefficients, elsewhere it returns its argument, and
+    :meth:`project` returns its argument.
     """
 
     axis: int | None
@@ -200,8 +204,7 @@ class HalfLayout:
     index: np.ndarray | None
     paired: np.ndarray | None
     partner: np.ndarray
-    source: np.ndarray | None
-    conjugate: np.ndarray | None
+    inverse: np.ndarray
     real: bool = False
 
     def gather(self, full: np.ndarray) -> np.ndarray:
@@ -212,12 +215,42 @@ class HalfLayout:
         return np.take(full, self.index, axis=-1)
 
     def expand(self, half: np.ndarray) -> np.ndarray:
-        """The full-dual coefficients of a real field from its half entries."""
+        """The full-dual coefficients of a real field from its half entries
+        (last axis = half): each half entry at its own index, and its
+        conjugate at its partner's unless that is stored too."""
         if self.index is None:
             return half
-        full = half[..., self.source]
-        np.conjugate(full, out=full, where=self.conjugate)
+        full = np.empty((*half.shape[:-1], self.inverse.size), dtype=half.dtype)
+        full[..., self.inverse[self.index]] = np.conjugate(half)
+        full[..., self.index] = half
         return full
+
+    def project(self, raw: np.ndarray) -> np.ndarray:
+        """The coefficients on the layout of a real field nearest to ``raw``:
+        each entry whose partner is stored too (every entry where no axis is
+        halved) averaged with the conjugate of its partner.  Overwrites and
+        returns ``raw`` where an axis is halved, returns it on a 2-group's
+        real layout, and a new array otherwise."""
+        if self.real:
+            return raw
+        sym = raw[self.partner]
+        np.conjugate(sym, out=sym)
+        sym += raw if self.paired is None else raw[self.paired]
+        sym *= 0.5
+        if self.paired is None:
+            return sym
+        raw[self.paired] = sym
+        return raw
+
+    def split(self, full: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """Full-dual coefficients as p + i q, with p and q the half
+        coefficients of two real fields: the Hermitian part of ``full`` and
+        its anti-Hermitian part times -i.  Exactly Hermitian coefficients
+        give (their half entries, None)."""
+        partners = full[self.inverse].conj()
+        if np.array_equal(partners, full):
+            return self.gather(full), None
+        return self.gather(0.5 * (full + partners)), self.gather(-0.5j * (full - partners))
 
 
 def _half_layout(factors: tuple[int, ...], shape: tuple[int, ...], single: list[int],
@@ -228,7 +261,7 @@ def _half_layout(factors: tuple[int, ...], shape: tuple[int, ...], single: list[
     inv = inverse_indices(group)
     halvable = [axis for axis in single if shape[axis] >= 3]
     if not halvable:
-        return HalfLayout(None, shape, group.order, None, None, inv, None, None, real)
+        return HalfLayout(None, shape, group.order, None, None, inv, inv, real)
     axis = halvable[-1]
     n, post = shape[axis], math.prod(shape[axis + 1:])
     half_shape = (*shape[:axis], n // 2 + 1, *shape[axis + 1:])
@@ -239,12 +272,9 @@ def _half_layout(factors: tuple[int, ...], shape: tuple[int, ...], single: list[
     pos = np.full(group.order, -1)
     pos[index] = np.arange(index.size)
     partner = pos[inv[index[paired]]]
-    conjugate = pos < 0
-    source = np.where(conjugate, pos[inv], pos)
-    for arr in (index, paired, partner, source, conjugate):
+    for arr in (index, paired, partner):
         arr.setflags(write=False)
-    return HalfLayout(axis - len(shape), half_shape, index.size, index, paired, partner, source,
-                      conjugate)
+    return HalfLayout(axis - len(shape), half_shape, index.size, index, paired, partner, inv)
 
 
 class _GridPlan(NamedTuple):

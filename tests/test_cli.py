@@ -911,6 +911,26 @@ def test_config_file_supplies_required_flags(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["config"]["group"] == "Z8"
 
 
+@pytest.mark.parametrize("argv, config, flags, rows, field, from_config, from_flags", [
+    (["constants", "--group", "Z4", "--json"], {"alpha": [2]}, ["--alpha", "5", "--alpha", "7"],
+     "lebesgue_embeddings", "alpha", [2.0], [5.0, 7.0]),
+    (["check", "--json"], {"only": ["plancherel"]}, ["--only", "transform-roundtrip"], "suites",
+     "name", ["plancherel"], ["transform-roundtrip"]),
+])
+def test_config_list_is_replaced_by_the_flag_on_the_command_line(
+        tmp_path, capsys, argv, config, flags, rows, field, from_config, from_flags):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+
+    def listed(extra):
+        assert main(["--config", str(cfg), *argv, *extra]) == 0
+        return [row[field] for row in json.loads(capsys.readouterr().out)[rows]]
+
+    assert listed([]) == from_config
+    # the first use of the flag replaces the config's list, and its repeats extend it
+    assert listed(flags) == from_flags
+
+
 @pytest.mark.parametrize("form", [["--config=CFG"], ["--conf", "CFG"]])
 def test_config_file_every_spelling(tmp_path, capsys, form):
     cfg = tmp_path / "cfg.json"

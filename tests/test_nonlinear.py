@@ -84,6 +84,34 @@ def test_power_nonlinearity_validation():
         power_nonlinearity(g, 2, -0.5)
 
 
+_LITERAL_POWERS = {1: lambda y: y, 2: lambda y: y * y, 3: lambda y: y * y * y,
+                   4: lambda y: y ** 4, 5: lambda y: y ** 5}
+
+
+@pytest.mark.parametrize("p, lam", [(2, 1.0), (3, 0.1234567), (5, 2.5)])
+@pytest.mark.parametrize("forced", [False, True], ids=["power", "forced-power"])
+def test_power_family_growth_data_and_formulas(p, lam, forced, rng):
+    g = parse_group("Z8")
+    hv = rng.standard_normal(g.order)
+    if forced:
+        nl = forced_power_nonlinearity(p, lam, Signal(g, hv))
+    else:
+        nl = power_nonlinearity(g, p, lam)
+    assert nl.name == f"{'forced-power' if forced else 'power'}:{p},{lam!r}"
+    assert (nl.alpha, nl.beta) == (float(p), float(p - 1))
+    assert nl.c_growth == (max(1.0, p * lam) if forced else p * lam)
+    assert np.array_equal(nl.h.values, hv if forced else np.zeros(g.order))
+    assert not nl.f_env.values.any()
+    # signed, zero and large samples; the literal formulas, bit for bit
+    y = np.array([-3.5, -1.0, -0.0, 0.0, 0.25, 1.5, 1e100, -1e100])
+    power = _LITERAL_POWERS
+    with np.errstate(over="ignore"):
+        u = y + lam * power[p](y) + hv if forced else y + lam * power[p](y)
+        du = 1.0 + p * lam * power[p - 1](y)
+        assert nl.u_func(y).tobytes() == u.tobytes()
+        assert nl.du_func(y).tobytes() == du.tobytes()
+
+
 def test_parse_nonlinearity():
     g = parse_group("Z8")
     h = lowfreq_forcing(g, 0.1)

@@ -174,6 +174,27 @@ def test_sampled_subadditivity_record_replays_the_seeded_draws(zeros, seed, rng)
     assert (bad.size > 0) == (zeros > 0)
 
 
+_ELSEWHERE = "weight lives on a different group"
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda g, w: check_subadditivity(g, w), _ELSEWHERE),
+    (lambda g, w: embedding_constant_sup(g, w, 1.0), _ELSEWHERE),
+    (lambda g, w: embedding_constant_lalpha(g, w, 1.0, 2.0), _ELSEWHERE),
+    (lambda g, w: algebra_constant(g, w, 1.0), _ELSEWHERE),
+    (lambda g, w: translation_modulus(g, w, 1.0, (1, 1)), _ELSEWHERE),
+    (lambda g, w: compactness_profile(g, w, 1.0), _ELSEWHERE),
+    (lambda g, w: verify_scale(Signal(g, np.arange(8.0)), w, 1.0, 0.5),
+     "signal and weight live on different groups"),
+], ids=["check_subadditivity", "embedding_constant_sup", "embedding_constant_lalpha",
+        "algebra_constant", "translation_modulus", "compactness_profile", "verify_scale"])
+def test_a_weight_from_another_group_is_refused(call, message):
+    # Z8 has the order of Z2xZ4, so its weight table would fit the dual
+    w = make_weight(parse_group("Z8"), "sym-euclid")
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(parse_group("Z2xZ4"), w)
+
+
 def test_sobolev_norm_single_mode():
     g = parse_group("Z4")
     w = make_weight(g, "sym-euclid")

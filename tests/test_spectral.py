@@ -387,6 +387,54 @@ def test_half_layout_property(factors, seed):
     _check_half_layout(g, rows)
 
 
+LAYOUTS = {"Z12": "Z12", "Z64xZ64": "Z64xZ64", "Z2xZ4xZ2xZ4": "Z2xZ4xZ2xZ4",
+           "Z2^6": "x".join(["Z2"] * 6)}
+
+
+def _same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _reference_expand(layout, half):
+    """Full index i reads half entry source[i], conjugated where i is not an
+    entry of the layout itself."""
+    if layout.index is None:
+        return half
+    pos = np.full(layout.inverse.size, -1)
+    pos[layout.index] = np.arange(layout.size)
+    conjugate = pos < 0
+    full = half[..., np.where(conjugate, pos[layout.inverse], pos)]
+    np.conjugate(full, out=full, where=conjugate)
+    return full
+
+
+@pytest.mark.parametrize("name", list(LAYOUTS.values()), ids=list(LAYOUTS))
+def test_half_layout_expands_projects_and_splits(name, rng):
+    g = parse_group(name)
+    layout = half_layout(g)
+    assert np.array_equal(layout.inverse, inverse_indices(g))
+
+    def draw(*shape, real=False):
+        z = rng.standard_normal(shape)
+        return z if real else z + 1j * rng.standard_normal(shape)
+
+    batch = draw(2, layout.size, real=layout.real)
+    assert _same_bits(layout.expand(batch), _reference_expand(layout, batch))
+    # a projection gives exactly Hermitian full coefficients, which split
+    # hands back as they were, with no anti-Hermitian part
+    half = layout.project(draw(layout.size, real=layout.real))
+    full = layout.expand(half)
+    assert np.array_equal(full[layout.inverse].conj(), full)
+    p, q = layout.split(full)
+    assert _same_bits(p, half) and q is None
+    # any full coefficients are p + i q, to rounding
+    full = draw(g.order)
+    p, q = layout.split(full)
+    assert q is not None
+    back = layout.expand(p) + 1j * layout.expand(q)
+    assert np.abs(back - full).max() <= 1e-15 * np.abs(full).max()
+
+
 @pytest.mark.parametrize("name", ZOO + ["Z720", "Z4096", "Z3xZ5xZ7"])
 def test_roundtrip_both_ways(name, rng):
     g = parse_group(name)

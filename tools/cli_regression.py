@@ -19,7 +19,8 @@ The set covers ``check`` JSON at three seeds, every subcommand's help,
 ``transform`` with ``--naive``/``--oracle``/``--inverse``,
 ``solve-linear``, ``solve-nonlinear`` on the six groups of the benchmark's
 ``solve`` menu and on edge rows, the benchmark's ``sweep`` command and
-three others, ``--config``, and error paths.  Input files are
+three others, ``--config`` (supplying required flags, and a list that a
+repeated flag replaces), and error paths.  Input files are
 written by this script from fixed formulas, not by the package, so both
 trees read the same bytes.
 """
@@ -94,6 +95,8 @@ INPUTS = {  # file name: its text
     "z4_bool.json": lambda: '{"group": "Z4", "values": [[true, false], ["0.5", 0], [0, 0], '
                             '[0, 0]]}\n',
     "config.json": lambda: '{"group": "Z4", "c": 1}\n',
+    "config_alpha.json": lambda: '{"alpha": [2]}\n',
+    "config_only.json": lambda: '{"only": ["plancherel"]}\n',
 }
 
 _SOLVE = ("solve-nonlinear", "--weight", "sym-euclid", "--nonlinearity")
@@ -182,6 +185,10 @@ COMMANDS = {  # name: argv; "{tmp}" is the run's directory, which holds the INPU
     "solve-unforced": [*_SOLVE, "power:2,1", "--group", "Z64", "--c", "1"],
     "solve-initial": [*_SOLVE, "forced-power:2,1", "--group", "Z64", "--c", "1",
                       "--forcing-scale", "0.1", "--initial", "{tmp}/z64_initial.csv"],
+    # damped, the first iterate keeps 0.3 of the initial field's coefficients
+    "solve-initial-damped": [*_SOLVE, "forced-power:2,1", "--group", "Z64", "--c", "1",
+                             "--forcing-scale", "0.1", "--initial", "{tmp}/z64_initial.csv",
+                             "--theta", "0.7"],
     "solve-s-60": [*_SOLVE, "power:2,1", "--group", "Z4", "--c", "1", "--s", "60"],
     "solve-z2xz4xz2xz4": [*_SOLVE, "forced-power:2,1", "--group", "Z2xZ4xZ2xZ4", "--c", "1",
                           "--forcing-scale", "0.1", "--theta", "0.5"],
@@ -196,6 +203,11 @@ COMMANDS = {  # name: argv; "{tmp}" is the run's directory, which holds the INPU
                             "0.01,0.1,10"],
     "config-supplies-flags": ["--config", "{tmp}/config.json", "solve-nonlinear",
                               "--nonlinearity", "power:2,1"],
+    # a repeated flag on the command line replaces the config's list
+    "config-alpha-replaced": ["--config", "{tmp}/config_alpha.json", "constants", "--group", "Z4",
+                              "--alpha", "5", "--json"],
+    "config-only-replaced": ["--config", "{tmp}/config_only.json", "check", "--only",
+                             "transform-roundtrip", "--json"],
     # error paths: each ends in exit 2 and one line
     "error-bad-group": ["info", "--group", "Q8"],
     "error-c-gamma-alone": ["info", "--group", "Z4", "--c-gamma", "2"],
