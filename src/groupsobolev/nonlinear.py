@@ -39,6 +39,17 @@ from gamma gathered onto the layout, and has the layout project each step
 onto a real field's coefficients and split a certified phi into p + i q.
 The returned phi carries its full coefficients, expanded once.
 
+Solve on the band, certify on the group.  1/m decays like e^{-c gamma^2},
+so a solution's coefficients outside the band B = {log m <= 40} are below
+e^-40 times the source's.  For a catalog polynomial nonlinearity and no
+initial field, the loop may run on a coarse group that holds B and
+de-aliases the source (``spectral.frequency_embedding``), on a map of its
+own that a band plan per (weight, c, degree) holds apart from ``_plan``;
+its divergence test reads the coarse samples' L^{2 alpha} norm.  Its
+coefficients are put back into the group's half layout, and the certificate
+above runs on the whole group, evaluating ``u_func`` there: the coarse loop
+never certifies itself.  See :func:`solve_nonlinear`.
+
 Nonlinearities are described by the growth data (alpha, beta, C, h, f):
 
     |U(x,y) - y|            <= C (|h(x)| + |y|^alpha),
@@ -57,7 +68,7 @@ solver's weights are symmetric.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import lru_cache
 from typing import Callable
 
@@ -83,7 +94,9 @@ from .spectral import (
     _all_finite,
     dft_values,
     dual_coefficients,
+    frequency_embedding,
     half_layout,
+    half_tables,
     idft_values,
 )
 from .stringop import (
@@ -121,6 +134,10 @@ class Nonlinearity:
     values y over the group (enumeration order), they return U(x, y(x)) and
     dU/dy(x, y(x)) as arrays; any x-dependence is baked into the callable.
     ``h`` bounds the inhomogeneous part, ``f_env`` the derivative's.
+    ``_pointwise``, set by the catalog builders, is (p, P) when U(x, y) =
+    y + P(y) + h(x) for a polynomial P of degree p, vectorized as u_func is;
+    the solver may then iterate on a coarser group (see
+    :func:`solve_nonlinear`).
     """
 
     name: str
@@ -131,6 +148,8 @@ class Nonlinearity:
     c_growth: float
     h: Signal
     f_env: Signal
+    _pointwise: tuple[int, Callable[[np.ndarray], np.ndarray]] | None = field(
+        default=None, repr=False, kw_only=True)
 
     def __post_init__(self) -> None:
         if not self.alpha > 1:
@@ -168,6 +187,7 @@ def affine_nonlinearity(h: Signal) -> Nonlinearity:
         c_growth=1.0,
         h=Signal(h.group, hv),
         f_env=_zero_signal(h.group),
+        _pointwise=(0, np.zeros_like),
     )
 
 
@@ -195,13 +215,14 @@ def _power_family(p: int, lam: float, h: Signal | None,
         raise ValueError(f"power nonlinearity needs integer p >= 2, got {p}")
     if not (math.isfinite(lam) and lam > 0):
         raise ValueError(f"coupling must be finite and positive, got {lam}")
+    pointwise = lambda y: lam * _signed_power(y, p)
     if h is None:
         name, c_growth, h = "power", p * lam, _zero_signal(group)
-        u_func = lambda y: y + lam * _signed_power(y, p)
+        u_func = lambda y: y + pointwise(y)
     else:
         hv = h.values.real.copy()
         name, c_growth, h = "forced-power", max(1.0, p * lam), Signal(group, hv)
-        u_func = lambda y: y + lam * _signed_power(y, p) + hv
+        u_func = lambda y: y + pointwise(y) + hv
     return Nonlinearity(
         name=f"{name}:{p},{lam!r}",
         u_func=u_func,
@@ -211,6 +232,7 @@ def _power_family(p: int, lam: float, h: Signal | None,
         c_growth=c_growth,
         h=h,
         f_env=_zero_signal(group),
+        _pointwise=(p, pointwise),
     )
 
 
@@ -356,12 +378,16 @@ class _FixedPointMap:
     finite_values: np.ndarray
     neg_inverse: np.ndarray
 
-    def source_hat(self, nl: Nonlinearity, y: np.ndarray) -> np.ndarray | None:
-        """Coefficients of the source V(., y), or None when they are not
-        finite, as they are not where V is: the mean coefficient sums every
+    def source_hat(self, v: np.ndarray) -> np.ndarray | None:
+        """Coefficients of the source of samples v, or None when they are not
+        finite, as they are not where v is: the mean coefficient sums every
         sample."""
-        v_hat = dft_values(self.weight.group, nl.u_func(y) - y, half=True)
+        v_hat = self.transform(v)
         return v_hat if _all_finite(v_hat) else None
+
+    def transform(self, v: np.ndarray) -> np.ndarray:
+        """The half coefficients of the real field of samples v."""
+        return dft_values(self.weight.group, v, half=True)
 
     def step(self, v_hat: np.ndarray) -> np.ndarray:
         """Coefficients of G's output, -v_hat / m, projected by the layout
@@ -446,18 +472,36 @@ class _FixedPointMap:
         }
 
 
-# The benchmark's solve workload cycles 12 (weight, c) cells, which 16 entries
-# hold; a sweep over c uses each map once.  Weights hash by identity, and a
-# cached key keeps its weight alive.
-@lru_cache(maxsize=16)
-def _plan(w: Weight, c: float) -> _FixedPointMap:
+@dataclass(frozen=True, eq=False)
+class _TabledMap(_FixedPointMap):
+    """The map of a small coarse group, which transforms by products with
+    its group's ``spectral.half_tables``."""
+
+    tables: tuple[np.ndarray, np.ndarray]
+
+    def transform(self, v: np.ndarray) -> np.ndarray:
+        v_hat = v @ self.tables[0]
+        return v_hat if self.layout.real else v_hat.view(np.complex128)
+
+    def samples(self, a: np.ndarray) -> np.ndarray:
+        return a.view(np.float64) @ self.tables[1]
+
+
+def _build_map(w: Weight, c: float, tables=None) -> _FixedPointMap:
     layout = half_layout(w.group)
     # the profile's m with inf where it overflows and its 1/m, which -1/m
     # repeats, are dropped: no application of the map reads them
     m = _multiplier_profile(w.group, w.name, c, layout.gather(w.values))
     neg_inverse = np.negative(m.inverse)
     neg_inverse.setflags(write=False)
-    return _FixedPointMap(w, layout, m.log_values, m.overflow, m.finite_values, neg_inverse)
+    facts = (w, layout, m.log_values, m.overflow, m.finite_values, neg_inverse)
+    return _FixedPointMap(*facts) if tables is None else _TabledMap(*facts, tables)
+
+
+# The benchmark's solve workload cycles 12 (weight, c) cells, which 16 entries
+# hold; a sweep over c uses each map once.  Weights hash by identity, and a
+# cached key keeps its weight alive.  Band plans hold their coarse maps apart.
+_plan = lru_cache(maxsize=16)(_build_map)
 
 
 def _fixed_point_map(nl: Nonlinearity, w: Weight, c: float) -> _FixedPointMap:
@@ -473,6 +517,65 @@ def _fixed_point_map(nl: Nonlinearity, w: Weight, c: float) -> _FixedPointMap:
     return _plan(w, c)
 
 
+# The band B = {log m <= 40}: a solution's coefficients beyond it are below
+# e^-40 times the source's.
+_BAND_LOG_M = 40.0
+# Coarse groups up to this order transform by products with their
+# half_tables: on Z20, 1.6 us a transform against 13-16 us for numpy.fft's
+# rfft/irfft, whose call overhead the 20 points do not repay (2 vCPUs, numpy
+# 2.4.6).
+_TABLE_ORDER = 64
+
+
+@dataclass(frozen=True, eq=False)
+class _BandPlan:
+    """A coarse group that holds the band of (weight, c) and de-aliases a
+    polynomial source of one degree (``spectral.frequency_embedding``), with
+    its own fixed-point map, whose gamma is the weight's at the embedded
+    frequencies, and the embedding of its half layout into ``layout``, the
+    group's."""
+
+    fmap: _FixedPointMap
+    layout: HalfLayout
+    index: np.ndarray
+    scale: np.ndarray | None
+
+    def prolong(self, coarse: np.ndarray) -> np.ndarray:
+        """The group's half coefficients of the real field whose coarse half
+        coefficients are ``coarse``, zero beyond the embedded frequencies."""
+        out = self.layout.zeros()
+        out[self.index] = coarse if self.scale is None else coarse * self.scale
+        return self.layout.project(out)
+
+    def restrict(self, fine: np.ndarray) -> np.ndarray:
+        """The coarse half coefficients read off the group's half
+        coefficients ``fine`` at the embedded frequencies: ``prolong`` gives
+        back a real field's ``fine`` that is zero beyond them."""
+        coarse = fine[self.index]
+        return self.fmap.layout.project(coarse if self.scale is None else coarse / self.scale)
+
+
+# Keyed by (weight, c, degree): the benchmark's solve workload asks for 24,
+# six weights at two c and two degrees.  Built on first use, apart from
+# _plan's cache, which its full maps fill.
+@lru_cache(maxsize=24)
+def _band_plan(w: Weight, c: float, degree: int) -> _BandPlan | None:
+    """The band plan of (w, c) for a source of ``degree``, or None when the
+    band does not embed or its coarse group has more than a quarter of the
+    group's order."""
+    full = _plan(w, c)
+    band = np.flatnonzero(full.log_values <= _BAND_LOG_M)
+    if full.layout.index is not None:
+        band = full.layout.index[band]
+    emb = frequency_embedding(w.group.factors, band, degree)
+    if emb is None or 4 * math.prod(emb.factors) > w.group.order:
+        return None
+    group = FiniteAbelianGroup(emb.factors)
+    coarse = Weight(group, w.values[emb.dual], w.c_gamma, w.name)
+    tables = half_tables(group) if group.order <= _TABLE_ORDER else None
+    return _BandPlan(_build_map(coarse, c, tables), full.layout, emb.index, emb.scale)
+
+
 def picard_step(u: Signal, nl: Nonlinearity, w: Weight, c: float) -> Signal:
     """One application of the map G: solve the linear problem with source
     V(., u), by one forward and one inverse transform on the half layout.
@@ -481,7 +584,7 @@ def picard_step(u: Signal, nl: Nonlinearity, w: Weight, c: float) -> Signal:
     y = _real_values(nl, u)
     fmap = _fixed_point_map(nl, w, c)
     with np.errstate(over="ignore", invalid="ignore"):
-        v_hat = fmap.source_hat(nl, y)
+        v_hat = fmap.source_hat(nl.u_func(y) - y)
         if v_hat is None:
             raise ValueError("source values are not finite (field overflow)")
         step = fmap.step(v_hat)
@@ -506,7 +609,8 @@ class SolverConfig:
             raise ValueError(f"damping must be in (0, 1], got {self.theta}")
         if not self.tol > 0:
             raise ValueError(f"tolerance must be positive, got {self.tol}")
-        if not (isinstance(self.max_iter, (int, np.integer)) and self.max_iter >= 1):
+        if not (isinstance(self.max_iter, (int, np.integer)) and not isinstance(self.max_iter, bool)
+                and self.max_iter >= 1):
             raise ValueError(f"max_iter must be an integer >= 1, got {self.max_iter}")
         if self.epsilon_ball is not None and not self.epsilon_ball > 0:
             raise ValueError(f"ball radius must be positive, got {self.epsilon_ball}")
@@ -526,6 +630,7 @@ class SolveReport:
     small_data_ok: bool
     continuity_constant: float           # sup-embedding constant at config.s
     theta_used: float
+    loop_group: str                      # descriptor of the group the loop ran on
     verification: dict                   # the certificate; not in as_dict
 
     def as_dict(self) -> dict:
@@ -596,6 +701,81 @@ def size_ball(group: FiniteAbelianGroup, w: Weight, c: float, nl: Nonlinearity) 
     return {"epsilon": hi, "ok": True, **base}
 
 
+def _band_source(nl: Nonlinearity, w: Weight, c: float, cfg: SolverConfig,
+                 fmap: _FixedPointMap) -> tuple[_BandPlan, Callable] | None:
+    """The band plan and V's evaluator on its coarse group, y -> P(y) + h_M,
+    when the solve may run there: nl is a catalog polynomial (``_pointwise``),
+    there is no initial field, the plan exists, and the forcing's
+    coefficients that the coarse group does not carry have l2 norm at most
+    tol/100, as a dropped forcing coefficient enters the residual in full.
+    h_M is the coarse field of the forcing's restricted coefficients."""
+    if nl._pointwise is None or cfg.initial is not None:
+        return None
+    degree, pointwise = nl._pointwise
+    plan = _band_plan(w, c, degree)
+    h_hat = None if plan is None else fmap.source_hat(nl.h.values.real)
+    if h_hat is None:
+        return None
+    h_coarse = plan.restrict(h_hat)
+    if not fmap.norm(h_hat - plan.prolong(h_coarse)) <= cfg.tol / 100.0:
+        return None
+    h_m = plan.fmap.samples(h_coarse)
+    return plan, lambda y: pointwise(y) + h_m
+
+
+def _picard(fmap: _FixedPointMap, source: Callable, start: tuple, cfg: SolverConfig,
+            eps: float, two_alpha: float) -> tuple:
+    """The damped Picard loop of :func:`solve_nonlinear` on fmap's group, from
+    start = (a0, y0, V_hat(y0)), with V's evaluator ``source`` on samples.
+    Returns (status, theta, a, y, update sizes, ball_ok)."""
+    order = fmap.weight.group.order
+    a0, y0, v_hat0 = start
+    for theta in (cfg.theta, cfg.theta / 2.0, cfg.theta / 4.0):
+        a, y, v_hat = a0, y0, v_hat0
+        history: list[float] = []
+        ball_ok = True
+        grow_streak = 0
+        status = "max_iter"
+        for _ in range(cfg.max_iter):
+            if v_hat is None:
+                status = "diverged"
+                break
+            # the samples are synthesized from the damped coefficients, so
+            # (a, y) stays the exact pair that phi returns
+            a_new = fmap.step(v_hat)
+            if theta < 1.0:  # undamped, the step is the new iterate
+                a_new *= theta
+                a_new += (1.0 - theta) * a
+            y_new = fmap.samples(a_new)
+            # the L2 norm; y is finite: a non-finite y_new reads inf or nan
+            diff = float(_root_sum(y_new - y, count=order))
+            if not diff < math.inf and not np.isfinite(y_new).all():
+                status = "diverged"
+                break
+            grow_streak = grow_streak + 1 if history and diff > history[-1] else 0
+            history.append(diff)
+            if ball_ok and math.isfinite(eps):
+                # ||y_new||_{2 alpha}, lp_norm_batch's sum without its call overhead
+                ball_ok = float(_root_sum(y_new, two_alpha, order)) <= eps * (1.0 + 1e-12)
+            a, y = a_new, y_new
+            if diff < cfg.tol:
+                status = "converged"
+                break
+            # the monitored residual's V_hat is the next step's source, so
+            # it costs no extra transform.  Catches one-step exact cases
+            # (affine).
+            v_hat = fmap.source_hat(source(y))
+            if fmap.residual(a, v_hat) < cfg.tol:
+                status = "converged"
+                break
+            if not ball_ok and grow_streak >= 10:
+                status = "diverged"
+                break
+        if status != "diverged":
+            break
+    return status, theta, a, y, history, ball_ok
+
+
 def solve_nonlinear(
     nl: Nonlinearity, w: Weight, c: float, cfg: SolverConfig
 ) -> tuple[Signal, SolveReport]:
@@ -614,6 +794,15 @@ def solve_nonlinear(
     continuity constant are the report's.  An initial field whose
     coefficients overflow float64 is refused with a ValueError before the
     first iteration.
+
+    Solve on the band, certify on the group: when ``_band_source`` allows,
+    the loop runs on the band plan's coarse group, whose update sizes,
+    monitored residual and ball test (the coarse samples' L^{2 alpha} norm)
+    the report gives; the coefficients it ends with are put back into the
+    group's half layout, synthesized once, and certified on the whole
+    group, with u_func, as a direct solve is.  A result that has not
+    converged or is not certified is dropped for the direct solve's.
+    ``loop_group`` names the group the returned result's loop ran on.
     """
     group = nl.group
     fmap = _fixed_point_map(nl, w, c)
@@ -621,77 +810,10 @@ def solve_nonlinear(
     ball = size_ball(group, w, c, nl)
     eps = cfg.epsilon_ball if cfg.epsilon_ball is not None else ball["epsilon"]
     two_alpha = 2.0 * nl.alpha
-    # blown-up iterates read as inf or nan, which the loop below turns into
-    # status "diverged"; numpy's warnings about them are silenced throughout
-    with np.errstate(over="ignore", invalid="ignore"):
-        # the iterate is held twice: as its coefficients a on the half layout,
-        # which stay exact where the multiplier is too large for the samples
-        # to carry them, and as the real samples y = idft(a), which the
-        # nonlinearity needs
-        if cfg.initial is None:
-            a0 = np.zeros(layout.size, dtype=np.float64 if layout.real else np.complex128)
-            y0 = np.zeros(group.order)
-        else:
-            y0 = _real_values(nl, cfg.initial)
-            a0 = layout.split(dual_coefficients(cfg.initial))[0]
-            if not _all_finite(a0):
-                raise ValueError("initial field is too large: its coefficients overflow float64")
-        v_hat0 = fmap.source_hat(nl, y0)
-        if cfg.initial is not None and v_hat0 is not None:
-            # samples fix their dual coefficients only to within their rounding,
-            # about eps * ||y0||; where the equation's own coefficient -V_hat/m
-            # lies within 4x that, take it.  Damping keeps (1 - theta)^k of the
-            # difference, and m times it, which overflows at high frequencies,
-            # would swamp the residual and the domain norm.
-            eq = fmap.step(v_hat0)
-            rounding = 4.0 * np.finfo(np.float64).eps * float(_root_sum(y0, count=group.order))
-            a0 = np.where(np.abs(a0 - eq) <= rounding, eq, a0)
 
-        for theta in (cfg.theta, cfg.theta / 2.0, cfg.theta / 4.0):
-            a, y, v_hat = a0, y0, v_hat0
-            history: list[float] = []
-            ball_ok = True
-            grow_streak = 0
-            status = "max_iter"
-            for _ in range(cfg.max_iter):
-                if v_hat is None:
-                    status = "diverged"
-                    break
-                # the samples are synthesized from the damped coefficients, so
-                # (a, y) stays the exact pair that phi returns
-                a_new = fmap.step(v_hat)
-                if theta < 1.0:  # undamped, the step is the new iterate
-                    a_new *= theta
-                    a_new += (1.0 - theta) * a
-                y_new = fmap.samples(a_new)
-                # the L2 norm; y is finite: a non-finite y_new reads inf or nan
-                diff = float(_root_sum(y_new - y, count=group.order))
-                if not diff < math.inf and not np.isfinite(y_new).all():
-                    status = "diverged"
-                    break
-                grow_streak = grow_streak + 1 if history and diff > history[-1] else 0
-                history.append(diff)
-                if ball_ok and math.isfinite(eps):
-                    # ||y_new||_{2 alpha}, lp_norm_batch's sum without its call overhead
-                    ball_ok = float(_root_sum(y_new, two_alpha, group.order)) <= eps * (1.0 + 1e-12)
-                a, y = a_new, y_new
-                if diff < cfg.tol:
-                    status = "converged"
-                    break
-                # the monitored residual's V_hat is the next step's source, so
-                # it costs no extra transform.  Catches one-step exact cases
-                # (affine).
-                v_hat = fmap.source_hat(nl, y)
-                if fmap.residual(a, v_hat) < cfg.tol:
-                    status = "converged"
-                    break
-                if not ball_ok and grow_streak >= 10:
-                    status = "diverged"
-                    break
-            if status != "diverged":
-                break
+    def finish(loop: tuple, a: np.ndarray, y: np.ndarray, loop_group: str):
+        status, theta, _, _, history, ball_ok = loop
         phi = Signal(group, y, exact_dual=layout.expand(a))
-
         # the a posteriori certificate goes through the forward operator
         sup = float(lp_norm_batch(group, y, math.inf))
         record = fmap.certificate(nl, a, None, y, sup, cfg.s, residual_tol=10 * cfg.tol)
@@ -701,21 +823,62 @@ def solve_nonlinear(
             "domain": record["domain_norm"],
             "sup": sup,
         }
-    report = SolveReport(
-        status=status,
-        converged=status == "converged",
-        iterations=len(history),
-        residual_history=tuple(history),
-        final_residual_eq=record["residual_eq"],
-        norms=norms,
-        ball_respected=ball_ok,
-        ball_radius=float(eps),
-        small_data_ok=bool(ball["ok"]),
-        continuity_constant=record["continuity_constant"],
-        theta_used=theta,
-        verification=record,
-    )
-    return phi, report
+        return phi, SolveReport(
+            status=status,
+            converged=status == "converged",
+            iterations=len(history),
+            residual_history=tuple(history),
+            final_residual_eq=record["residual_eq"],
+            norms=norms,
+            ball_respected=ball_ok,
+            ball_radius=float(eps),
+            small_data_ok=bool(ball["ok"]),
+            continuity_constant=record["continuity_constant"],
+            theta_used=theta,
+            loop_group=loop_group,
+            verification=record,
+        )
+
+    # blown-up iterates read as inf or nan, which the loop below turns into
+    # status "diverged"; numpy's warnings about them are silenced throughout
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the loop on the band plan's coarse group, certified on the whole group
+        band = _band_source(nl, w, c, cfg, fmap)
+        if band is not None:
+            plan, source = band
+            coarse = plan.fmap
+            y0 = np.zeros(coarse.weight.group.order)
+            start = (coarse.layout.zeros(), y0, coarse.source_hat(source(y0)))
+            loop = _picard(coarse, source, start, cfg, eps, two_alpha)
+            a = plan.prolong(loop[2])
+            phi, report = finish(loop, a, fmap.samples(a), coarse.weight.group.descriptor)
+            if report.converged and report.verification["all_ok"]:
+                return phi, report
+        # the iterate is held twice: as its coefficients a on the half layout,
+        # which stay exact where the multiplier is too large for the samples
+        # to carry them, and as the real samples y = idft(a), which the
+        # nonlinearity needs
+        if cfg.initial is None:
+            a0 = layout.zeros()
+            y0 = np.zeros(group.order)
+        else:
+            y0 = _real_values(nl, cfg.initial)
+            a0 = layout.split(dual_coefficients(cfg.initial))[0]
+            if not _all_finite(a0):
+                raise ValueError("initial field is too large: its coefficients overflow float64")
+        source = lambda y: nl.u_func(y) - y
+        v_hat0 = fmap.source_hat(source(y0))
+        if cfg.initial is not None and v_hat0 is not None:
+            # samples fix their dual coefficients only to within their rounding,
+            # about eps * ||y0||; where the equation's own coefficient -V_hat/m
+            # lies within 4x that, take it.  Damping keeps (1 - theta)^k of the
+            # difference, and m times it, which overflows at high frequencies,
+            # would swamp the residual and the domain norm.
+            eq = fmap.step(v_hat0)
+            rounding = 4.0 * np.finfo(np.float64).eps * float(_root_sum(y0, count=group.order))
+            a0 = np.where(np.abs(a0 - eq) <= rounding, eq, a0)
+        loop = _picard(fmap, source, (a0, y0, v_hat0), cfg, eps, two_alpha)
+        return finish(loop, loop[2], loop[3], group.descriptor)
 
 
 def verify_solution(
@@ -764,11 +927,15 @@ def check_growth_conditions(nl: Nonlinearity, y_samples) -> dict:
 
     Checks |U - y| <= C(|h| + |y|^alpha) and |d/dy(U - y)| <= C(|f| + |y|^beta)
     at every point; reports the worst ratio of each and a witness.  Points
-    where the right side vanishes require the left side to vanish too.
+    where the right side vanishes require the left side to vanish too.  A
+    sample that is not finite is refused with a ValueError.
     """
     y_samples = [float(y) for y in y_samples]
     if not y_samples:
         raise ValueError("need at least one sample value")
+    bad = [y for y in y_samples if not math.isfinite(y)]
+    if bad:
+        raise ValueError(f"sample values must be finite, got {bad[0]}")
     group = nl.group
     habs = np.abs(nl.h.values.real)
     fabs = np.abs(nl.f_env.values.real)

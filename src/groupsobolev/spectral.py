@@ -43,6 +43,12 @@ the run before it), and the half transforms are float64 products with the
 +-1 tables on the full dual.  Any other group with no axis to halve (every
 factor of length 3 or more merged into a block, e.g. Z2xZ4xZ2xZ4) keeps
 the full dual as its half, with the complex arithmetic and no gathers.
+
+:func:`frequency_embedding` embeds the dual of a coarse group Z_M1 x ... x
+Z_Mr into a group's, axis by axis by an exact quotient or a de-aliased
+truncation, and maps the coarse half layout into the group's: the solver
+iterates on such a group when its source lives on a band of low
+frequencies.
 """
 from __future__ import annotations
 
@@ -207,6 +213,10 @@ class HalfLayout:
     inverse: np.ndarray
     real: bool = False
 
+    def zeros(self) -> np.ndarray:
+        """The coefficients of the zero field: float64 on a real layout."""
+        return np.zeros(self.size, dtype=np.float64 if self.real else np.complex128)
+
     def gather(self, full: np.ndarray) -> np.ndarray:
         """The half entries of a real field's full-dual coefficients (last
         axis = dual)."""
@@ -229,10 +239,11 @@ class HalfLayout:
         """The coefficients on the layout of a real field nearest to ``raw``:
         each entry whose partner is stored too (every entry where no axis is
         halved) averaged with the conjugate of its partner.  Overwrites and
-        returns ``raw`` where an axis is halved, returns it on a 2-group's
-        real layout, and a new array otherwise."""
+        returns ``raw`` where an axis is halved, its real part (``raw``
+        itself when float64) on a 2-group's real layout, and a new array
+        otherwise."""
         if self.real:
-            return raw
+            return raw.real
         sym = raw[self.partner]
         np.conjugate(sym, out=sym)
         sym += raw if self.paired is None else raw[self.paired]
@@ -334,6 +345,83 @@ def half_layout(group: FiniteAbelianGroup) -> HalfLayout:
     return _grid_plan(group.factors).half
 
 
+class FrequencyEmbedding(NamedTuple):
+    """A coarse group Z_M1 x ... x Z_Mr whose dual embeds into a group's:
+    ``dual`` holds the group's dual index of each coarse character, in
+    enumeration order; ``index`` the position in the group's half layout of
+    each coarse half entry, and ``scale`` (None: all 1) the factor it takes
+    there, 1/2 where a coarse entry whose partner is stored too lands on one
+    that stands for its partner as well."""
+
+    factors: tuple[int, ...]
+    dual: np.ndarray
+    index: np.ndarray
+    scale: np.ndarray | None
+
+
+def _paired_mask(layout: HalfLayout) -> np.ndarray:
+    """Whether each half entry's partner is stored too."""
+    if layout.paired is None:
+        return np.ones(layout.size, dtype=bool)
+    return np.isin(np.arange(layout.size), layout.paired)
+
+
+def _smooth_size(n: int) -> int:
+    """The smallest integer >= n with no prime factor above 5."""
+    while True:
+        rest = n
+        for p in (2, 3, 5):
+            while rest % p == 0:
+                rest //= p
+        if rest == 1:
+            return n
+        n += 1
+
+
+def frequency_embedding(factors: tuple[int, ...], band: np.ndarray,
+                        degree: int) -> FrequencyEmbedding | None:
+    """The smallest coarse group that holds the characters ``band`` (dual
+    indices of the group of ``factors``, closed under inversion) and
+    computes products of ``degree`` factors on them without aliasing.
+
+    Each cyclic axis Z_n keeps the smaller of two sizes.  When the band's
+    coordinates k on it lie in d Z_n, the exact quotient Z_{n/d}, with
+    k' -> d k': a field with those frequencies is a field on it, and so is
+    any pointwise function of one.  Otherwise a truncation Z_M, with k'
+    mapped by its signed residue, of the smallest 2-3-5-smooth M >=
+    (p + 1) K + 1, p = max(degree, 1), where K is the band's largest
+    |signed coordinate|: a product of p fields of frequencies up to K
+    aliases only beyond K (Orszag's rule).  None when some coarse half
+    entry lands outside the group's half layout, or one that stands for
+    its partner too lands on one whose partner is stored.
+    """
+    coords = np.unravel_index(band, factors)
+    maps = []
+    for n, k in zip(factors, coords):
+        quotient = n // int(np.gcd.reduce(k, initial=n))
+        width = int(np.abs(np.where(2 * k > n, k - n, k)).max(initial=0))
+        size = _smooth_size((max(degree, 1) + 1) * width + 1)
+        if quotient <= size:
+            maps.append((n // quotient) * np.arange(quotient))
+        else:
+            k = np.arange(size)
+            maps.append(np.where(2 * k > size, k - size + n, k))
+    sizes = tuple(len(m) for m in maps)
+    dual = np.ravel_multi_index(np.ix_(*maps), factors).reshape(-1)
+    fine, coarse = half_layout(FiniteAbelianGroup(factors)), half_layout(FiniteAbelianGroup(sizes))
+    pos = np.full(math.prod(factors), -1)
+    pos[slice(None) if fine.index is None else fine.index] = np.arange(fine.size)
+    index = pos[dual if coarse.index is None else dual[coarse.index]]
+    if (index < 0).any():
+        return None
+    fine_paired, coarse_paired = _paired_mask(fine)[index], _paired_mask(coarse)
+    if (fine_paired & ~coarse_paired).any():
+        return None
+    halved = coarse_paired & ~fine_paired
+    return FrequencyEmbedding(sizes, dual, index,
+                              np.where(halved, 0.5, 1.0) if halved.any() else None)
+
+
 def _block_product(table: np.ndarray, grid: np.ndarray, post: int) -> np.ndarray:
     """The symmetric ``table`` applied along the grid axis of its length that
     has ``post`` grid points after it; on the last axis, one 2-D product."""
@@ -408,6 +496,23 @@ def idft_values(group: FiniteAbelianGroup, values: np.ndarray, half: bool = Fals
     With ``half`` the values are a real field's coefficients on
     :func:`half_layout`'s entries and the result is that real field."""
     return _transform_grid(group, values, inverse=True, half=half)
+
+
+def half_tables(group: FiniteAbelianGroup) -> tuple[np.ndarray, np.ndarray]:
+    """The half transforms of ``group`` as two float64 matrices, for a group
+    small enough that one product costs less than the passes' call overhead:
+    ``values @ forward``, viewed as complex128 unless the layout is real, is
+    ``dft_values(group, values, half=True)``, and ``coeffs.view(float64) @
+    inverse`` is ``idft_values(group, coeffs, half=True)``, both to rounding.
+    Built by those transforms of the unit fields and coefficients."""
+    layout = half_layout(group)
+    forward = np.ascontiguousarray(dft_values(group, np.eye(group.order), half=True))
+    basis = np.eye(layout.size)
+    inverse = idft_values(group, basis, half=True)
+    if not layout.real:  # a coefficient's real and imaginary parts, interleaved
+        forward = forward.view(np.float64)
+        inverse = np.stack([inverse, idft_values(group, 1j * basis, half=True)], axis=1)
+    return forward, np.ascontiguousarray(inverse.reshape(-1, group.order))
 
 
 # ---------------------------------------------------------------------------

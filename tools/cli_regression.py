@@ -18,11 +18,11 @@ The set covers ``check`` JSON at three seeds, every subcommand's help,
 ``info`` (on weight tables that break subadditivity too), ``constants``,
 ``transform`` with ``--naive``/``--oracle``/``--inverse``,
 ``solve-linear``, ``solve-nonlinear`` on the six groups of the benchmark's
-``solve`` menu and on edge rows, the benchmark's ``sweep`` command and
-three others, ``--config`` (supplying required flags, and a list that a
-repeated flag replaces), and error paths.  Input files are
-written by this script from fixed formulas, not by the package, so both
-trees read the same bytes.
+``solve`` menu, on Z65536 and on edge rows (a forcing past the band among
+them), the benchmark's ``sweep`` command and three others, ``--config``
+(supplying required flags, and a list that a repeated flag replaces), and
+error paths.  Input files are written by this script from fixed formulas,
+not by the package, so both trees read the same bytes.
 """
 from __future__ import annotations
 
@@ -69,11 +69,20 @@ def _plane_wave(side: int, l2: float) -> list[float]:
             range(side * side)]
 
 
+def _cosines(n: int, top: int, scale: float) -> list[float]:
+    """scale * sum of cos(2 pi k i / n) / k for k = 1..top on Z<n>: a real
+    field with every wavenumber up to ``top``."""
+    return [scale * sum(math.cos(2 * math.pi * k * i / n) / k for k in range(1, top + 1))
+            for i in range(n)]
+
+
 INPUTS = {  # file name: its text
     "z64.csv": lambda: _csv(_wave(64)),
     "z64.json": lambda: _json("Z64", _wave(64)),
     "z12_spectrum.csv": lambda: _csv(_wave(12, 0.1)),
     "z4096.csv": lambda: _csv(_wave(4096)),
+    # wavenumbers 1..20 against a band of 6 at c = 1, all where m is finite
+    "z4096_broadband.csv": lambda: _csv(_cosines(4096, 20, 0.01)),
     "z64_real.csv": lambda: _csv(_wave(64, 0.02, imag=False)),
     "z64_initial.csv": lambda: _csv(_wave(64, 0.01, imag=False)),
     "z128x128_forcing.csv": lambda: _csv(_plane_wave(128, 0.1)),
@@ -158,6 +167,11 @@ COMMANDS = {  # name: argv; "{tmp}" is the run's directory, which holds the INPU
        for c in ("0.7", "0.71")},
     "solve-z4096": ["solve-nonlinear", "--group", "Z4096", "--c", "1", "--nonlinearity",
                     "forced-power:2,1", "--forcing-scale", "0.2"],
+    # the forcing reaches past the band: the loop runs on Z4096, not on Z20
+    "solve-z4096-broadband": [*_SOLVE, "forced-power:2,1", "--group", "Z4096", "--c", "1",
+                              "--forcing", "{tmp}/z4096_broadband.csv"],
+    "solve-z65536": [*_SOLVE, "forced-power:2,1", "--group", "Z65536", "--c", "1",
+                     "--forcing-scale", "1.5"],
     "solve-z4096-pruefer": ["solve-nonlinear", "--group", "Z4096", "--weight", "pruefer:2",
                             "--c", "1", "--nonlinearity", "forced-power:2,1",
                             "--forcing-scale", "0.2"],
